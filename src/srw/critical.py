@@ -20,7 +20,6 @@ runs the joinability check over every critical pair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .words import Path, RuleInstance, SrsSystem, Word, find_redexes

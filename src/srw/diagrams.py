@@ -15,8 +15,9 @@ empty path.  The legal shapes are
 - all dashed: every side has length zero.
 
 `natural_ed(r, w, r')` is the square that commutes two non-overlapping
-redexes separated by the word w; whiskering extends a diagram by outer
-context, transposition swaps the two sides.
+redexes separated by the word w, and `natural_squares` lists all of them
+up to a separator length; whiskering extends a diagram by outer context,
+transposition swaps the two sides.
 
 A `Tiling` fills the area under a zigzag with elementary diagrams.  The
 untiled boundary (the frontier) is walked from the zigzag's start to its
@@ -43,9 +44,7 @@ means none was found within the search budget.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
@@ -57,6 +56,7 @@ from .words import (
     SrsSystem,
     Word,
     Zigzag,
+    all_words,
     find_redexes,
     word_to_str,
 )
@@ -64,6 +64,7 @@ from .words import (
 __all__ = [
     "ElementaryDiagram",
     "natural_ed",
+    "natural_squares",
     "whisker_ed",
     "transpose_ed",
     "CornerMismatch",
@@ -157,6 +158,18 @@ def natural_ed(r1: Rule, w: Word, r2: Rule) -> ElementaryDiagram:
     right = Path(top.target, (RuleInstance(r1.rhs + w, r2, ()),))
     bottom = Path(left.target, (RuleInstance((), r1, w + r2.rhs),))
     return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
+
+
+def natural_squares(
+    sys: SrsSystem, max_mid: int
+) -> Iterator[tuple[tuple[Rule, Word, Rule], ElementaryDiagram]]:
+    """Every natural square r1 · w · r2 of the system with |w| <= max_mid,
+    labelled (r1, w, r2).  Transposes are left out: decreasingness is
+    transpose-invariant."""
+    for r1 in sys.rules:
+        for r2 in sys.rules:
+            for w in all_words(sys.n, max_mid):
+                yield (r1, w, r2), natural_ed(r1, w, r2)
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:

@@ -31,27 +31,34 @@ braids); ascending commutations with the same source compare equal.
 `chosen_critical_ed` returns, for every critical pair of rfull, a
 curated elementary diagram that the order makes decreasing.  `cells_P`
 is the finite family of parallel path pairs over rdoubleprime that
-generates all loops; `verify_suite` machine-checks the whole setup.
+generates all loops.
+
+`verify_suite` machine-checks the whole setup in five items, each with
+its status, detail and seconds, and folds the statuses into one verdict:
+FAIL over UNKNOWN over PASS.  The natural squares and the chosen critical
+diagrams go through `srw.order.check_decreasing`, the same check that
+`srw check-decreasing` runs.
 """
 
 from __future__ import annotations
 
-import itertools
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .critical import CriticalPair, enumerate_critical_pairs, join_pair
 from .diagrams import (
     CellFamily,
     ElementaryDiagram,
     PathVerdict,
-    natural_ed,
+    natural_squares,
     paths_equivalent_mod_cells,
     standard_provider,
     transpose_ed,
 )
-from .order import InstanceOrder, Verdict, is_decreasing_ed
-from .words import Path, Rule, RuleInstance, SrsSystem, Word, find_redexes
+from .order import InstanceOrder, Verdict, check_decreasing
+from .seminormal import attractor
+from .words import Path, Rule, RuleInstance, SrsSystem, Word, all_words, find_redexes
 
 __all__ = [
     "InvalidRank",
@@ -65,6 +72,7 @@ __all__ = [
     "c_sort_path",
     "chosen_critical_ed",
     "chosen_critical_ed_tagged",
+    "chosen_chooser",
     "hecke_provider",
     "cells_P",
     "translate_to_basic",
@@ -600,7 +608,9 @@ def chosen_critical_ed(pair: CriticalPair, sys: SrsSystem) -> ElementaryDiagram:
     return chosen_critical_ed_tagged(pair, sys)[0]
 
 
-def _chosen_chooser(sys: SrsSystem):
+def chosen_chooser(sys: SrsSystem):
+    """The curated family as a critical-pair chooser for `standard_provider`."""
+
     def choose(pair: CriticalPair):
         ed, _, transposed = chosen_critical_ed_tagged(pair, sys)
         return ed, transposed
@@ -610,7 +620,7 @@ def _chosen_chooser(sys: SrsSystem):
 
 def hecke_provider(sys: SrsSystem):
     """Corner cells drawn from the curated critical family."""
-    return standard_provider(sys, chooser=_chosen_chooser(sys))
+    return standard_provider(sys, chooser=chosen_chooser(sys))
 
 
 # --- the coherence cell family over rdoubleprime ---------------------------
@@ -862,6 +872,7 @@ class VerifyItem:
     name: str
     status: str  # PASS | FAIL | UNKNOWN
     detail: str
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -870,58 +881,54 @@ class VerifyReport:
     items: tuple[VerifyItem, ...]
 
     @property
+    def verdict(self) -> str:
+        """FAIL if any item failed, else UNKNOWN if any is undecided, else PASS."""
+        for status in ("FAIL", "UNKNOWN"):
+            if any(item.status == status for item in self.items):
+                return status
+        return "PASS"
+
+    @property
     def ok(self) -> bool:
-        return all(item.status != "FAIL" for item in self.items)
-
-
-def _all_context_words(n: int, max_len: int):
-    for length in range(max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
+        return self.verdict == "PASS"
 
 
 def _verify_naturals(sys: SrsSystem, max_mid: int) -> VerifyItem:
-    ord_ = sys.order
-    checked = 0
-    for r1 in sys.rules:
-        for r2 in sys.rules:
-            for w in _all_context_words(sys.n, max_mid):
-                ed = natural_ed(r1, w, r2)
-                ok1, wit1 = is_decreasing_ed(ord_, ed)
-                ok2, wit2 = is_decreasing_ed(ord_, transpose_ed(ed))
-                checked += 1
-                if not (ok1 and ok2):
-                    return VerifyItem(
-                        "natural-diagrams-decreasing",
-                        "FAIL",
-                        f"{r1.name} over {sys.fmt(w)} vs {r2.name}: "
-                        f"{wit1.reason or wit2.reason}",
-                    )
+    rep = check_decreasing(sys.order, natural_squares(sys, max_mid))
+    if not rep.ok:
+        (r1, w, r2), why = rep.failures[0]
+        return VerifyItem(
+            "natural-diagrams-decreasing",
+            "FAIL",
+            f"{r1.name} over {sys.fmt(w)} vs {r2.name}: {why}",
+        )
     return VerifyItem(
         "natural-diagrams-decreasing",
         "PASS",
-        f"{checked} squares (with transposes) decreasing",
+        f"{rep.checked} squares (transposes by symmetry) decreasing",
     )
 
 
 def _verify_criticals(sys: SrsSystem) -> VerifyItem:
-    ord_ = sys.order
-    pairs = enumerate_critical_pairs(sys)
+    labelled = []
     families: dict[str, int] = {}
-    for pair in pairs:
+    for pair in enumerate_critical_pairs(sys):
         ed, name, _ = chosen_critical_ed_tagged(pair, sys)
-        ok, wit = is_decreasing_ed(ord_, ed)
-        if not ok:
-            return VerifyItem(
-                "critical-pairs-covered",
-                "FAIL",
-                f"{name} diagram for {pair.render(sys.n)} not decreasing: {wit.reason}",
-            )
+        labelled.append(((name, pair), ed))
         families[name] = families.get(name, 0) + 1
+    rep = check_decreasing(sys.order, labelled)
+    if not rep.ok:
+        (name, pair), why = rep.failures[0]
+        return VerifyItem(
+            "critical-pairs-covered",
+            "FAIL",
+            f"{name} diagram for {pair.render(sys.n)} not decreasing: {why}",
+        )
     fam = ",".join(f"{k}:{v}" for k, v in sorted(families.items()))
     return VerifyItem(
         "critical-pairs-covered",
         "PASS",
-        f"{len(pairs)} ordered pairs covered by decreasing diagrams ({fam})",
+        f"{rep.checked} ordered pairs covered by decreasing diagrams ({fam})",
     )
 
 
@@ -945,7 +952,7 @@ def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
                 f"rule {r.name} does not reduce inversions",
             )
     checked = 0
-    for w in _all_context_words(sys.n, max_len):
+    for w in all_words(sys.n, max_len):
         inv = _inversions(w)
         for inst in find_redexes(w, sub):
             checked += 1
@@ -979,26 +986,22 @@ def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
 
 
 def _verify_attractor_loops(sys: SrsSystem, max_len: int) -> VerifyItem:
-    from .seminormal import attractor_loop_steps
-
     classes = 0
     seen: set[Word] = set()
-    for w in _all_context_words(sys.n, max_len):
+    for w in all_words(sys.n, max_len):
         if w in seen:
             continue
-        steps = attractor_loop_steps(w, sys)
-        from .seminormal import attractor as _attr
-
-        members = _attr(w, sys).members
+        members = attractor(w, sys).members
         seen.update(members)
         classes += 1
-        for st in steps:
-            if classify_rule(st.rule)[0] not in ("cf", "ci"):
-                return VerifyItem(
-                    "attractor-loops-are-commutations",
-                    "FAIL",
-                    f"loop step {st.render(sys.n)} in class of {sys.fmt(w)}",
-                )
+        for m in members:
+            for st in find_redexes(m, sys):
+                if classify_rule(st.rule)[0] not in ("cf", "ci"):
+                    return VerifyItem(
+                        "attractor-loops-are-commutations",
+                        "FAIL",
+                        f"loop step {st.render(sys.n)} in class of {sys.fmt(w)}",
+                    )
     return VerifyItem(
         "attractor-loops-are-commutations",
         "PASS",
@@ -1034,11 +1037,8 @@ def _coherence_sort_key(name: str, pair: CriticalPair) -> tuple:
     k1 = classify_rule(pair.first.rule)
     k2 = classify_rule(pair.second.rule)
     params = tuple(x for k in (k1, k2) for x in k[1:])
-    if name in ("aB", "Ba", "Bc1"):
+    if name in ("aB", "Ba", "Bc1", "bB", "cB"):
         # induct downward on the braid's foot: larger feet first
-        foot = min(k[2] for k in (k1, k2) if k[0] == "b")
-        return (_FAMILY_RANK[name], -foot, params)
-    if name in ("bB", "cB"):
         foot = min(k[2] for k in (k1, k2) if k[0] == "b")
         return (_FAMILY_RANK[name], -foot, params)
     if name == "BB":
@@ -1097,19 +1097,25 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     return VerifyItem("coherence", status, detail)
 
 
-def verify_suite(
-    n: int,
-    coherence_bound: int = 100000,
-    natural_context: int = 3,
-    attractor_max_len: int = 6,
-) -> VerifyReport:
-    """Run the five machine checks for the rank-n Hecke systems."""
+# Separator length of the natural squares and word length of the
+# attractor sweep that `verify_suite` checks.
+_NATURAL_CONTEXT = 3
+_ATTRACTOR_MAX_LEN = 6
+
+
+def verify_suite(n: int, coherence_bound: int = 100000) -> VerifyReport:
+    """Run the five machine checks for the rank-n Hecke systems, timing each."""
     sys = hecke_system(n, "rfull")
-    items = (
-        _verify_naturals(sys, natural_context),
-        _verify_criticals(sys),
-        _verify_c_subsystem(sys),
-        _verify_attractor_loops(sys, attractor_max_len),
-        _verify_coherence(sys, coherence_bound),
+    checks = (
+        lambda: _verify_naturals(sys, _NATURAL_CONTEXT),
+        lambda: _verify_criticals(sys),
+        lambda: _verify_c_subsystem(sys),
+        lambda: _verify_attractor_loops(sys, _ATTRACTOR_MAX_LEN),
+        lambda: _verify_coherence(sys, coherence_bound),
     )
-    return VerifyReport(n=n, items=items)
+    items = []
+    for check in checks:
+        t0 = time.perf_counter()
+        item = check()
+        items.append(replace(item, seconds=time.perf_counter() - t0))
+    return VerifyReport(n=n, items=tuple(items))

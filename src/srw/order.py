@@ -18,6 +18,9 @@ r_1 .. r_m and bottom path d_1 .. d_n is *decreasing* when
 A dashed top or left imposes no conditions of its own; the check simply
 never lets a missing side dominate anything.  Transposing a diagram
 swaps the two conditions, so decreasingness is transpose-invariant.
+`check_decreasing` runs the check over a family of labelled diagrams; it
+is the one place that family checks (natural squares, chosen critical
+diagrams) go through.
 
 `rule_rank_order` builds the simplest useful order: instances compare by
 an integer rank attached to their rule's name, with ties either declared
@@ -30,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .words import RuleInstance, SrsSystem, Word
 
@@ -43,6 +46,8 @@ __all__ = [
     "rule_rank_order",
     "DecreasingWitness",
     "is_decreasing_ed",
+    "DecreasingReport",
+    "check_decreasing",
     "MonomialReport",
     "check_monomial_sample",
 ]
@@ -178,6 +183,41 @@ def is_decreasing_ed(
     if s is None:
         return False, DecreasingWitness(ok=False, reason=f"right path: {why_s}")
     return True, DecreasingWitness(ok=True, j=j, s=s)
+
+
+@dataclass(frozen=True)
+class DecreasingReport:
+    """The number of diagrams checked and (label, reason) for each one
+    that is not decreasing, in input order."""
+
+    checked: int
+    failures: tuple[tuple[Any, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def check_decreasing(
+    order: InstanceOrder,
+    labelled: Iterable[tuple[Any, "ElementaryDiagram | None"]],
+) -> DecreasingReport:
+    """Check every (label, diagram) pair for decreasingness.
+
+    A diagram of None stands for a peak that no square joins and counts
+    as a failure.
+    """
+    checked = 0
+    failures: list[tuple[Any, str]] = []
+    for label, ed in labelled:
+        checked += 1
+        if ed is None:
+            failures.append((label, "no joining square"))
+            continue
+        ok, wit = is_decreasing_ed(order, ed)
+        if not ok:
+            failures.append((label, wit.reason))
+    return DecreasingReport(checked=checked, failures=tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,18 @@ import pytest
 
 from srw.cli import main
 from srw.critical import enumerate_critical_pairs
-from srw.diagrams import FuelExhausted, complete_peak, complete_zigzag
+from srw.diagrams import FuelExhausted, complete_peak, complete_zigzag, natural_squares
 from srw.hecke import (
     _instance_key,
     _verify_attractor_loops,
     _verify_coherence,
-    _verify_criticals,
-    _verify_naturals,
+    chosen_critical_ed,
     enumerate_monoid,
     hecke_order,
     hecke_provider,
     hecke_system,
 )
-from srw.order import Verdict, check_monomial_sample
+from srw.order import Verdict, check_decreasing, check_monomial_sample
 from srw.seminormal import attractor, canon, words_equal
 from srw.words import BACKWARD, FORWARD, Path, RuleInstance, Zigzag, find_redexes
 
@@ -65,9 +64,11 @@ def test_criterion_02_natural_squares_decreasing():
     t0 = time.monotonic()
     total = 0
     for n in (1, 2, 3, 4):
-        item = _verify_naturals(hecke_system(n, "rfull"), 3)
-        assert item.status == "PASS", item.detail
-        total += int(item.detail.split()[0])
+        sys = hecke_system(n, "rfull")
+        rep = check_decreasing(sys.order, natural_squares(sys, 3))
+        assert rep.ok, rep.failures[:3]
+        total += rep.checked
+    assert total == 4 + 135 + 2560 + 21760
     elapsed = _budget(t0, 60.0, "criterion 2")
     print(f"criterion 2 PASS: {total} natural squares decreasing, "
           f"ranks 1-4, separators up to length 3 ({elapsed:.1f}s)")
@@ -77,9 +78,11 @@ def test_criterion_03_chosen_family_coverage():
     t0 = time.monotonic()
     counts = {}
     for n in (1, 2, 3, 4):
-        item = _verify_criticals(hecke_system(n, "rfull"))
-        assert item.status == "PASS", item.detail
-        counts[n] = int(item.detail.split()[0])
+        sys = hecke_system(n, "rfull")
+        pairs = enumerate_critical_pairs(sys)
+        rep = check_decreasing(sys.order, ((p, chosen_critical_ed(p, sys)) for p in pairs))
+        assert rep.ok, rep.failures[:3]
+        counts[n] = rep.checked
     assert counts == {1: 2, 2: 10, 3: 50, 4: 146}
     elapsed = _budget(t0, 60.0, "criterion 3")
     print(f"criterion 3 PASS: every critical pair classified and decreasing, "

@@ -179,6 +179,19 @@ def test_hecke_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["overall"] == "PASS" and len(doc["items"]) == 5
+    assert all(item["seconds"] >= 0.0 for item in doc["items"])
+
+
+def test_hecke_verify_unknown_exits_one(capsys):
+    # Two rank-3 coherence classes are not derivable within 20 substitutions.
+    code, out, _ = run(capsys, ["hecke", "verify", "3", "--coherence-bound", "20"])
+    assert code == 1
+    assert "coherence: UNKNOWN (23/25 " in out
+    assert out.endswith("VERDICT: UNKNOWN\n")
+    code, out, _ = run(
+        capsys, ["hecke", "verify", "3", "--coherence-bound", "20", "--json"]
+    )
+    assert code == 1 and json.loads(out)["overall"] == "UNKNOWN"
 
 
 def test_stdout_deterministic(h3full, capsys):

@@ -11,6 +11,8 @@ from srw.hecke import (
     CapExceeded,
     InvalidRank,
     UnclassifiedPair,
+    VerifyItem,
+    VerifyReport,
     c_sort_path,
     cells_P,
     chosen_critical_ed,
@@ -310,8 +312,9 @@ def test_hecke_canon_matches_generic(letters):
 
 def test_verify_suite_rank2():
     rep = verify_suite(2)
-    assert rep.ok
+    assert rep.ok and rep.verdict == "PASS"
     assert [i.status for i in rep.items] == ["PASS"] * 5
+    assert all(i.seconds >= 0.0 for i in rep.items)
     names = [i.name for i in rep.items]
     assert names == [
         "natural-diagrams-decreasing",
@@ -320,6 +323,16 @@ def test_verify_suite_rank2():
         "attractor-loops-are-commutations",
         "coherence",
     ]
+
+
+def test_verify_report_verdict_fold():
+    def report(*statuses):
+        return VerifyReport(1, tuple(VerifyItem(f"i{k}", s, "") for k, s in enumerate(statuses)))
+
+    assert report("PASS", "PASS").verdict == "PASS" and report("PASS").ok
+    assert report("PASS", "UNKNOWN").verdict == "UNKNOWN"
+    assert not report("UNKNOWN", "PASS").ok
+    assert report("UNKNOWN", "FAIL", "PASS").verdict == "FAIL"
 
 
 def test_mirror_commutation_cell_derivable_from_base():

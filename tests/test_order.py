@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srw.diagrams import ElementaryDiagram, natural_ed, transpose_ed
-from srw.hecke import hecke_order, hecke_system
+from srw.critical import enumerate_critical_pairs
+from srw.diagrams import ElementaryDiagram, natural_ed, natural_squares, transpose_ed
+from srw.hecke import chosen_critical_ed, hecke_order, hecke_system
 from srw.order import (
     InstanceOrder,
     Verdict,
+    check_decreasing,
     check_monomial_sample,
     is_decreasing_ed,
     rule_rank_order,
@@ -159,6 +161,46 @@ def test_natural_square_decreasing_under_hecke_order():
         assert ok
         ok, _ = is_decreasing_ed(sys.order, transpose_ed(ed))
         assert ok
+
+
+def test_decreasing_is_transpose_invariant():
+    # Why the suite checks each natural square once, not also transposed.
+    # A rule-rank order by position in the rule list also exercises the
+    # failing side: under it some of the diagrams are not decreasing.
+    sys = hecke_system(3, "rfull")
+    diagrams = [ed for _, ed in natural_squares(sys, 2)]
+    diagrams += [chosen_critical_ed(p, sys) for p in enumerate_critical_pairs(sys)]
+    assert len(diagrams) == 832 + 50
+    by_position = rule_rank_order({r.name: i for i, r in enumerate(sys.rules)})
+    for order in (sys.order, by_position):
+        verdicts = set()
+        for ed in diagrams:
+            ok, wit = is_decreasing_ed(order, ed)
+            ok_t, wit_t = is_decreasing_ed(order, transpose_ed(ed))
+            assert ok == ok_t
+            assert (wit_t.j, wit_t.s) == (wit.s, wit.j)
+            verdicts.add(ok)
+        assert verdicts == ({True} if order is sys.order else {True, False})
+
+
+def test_check_decreasing_counts_and_labels_failures():
+    sys = tiny_system()
+    ord_ = rule_rank_order({"dbl": 0, "swp": 1})
+    top = RuleInstance((), sys.rule("dbl"), (2, 1))
+    swp = RuleInstance((1,), sys.rule("swp"), ())
+    bad = ElementaryDiagram(
+        top=top,
+        left=top,
+        right=Path(top.target, (swp,)),
+        bottom=Path(top.target, (swp,)),
+    )
+    good = natural_ed(sys.rule("dbl"), (), sys.rule("dbl"))
+    rep = check_decreasing(ord_, [("good", good), ("bad", bad), ("none", None)])
+    assert rep.checked == 3 and not rep.ok
+    assert [label for label, _ in rep.failures] == ["bad", "none"]
+    assert rep.failures[0][1] == is_decreasing_ed(ord_, bad)[1].reason
+    assert rep.failures[1][1] == "no joining square"
+    assert check_decreasing(ord_, []).ok
 
 
 def test_monomial_sample_hecke_order_clean():
