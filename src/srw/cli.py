@@ -17,8 +17,9 @@ forward) or "<" (traversed backward).
 
 `check-decreasing` runs `srw.order.check_decreasing`, the check behind
 `hecke verify`; its critical diagrams, like the tiling commands' cells,
-come from the curated Hecke family under the hecke order and from BFS
-joins otherwise.  `hecke verify --json` gives each item's seconds.
+come from the curated Hecke family under the hecke order on the rfull
+rules, which that family covers, and from BFS joins otherwise.  `hecke
+verify --json` gives each item's seconds.
 
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
@@ -198,9 +199,20 @@ def parse_zigzag(s: str, sys: SrsSystem) -> Zigzag:
         raise UsageError(str(exc)) from exc
 
 
+def _is_rfull(sys: SrsSystem) -> bool:
+    """Whether the rules are those of `hecke_system(sys.n, "rfull")`."""
+    n = sys.n
+    # a-, b- and c-rules of rfull; counted first, so a large alphabet with
+    # few rules never builds the quadratically many rfull rules.
+    if len(sys.rules) != n + n * (n - 1) // 2 + (n - 1) * (n - 2):
+        return False
+    return set(sys.rules) == set(hecke_system(n, "rfull").rules)
+
+
 def _critical_chooser(sys: SrsSystem):
-    """The curated Hecke diagrams under the hecke order, BFS joins otherwise."""
-    if sys.order is not None and sys.order.name == "hecke":
+    """The curated Hecke diagrams under the hecke order on rfull, the rules
+    they cover; BFS joins otherwise."""
+    if sys.order is not None and sys.order.name == "hecke" and _is_rfull(sys):
         return chosen_chooser(sys)
     return bfs_join_chooser(sys)
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .critical import CriticalPair, enumerate_critical_pairs, join_pair
 from .diagrams import (
@@ -58,7 +59,16 @@ from .diagrams import (
 )
 from .order import InstanceOrder, Verdict, check_decreasing
 from .seminormal import attractor
-from .words import Path, Rule, RuleInstance, SrsSystem, Word, all_words, find_redexes
+from .words import (
+    Path,
+    Rule,
+    RuleInstance,
+    SrsSystem,
+    Word,
+    all_words,
+    find_redexes,
+    reach,
+)
 
 __all__ = [
     "InvalidRank",
@@ -139,11 +149,13 @@ def hecke_system(n: int, variant: str = "rdoubleprime") -> SrsSystem:
     return SrsSystem(n=n, rules=tuple(rules), order=hecke_order())
 
 
+@lru_cache(maxsize=None)
 def classify_rule(rule: Rule) -> tuple:
     """Recognize a rule's family from its shape, independent of its name.
 
     Returns ("a", i), ("b", j, i), ("cf", s, t) with s > t for a forward
-    commutation, or ("ci", s, t) with s < t for an inverse one.
+    commutation, or ("ci", s, t) with s < t for an inverse one.  Memoised:
+    the instance order asks for the kind of a rule on every comparison.
     """
     lhs, rhs = rule.lhs, rule.rhs
     if len(lhs) == 2 and lhs[0] == lhs[1] and rhs == (lhs[0],):
@@ -208,13 +220,26 @@ def length_vector(w: Word, n: int) -> tuple[int, ...]:
 
 
 class _HeckeRules:
-    """Shape-indexed access to a system's rules."""
+    """Shape-indexed access to a system's rules, built once per system by
+    `_hecke_rules`.
+
+    Besides the rules by kind it holds the commutation rules and the other
+    (idempotence and braid) rules as sub-systems, so the matcher finds the
+    steps of one family without scanning for the other, and `paired`:
+    whether every commutation's inverse is a rule as well.
+    """
 
     def __init__(self, sys: SrsSystem):
-        self.sys = sys
-        self._by_kind: dict[tuple, Rule] = {}
-        for r in sys.rules:
-            self._by_kind[classify_rule(r)] = r
+        self._by_kind = {classify_rule(r): r for r in sys.rules}
+        swaps = tuple(r for r in sys.rules if classify_rule(r)[0] in ("cf", "ci"))
+        rest = tuple(r for r in sys.rules if classify_rule(r)[0] not in ("cf", "ci"))
+        self.commutations = SrsSystem(sys.n, swaps)
+        self.descents = SrsSystem(sys.n, rest)
+        self.paired = all(
+            ("ci" if k[0] == "cf" else "cf", k[2], k[1]) in self._by_kind
+            for k in self._by_kind
+            if k[0] in ("cf", "ci")
+        )
 
     def a(self, i: int) -> Rule:
         return self._by_kind[("a", i)]
@@ -225,6 +250,11 @@ class _HeckeRules:
     def c(self, s: int, t: int) -> Rule:
         key = ("cf", s, t) if s > t else ("ci", s, t)
         return self._by_kind[key]
+
+
+@lru_cache(maxsize=16)
+def _hecke_rules(sys: SrsSystem) -> _HeckeRules:
+    return _HeckeRules(sys)
 
 
 class NotCSortable(ValueError):
@@ -242,7 +272,7 @@ def c_sort_path(start: Word, target: Word, sys: SrsSystem) -> Path:
     """
     if sorted(start) != sorted(target):
         raise NotCSortable(f"{start} and {target} differ as multisets")
-    H = _HeckeRules(sys)
+    H = _hecke_rules(sys)
     cur = list(start)
     steps: list[RuleInstance] = []
     for pos in range(len(target)):
@@ -593,7 +623,7 @@ def chosen_critical_ed_tagged(
     """
     if pair.kind != "overlap":
         raise UnclassifiedPair(f"unexpected {pair.kind} pair at {pair.peak}")
-    H = _HeckeRules(sys)
+    H = _hecke_rules(sys)
     ed, name = _display_cell(pair.first, pair.second, H, sys)
     if ed.top == pair.first and ed.left == pair.second:
         return ed, name, False
@@ -693,8 +723,7 @@ def _bc_member(s: int, t: int, H: _HeckeRules) -> tuple[Path, Path]:
 
 def cells_P(n: int) -> CellFamily:
     """The finite generating family of parallel path pairs over rdoubleprime."""
-    sys = hecke_system(n, "rdoubleprime")
-    H = _HeckeRules(sys)
+    H = _hecke_rules(hecke_system(n, "rdoubleprime"))
     members: list[tuple[Path, Path]] = []
     labels: list[str] = []
 
@@ -745,7 +774,7 @@ def translate_to_basic(path: Path, target: SrsSystem) -> Path:
     peels its skipped letters off with inverse commutations and finishes
     with the basic braid rule.
     """
-    H = _HeckeRules(target)
+    H = _hecke_rules(target)
     out: list[RuleInstance] = []
     for st in path.steps:
         kind = classify_rule(st.rule)
@@ -767,31 +796,6 @@ def translate_to_basic(path: Path, target: SrsSystem) -> Path:
 # --- enumeration ------------------------------------------------------------
 
 
-def _c_component(w: Word, sys: SrsSystem) -> frozenset[Word]:
-    """All words reachable from w by commutation steps alone."""
-    seen = {w}
-    queue = deque([w])
-    while queue:
-        cur = queue.popleft()
-        for inst in find_redexes(cur, sys):
-            if classify_rule(inst.rule)[0] in ("cf", "ci"):
-                t = inst.target
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return frozenset(seen)
-
-
-def _has_paired_commutations(sys: SrsSystem) -> bool:
-    kinds = {classify_rule(r)[: 3] for r in sys.rules}
-    for kind in kinds:
-        if kind[0] == "cf" and ("ci", kind[2], kind[1]) not in kinds:
-            return False
-        if kind[0] == "ci" and ("cf", kind[2], kind[1]) not in kinds:
-            return False
-    return True
-
-
 def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
     """Canonical form in a Hecke system with paired commutations.
 
@@ -802,7 +806,8 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
     reaches the attractor.  Cross-checked against the generic sink-class
     attractor in the tests.
     """
-    if not _has_paired_commutations(sys):
+    H = _hecke_rules(sys)
+    if not H.paired:
         from .seminormal import canon as generic_canon
 
         return generic_canon(w, sys)
@@ -813,7 +818,7 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
         if cur in memo:
             result = memo[cur]
             break
-        comp = _c_component(cur, sys)
+        comp = reach(cur, H.commutations).words
         hit = next((m for m in comp if m in memo), None)
         if hit is not None:
             result = memo[hit]
@@ -821,11 +826,9 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
             break
         descend = None
         for m in sorted(comp):
-            for inst in find_redexes(m, sys):
-                if classify_rule(inst.rule)[0] not in ("cf", "ci"):
-                    descend = inst.target
-                    break
-            if descend is not None:
+            steps = find_redexes(m, H.descents)
+            if steps:
+                descend = steps[0].target
                 break
         pending.append(comp)
         if descend is None:
@@ -986,6 +989,7 @@ def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
 
 
 def _verify_attractor_loops(sys: SrsSystem, max_len: int) -> VerifyItem:
+    descents = _hecke_rules(sys).descents
     classes = 0
     seen: set[Word] = set()
     for w in all_words(sys.n, max_len):
@@ -995,13 +999,13 @@ def _verify_attractor_loops(sys: SrsSystem, max_len: int) -> VerifyItem:
         seen.update(members)
         classes += 1
         for m in members:
-            for st in find_redexes(m, sys):
-                if classify_rule(st.rule)[0] not in ("cf", "ci"):
-                    return VerifyItem(
-                        "attractor-loops-are-commutations",
-                        "FAIL",
-                        f"loop step {st.render(sys.n)} in class of {sys.fmt(w)}",
-                    )
+            steps = find_redexes(m, descents)
+            if steps:
+                return VerifyItem(
+                    "attractor-loops-are-commutations",
+                    "FAIL",
+                    f"loop step {steps[0].render(sys.n)} in class of {sys.fmt(w)}",
+                )
     return VerifyItem(
         "attractor-loops-are-commutations",
         "PASS",

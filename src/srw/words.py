@@ -10,16 +10,26 @@ rewrites the word u·lhs(r)·v to u·rhs(r)·v.  Instances double as the
 steps of reduction paths; a path stores its start word plus the chained
 instances, and a zigzag is a path whose legs may also run backward.
 
+Each `SrsSystem` is compiled once, when it is built, into a rule table:
+the rules bucketed by the first letter of their left-hand side, each
+bucket sorted by rule name, plus a name -> rule map.  Systems that compare
+equal (same alphabet size, same rules) share one table, so building a
+system again, or keeping many equal systems alive as cache keys, costs no
+second table.
+
 `find_redexes` lists every way a rule applies inside a word, ordered by
-(start position, rule name).  `reach` computes the set of words reachable
-by any number of steps; for systems whose rules never lengthen words the
-set is finite and the closure is exact, otherwise a bound on explored
-words is required and the result may be truncated.
+(start position, rule name): at each position it tries only the rules
+whose left-hand side starts with the letter found there.  `reach`
+computes the set of words reachable by any number of steps; for systems
+whose rules never lengthen words the set is finite and the closure is
+exact, otherwise a bound on explored words is required and the result
+may be truncated.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -238,18 +248,37 @@ class Zigzag:
         return len(self.legs)
 
 
+class _RuleTable:
+    """The compiled form of a system's rules (see the module docstring)."""
+
+    __slots__ = ("by_letter", "by_name", "__weakref__")
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        by_letter: dict[int, list[tuple[Rule, Word, int]]] = {}
+        for r in sorted(rules, key=lambda r: r.name):
+            by_letter.setdefault(r.lhs[0], []).append((r, r.lhs, len(r.lhs)))
+        self.by_letter = {g: tuple(bucket) for g, bucket in by_letter.items()}
+        self.by_name = {r.name: r for r in rules}
+
+
+# One table per distinct (n, rules); an entry lives while some system uses it.
+_TABLES: weakref.WeakValueDictionary[tuple, _RuleTable] = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class SrsSystem:
     """A string rewriting system: alphabet size n plus named rules.
 
     `order`, when present, compares rule instances (see srw.order); it is
     excluded from equality and hashing so systems with the same rules are
-    interchangeable as cache keys.
+    interchangeable as cache keys.  The compiled rule table is excluded
+    from equality, hashing and repr as well.
     """
 
     n: int
     rules: tuple[Rule, ...]
     order: object | None = field(default=None, compare=False, hash=False)
+    _table: _RuleTable = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -264,12 +293,14 @@ class SrsSystem:
                     raise ValueError(
                         f"rule {r.name}: generator {g} out of range 1..{self.n}"
                     )
+        key = (self.n, self.rules)
+        table = _TABLES.get(key)
+        if table is None:
+            table = _TABLES[key] = _RuleTable(self.rules)
+        object.__setattr__(self, "_table", table)
 
     def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._table.by_name[name]
 
     def length_nonincreasing(self) -> bool:
         return all(len(r.rhs) <= len(r.lhs) for r in self.rules)
@@ -280,12 +311,11 @@ class SrsSystem:
 
 def find_redexes(w: Word, sys: SrsSystem) -> list[RuleInstance]:
     """All instances whose source is w, ordered by (position, rule name)."""
-    rules = sorted(sys.rules, key=lambda r: r.name)
+    by_letter = sys._table.by_letter
     out: list[RuleInstance] = []
-    for pos in range(len(w) + 1):
-        for r in rules:
-            m = len(r.lhs)
-            if pos + m <= len(w) and w[pos : pos + m] == r.lhs:
+    for pos, g in enumerate(w):
+        for r, lhs, m in by_letter.get(g, ()):
+            if w[pos : pos + m] == lhs:
                 out.append(RuleInstance(w[:pos], r, w[pos + m :]))
     return out
 

@@ -103,6 +103,35 @@ def test_check_decreasing(h3full, capsys):
     assert out.endswith("PASS: 306 diagrams checked, 0 not decreasing\n")
 
 
+def _gen3(tmp_path, variant):
+    path = tmp_path / f"h3{variant}.json"
+    assert main(["hecke", "gen", "3", "--variant", variant, "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("variant, checked", [("rprime", 168), ("rdoubleprime", 230)])
+def test_check_decreasing_outside_curated_family(variant, checked, tmp_path, capsys):
+    # The curated diagrams cover rfull only; the other variants are checked
+    # with BFS joins, whose diagrams at the 3231 overlap are not decreasing.
+    code, out, _ = run(
+        capsys, ["check-decreasing", _gen3(tmp_path, variant), "--contexts", "1"]
+    )
+    assert code == 1
+    assert out.count("critical overlap 3231: ") == 2
+    assert out.endswith(f"FAIL: {checked} diagrams checked, 2 not decreasing\n")
+
+
+def test_complete_peak_outside_curated_family(tmp_path, capsys):
+    argv = ["--top=32:c31:-", "--left=-:b3:1"]
+    code, out, _ = run(capsys, ["complete-peak", _gen3(tmp_path, "rdoubleprime"), *argv])
+    assert code == 0
+    assert out == "sink 2321\nright 32:c13:-,-:b3:1\nbottom -\ncells 1\n"
+    # rprime lacks the inverse commutation c13, so the peak has no join.
+    code, out, err = run(capsys, ["complete-peak", _gen3(tmp_path, "rprime"), *argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: no cell for corner")
+
+
 def test_check_decreasing_needs_order(tmp_path, capsys):
     doc = system_to_doc(hecke_system(2, "rfull"))
     del doc["order"]

@@ -29,7 +29,7 @@ from srw.hecke import (
 from srw.hecke import NotCSortable
 from srw.order import is_decreasing_ed
 from srw.seminormal import canon as generic_canon
-from srw.words import Path, Rule, RuleInstance, find_redexes
+from srw.words import Path, Rule, RuleInstance, all_words, find_redexes
 
 
 def test_system_rule_names():
@@ -308,6 +308,13 @@ def test_hecke_canon_matches_generic(letters):
     sys = hecke_system(3, "rdoubleprime")
     w = tuple(letters)
     assert hecke_canon(w, sys) == generic_canon(w, sys)
+
+
+@pytest.mark.parametrize("variant", ["rdoubleprime", "rfull"])
+def test_hecke_canon_matches_generic_rank4(variant):
+    sys = hecke_system(4, variant)
+    for w in all_words(4, 6):
+        assert hecke_canon(w, sys) == generic_canon(w, sys), w
 
 
 def test_verify_suite_rank2():

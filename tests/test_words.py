@@ -1,7 +1,9 @@
 """Words, rules, instances, paths, zigzags, systems, reachability."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srw.words import (
     BACKWARD,
@@ -13,12 +15,15 @@ from srw.words import (
     SourceMismatch,
     SrsSystem,
     Zigzag,
+    all_words,
     apply_instance,
     find_redexes,
     reach,
     word_from_str,
     word_to_str,
 )
+from srw.hecke import hecke_system
+from srw.order import rule_rank_order
 
 from oracles import fixpoint_reach, naive_redexes, tiny_system
 
@@ -133,12 +138,72 @@ def test_find_redexes_ordered():
     assert [i.render(2) for i in insts] == ["-:dbl:21", "11:swp:-"]
 
 
-@given(st.lists(st.integers(1, 2), max_size=7))
-@settings(max_examples=200)
-def test_find_redexes_matches_oracle(letters):
-    sys = tiny_system()
-    w = tuple(letters)
-    assert set(find_redexes(w, sys)) == naive_redexes(w, sys)
+def _in_scan_order(insts):
+    return sorted(insts, key=lambda i: (len(i.left), i.rule.name))
+
+
+@st.composite
+def systems_with_words(draw):
+    """Random systems (names shuffled against declaration order, small
+    alphabets so first letters repeat) and a word over their alphabet."""
+    n = draw(st.integers(1, 3))
+    letters = st.integers(1, n)
+    sides = draw(
+        st.lists(
+            st.tuples(
+                st.lists(letters, min_size=1, max_size=4),
+                st.lists(letters, max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    names = draw(st.permutations([f"r{k}" for k in range(len(sides))]))
+    rules = tuple(
+        Rule(name, tuple(lhs), tuple(rhs)) for name, (lhs, rhs) in zip(names, sides)
+    )
+    return SrsSystem(n=n, rules=rules), tuple(draw(st.lists(letters, max_size=7)))
+
+
+# Declared out of name order; z, m and b share the first letter 1; z's
+# left-hand side overlaps itself; long's is longer than the example words.
+_EDGE_SYSTEM = SrsSystem(
+    n=2,
+    rules=(
+        Rule("z", (1, 1, 1), (1,)),
+        Rule("m", (1, 2), (2, 1)),
+        Rule("long", (2, 1, 2, 1, 2, 1, 2, 1), ()),
+        Rule("b", (1,), (2,)),
+    ),
+)
+
+
+@given(systems_with_words())
+@example((_EDGE_SYSTEM, (1, 1, 1, 1, 2, 1)))
+@example((_EDGE_SYSTEM, ()))
+@example((tiny_system(), (1, 1, 2, 1)))
+@settings(max_examples=300)
+def test_find_redexes_matches_oracle(case):
+    sys, w = case
+    assert find_redexes(w, sys) == _in_scan_order(naive_redexes(w, sys))
+
+
+def test_find_redexes_matches_oracle_rank4_rfull():
+    sys = hecke_system(4, "rfull")
+    for w in all_words(4, 6):
+        assert find_redexes(w, sys) == _in_scan_order(naive_redexes(w, sys))
+
+
+def test_equal_systems_share_one_table():
+    a, b = tiny_system(), tiny_system()
+    assert a == b and hash(a) == hash(b)
+    assert a._table is b._table
+    ranked = dataclasses.replace(a, order=rule_rank_order({"dbl": 0, "swp": 1}))
+    assert ranked == a and ranked.order.name == "rule-rank/equivalent"
+    assert ranked._table is a._table
+    wider = SrsSystem(n=3, rules=a.rules)
+    assert wider != a and wider._table is not a._table
+    assert "_table" not in repr(a) and "dbl" in repr(a)
 
 
 def test_reach_frozen_example():
