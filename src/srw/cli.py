@@ -18,8 +18,12 @@ forward) or "<" (traversed backward).
 `check-decreasing` runs `srw.order.check_decreasing`, the check behind
 `hecke verify`; its critical diagrams, like the tiling commands' cells,
 come from the curated Hecke family under the hecke order on the rfull
-rules, which that family covers, and from BFS joins otherwise.  `hecke
-verify --json` gives each item's seconds.
+rules, which that family covers, and from BFS joins otherwise.  Its
+verdict is FAIL when a natural square or a curated diagram is not
+decreasing, but only UNKNOWN when all failures are BFS joins: another
+join of the same pair may still be decreasing.  Each critical failure
+line and the `--json` output name the chooser.  `hecke verify --json`
+gives each item's seconds.
 
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
@@ -210,15 +214,15 @@ def _is_rfull(sys: SrsSystem) -> bool:
 
 
 def _critical_chooser(sys: SrsSystem):
-    """The curated Hecke diagrams under the hecke order on rfull, the rules
-    they cover; BFS joins otherwise."""
+    """("curated", the curated Hecke diagrams) under the hecke order on rfull,
+    the rules they cover; ("bfs", BFS joins) otherwise."""
     if sys.order is not None and sys.order.name == "hecke" and _is_rfull(sys):
-        return chosen_chooser(sys)
-    return bfs_join_chooser(sys)
+        return "curated", chosen_chooser(sys)
+    return "bfs", bfs_join_chooser(sys)
 
 
 def _provider_for(sys: SrsSystem):
-    return standard_provider(sys, chooser=_critical_chooser(sys))
+    return standard_provider(sys, chooser=_critical_chooser(sys)[1])
 
 
 def _emit_json(doc: Any) -> None:
@@ -370,7 +374,7 @@ def cmd_check_decreasing(args: argparse.Namespace) -> int:
     sys = load_system(args.system)
     if sys.order is None:
         raise UsageError("check-decreasing needs a system with an order")
-    choose = _critical_chooser(sys)
+    chooser, choose = _critical_chooser(sys)
 
     def critical_diagrams():
         for pair in enumerate_critical_pairs(sys):
@@ -382,14 +386,32 @@ def cmd_check_decreasing(args: argparse.Namespace) -> int:
     failures = [
         f"natural {r1.name}|{sys.fmt(w)}|{r2.name}: {why}"
         for (r1, w, r2), why in naturals.failures
-    ] + [f"critical {pair.render(sys.n)}: {why}" for pair, why in criticals.failures]
+    ] + [
+        f"critical {pair.render(sys.n)}: {why} ({chooser} chooser)"
+        for pair, why in criticals.failures
+    ]
+    # One BFS join that is not decreasing leaves other joins of the pair
+    # untried, so it decides nothing; a failing natural square does.
+    if not failures:
+        verdict = "PASS"
+    elif naturals.failures or chooser == "curated":
+        verdict = "FAIL"
+    else:
+        verdict = "UNKNOWN"
     checked = naturals.checked + criticals.checked
     if args.json:
-        _emit_json({"ok": not failures, "checked": checked, "failures": failures})
+        _emit_json(
+            {
+                "ok": not failures,
+                "verdict": verdict,
+                "chooser": chooser,
+                "checked": checked,
+                "failures": failures,
+            }
+        )
     else:
         for f in failures:
             print(f)
-        verdict = "PASS" if not failures else "FAIL"
         print(f"{verdict}: {checked} diagrams checked, {len(failures)} not decreasing")
     return 0 if not failures else 1
 

@@ -40,6 +40,15 @@ including insertion and deletion of whiskered loops) and, optionally, by
 commuting adjacent steps with disjoint redexes.  The verdict is
 one-sided: Equivalent means a chain of substitutions was found, Unknown
 means none was found within the search budget.
+
+The search indexes its moves once per call by the rule of their first
+step.  In a state, a move is tried only at the step indices where that
+rule is applied, and there the whiskered step's left context fixes the
+one word offset that can match; moves from an empty path (inserting a
+loop) still try every index and offset.  The neighbours come out in the
+order a full scan would find them (move, step index, offset), because
+the budget cuts the search after a fixed number of new states: another
+order could change an Unknown at a given bound into Equivalent or back.
 """
 
 from __future__ import annotations
@@ -372,7 +381,9 @@ def complete_tiling(t: Tiling, provider: CellProvider, fuel: int = 10000) -> Til
         index, h, v = corners[0]
         got = provider(h, v)
         if got is None:
-            raise NoCellForCorner(f"no cell for corner ({h}, {v})")
+            raise NoCellForCorner(
+                f"no cell for corner ({h.render(t.n)}, {v.render(t.n)})"
+            )
         ed, tag, origin = got
         t.adjoin_at_corner(index, ed, tag, origin)
         fuel -= 1
@@ -552,24 +563,37 @@ def _word_at(start: Word, steps: tuple[RuleInstance, ...], i: int) -> Word:
     return steps[i - 1].target if i > 0 else start
 
 
-def _substitutions(
-    start: Word, steps: tuple[RuleInstance, ...], frm: Path, to: Path
+def _replacements(
+    steps: tuple[RuleInstance, ...], at: list[int], frm: Path, to: Path
 ) -> Iterator[tuple[RuleInstance, ...]]:
-    """All ways to replace a whiskered occurrence of `frm` by `to`."""
-    k = len(frm.steps)
-    base = frm.start
-    for i in range(len(steps) - k + 1):
+    """All ways to replace a whiskered occurrence of `frm`, a path with
+    steps, by `to`, trying the step indices `at` (ascending) where the rule
+    of frm's first step applies: that step's left context fixes the only
+    word offset that can match."""
+    k, first, base = len(frm.steps), frm.steps[0], frm.start
+    for i in at:
+        if i + k > len(steps):
+            break
+        x = len(steps[i].left) - len(first.left)
+        w = steps[i].source
+        if x < 0 or w[x : x + len(base)] != base:
+            continue
+        u, v = w[:x], w[x + len(base) :]
+        if all(steps[i + t] == frm.steps[t].whisker(u, v) for t in range(k)):
+            yield steps[:i] + tuple(s.whisker(u, v) for s in to.steps) + steps[i + k :]
+
+
+def _insertions(
+    start: Word, steps: tuple[RuleInstance, ...], base: Word, to: Path
+) -> Iterator[tuple[RuleInstance, ...]]:
+    """All ways to insert a whiskered copy of `to`, a path from `base`, at
+    any step index and any word offset where `base` occurs."""
+    for i in range(len(steps) + 1):
         w = _word_at(start, steps, i)
         for x in range(len(w) - len(base) + 1):
-            if w[x : x + len(base)] != base:
-                continue
-            u, v = w[:x], w[x + len(base) :]
-            if all(steps[i + t] == frm.steps[t].whisker(u, v) for t in range(k)):
-                yield (
-                    steps[:i]
-                    + tuple(s.whisker(u, v) for s in to.steps)
-                    + steps[i + k :]
-                )
+            if w[x : x + len(base)] == base:
+                u, v = w[:x], w[x + len(base) :]
+                yield steps[:i] + tuple(s.whisker(u, v) for s in to.steps) + steps[i:]
 
 
 def _natural_swaps(
@@ -617,10 +641,28 @@ def paths_equivalent_mod_cells(
     for a, b in family.members:
         moves.append((a, b))
         moves.append((b, a))
+    # First-step index: rule name -> moves whose `frm` starts with that rule.
+    by_first: dict[str, list[int]] = {}
+    insert_moves: list[int] = []
+    for j, (frm, _) in enumerate(moves):
+        if frm.steps:
+            by_first.setdefault(frm.steps[0].rule.name, []).append(j)
+        else:
+            insert_moves.append(j)
 
     def neighbours(steps: tuple[RuleInstance, ...]) -> Iterator[tuple[RuleInstance, ...]]:
-        for frm, to in moves:
-            yield from _substitutions(start, steps, frm, to)
+        at: dict[str, list[int]] = {}
+        for i, st in enumerate(steps):
+            at.setdefault(st.rule.name, []).append(i)
+        candidates = insert_moves + [j for name in at for j in by_first.get(name, ())]
+        # In move order, as a full scan would find them: the verdict at a
+        # given budget depends on the order of the neighbours.
+        for j in sorted(candidates):
+            frm, to = moves[j]
+            if frm.steps:
+                yield from _replacements(steps, at[frm.steps[0].rule.name], frm, to)
+            else:
+                yield from _insertions(start, steps, frm.start, to)
         if family.with_naturals:
             yield from _natural_swaps(start, steps)
 

@@ -68,6 +68,7 @@ from .words import (
     all_words,
     find_redexes,
     reach,
+    successors,
 )
 
 __all__ = [
@@ -826,9 +827,9 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
             break
         descend = None
         for m in sorted(comp):
-            steps = find_redexes(m, H.descents)
-            if steps:
-                descend = steps[0].target
+            targets = successors(m, H.descents)
+            if targets:
+                descend = targets[0]
                 break
         pending.append(comp)
         if descend is None:

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import RuleInstance, SrsSystem, Word, find_redexes
+from .words import RuleInstance, SrsSystem, Word, find_redexes, successors
 
 __all__ = [
     "Inexact",
@@ -61,10 +61,8 @@ def _descendant_graph(
     adj[w] = []
     while queue:
         cur = queue.popleft()
-        targets = []
-        for inst in find_redexes(cur, sys):
-            t = inst.target
-            targets.append(t)
+        targets = successors(cur, sys)
+        for t in targets:
             if t not in adj:
                 if max_words is not None and len(adj) >= max_words:
                     raise Inexact(

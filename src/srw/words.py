@@ -19,7 +19,11 @@ second table.
 
 `find_redexes` lists every way a rule applies inside a word, ordered by
 (start position, rule name): at each position it tries only the rules
-whose left-hand side starts with the letter found there.  `reach`
+whose left-hand side starts with the letter found there.  `successors`
+makes the same sweep but returns only the rewritten words, in the same
+order, without building a `RuleInstance` per redex: the graph explorers
+(`reach` here, the descendant graphs of `srw.seminormal` and the descent
+step of `srw.hecke.hecke_canon`) read nothing else.  `reach`
 computes the set of words reachable by any number of steps; for systems
 whose rules never lengthen words the set is finite and the closure is
 exact, otherwise a bound on explored words is required and the result
@@ -50,6 +54,7 @@ __all__ = [
     "ReachResult",
     "apply_instance",
     "find_redexes",
+    "successors",
     "reach",
 ]
 
@@ -320,6 +325,18 @@ def find_redexes(w: Word, sys: SrsSystem) -> list[RuleInstance]:
     return out
 
 
+def successors(w: Word, sys: SrsSystem) -> list[Word]:
+    """The targets of `find_redexes(w, sys)`, in the same order, built as
+    words without the instances."""
+    by_letter = sys._table.by_letter
+    out: list[Word] = []
+    for pos, g in enumerate(w):
+        for r, lhs, m in by_letter.get(g, ()):
+            if w[pos : pos + m] == lhs:
+                out.append(w[:pos] + r.rhs + w[pos + m :])
+    return out
+
+
 @dataclass(frozen=True)
 class ReachResult:
     """Words reachable from a start word; `complete` is False when the
@@ -351,8 +368,7 @@ def reach(
     complete = True
     while queue:
         cur = queue.popleft()
-        for inst in find_redexes(cur, sys):
-            t = inst.target
+        for t in successors(cur, sys):
             if t in seen:
                 continue
             if max_words is not None and len(seen) >= max_words:

@@ -8,13 +8,20 @@ universe instead of attractor canonical forms, and a layered
 set-intersection join instead of a bidirectional meet-in-the-middle
 search.  Tests compare the two routes; the oracle side is never
 implemented by calling into the package.
+
+The exception is `scan_path_search`, the reference for
+`srw.diagrams.paths_equivalent_mod_cells`: its verdict at a given budget
+depends on the order in which neighbours are found, so it keeps the
+library's order on purpose (every move, step index and word offset, in
+that nesting, then the adjacent swaps) and its bidirectional search, but
+finds each occurrence by a plain scan instead of an index.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from srw.words import Rule, RuleInstance, SrsSystem, Word
+from srw.words import Path, Rule, RuleInstance, SrsSystem, Word
 
 
 def naive_redexes(w: Word, sys: SrsSystem) -> set[RuleInstance]:
@@ -125,3 +132,81 @@ def tiny_system() -> SrsSystem:
             Rule("swp", (2, 1), (1, 2)),
         ),
     )
+
+
+def _at(w: Word, pos: int, rule: Rule) -> RuleInstance:
+    """The step applying `rule` at position `pos` of w."""
+    return RuleInstance(w[:pos], rule, w[pos + len(rule.lhs) :])
+
+
+def _adjacent_swaps(steps: tuple) -> list[tuple]:
+    """Swap each pair of adjacent steps whose redexes do not touch, by
+    positions in the words between them."""
+    out = []
+    for i in range(len(steps) - 1):
+        s1, s2 = steps[i], steps[i + 1]
+        w0 = s1.source
+        p1, p2 = len(s1.left), len(s2.left)
+        l1, r1, l2 = len(s1.rule.lhs), len(s1.rule.rhs), len(s2.rule.lhs)
+        if p2 >= p1 + r1:  # s2 rewrites to the right of s1's result
+            first = _at(w0, p2 - r1 + l1, s2.rule)
+            out.append(steps[:i] + (first, _at(first.target, p1, s1.rule)) + steps[i + 2 :])
+        elif p2 + l2 <= p1:  # s2 rewrites to the left of s1's result
+            first = _at(w0, p2, s2.rule)
+            shift = len(s2.rule.rhs) - l2
+            out.append(
+                steps[:i] + (first, _at(first.target, p1 + shift, s1.rule)) + steps[i + 2 :]
+            )
+    return out
+
+
+def scan_path_search(
+    p: Path, q: Path, members: tuple, with_naturals: bool, bound: int
+) -> bool:
+    """Whether a chain of member substitutions (and adjacent swaps) turns
+    p into q before `bound` new states are explored."""
+    if p.steps == q.steps:
+        return True
+    moves = [m for a, b in members for m in ((a, b), (b, a))]
+
+    def neighbours(steps: tuple) -> list[tuple]:
+        words = [p.start] + [s.target for s in steps]
+        out = []
+        for frm, to in moves:
+            k, base = len(frm.steps), frm.start
+            for i in range(len(steps) - k + 1):
+                w = words[i]
+                for x in range(len(w) - len(base) + 1):
+                    if w[x : x + len(base)] != base:
+                        continue
+                    u, v = w[:x], w[x + len(base) :]
+                    moved = [RuleInstance(u + s.left, s.rule, s.right + v) for s in frm.steps]
+                    if list(steps[i : i + k]) == moved:
+                        put = tuple(RuleInstance(u + s.left, s.rule, s.right + v) for s in to.steps)
+                        out.append(steps[:i] + put + steps[i + k :])
+        if with_naturals:
+            out.extend(_adjacent_swaps(steps))
+        return out
+
+    sides = {"p": ({p.steps}, [p.steps]), "q": ({q.steps}, [q.steps])}
+    budget = bound
+    while sides["p"][1] and sides["q"][1] and budget > 0:
+        me = "p" if len(sides["p"][1]) <= len(sides["q"][1]) else "q"
+        seen, frontier = sides[me]
+        other = sides["q" if me == "p" else "p"][0]
+        grown: list[tuple] = []
+        for state in frontier:
+            for nxt in neighbours(state):
+                if nxt in seen:
+                    continue
+                if nxt in other:
+                    return True
+                seen.add(nxt)
+                grown.append(nxt)
+                budget -= 1
+                if budget <= 0:
+                    break
+            if budget <= 0:
+                break
+        sides[me] = (seen, grown)
+    return False

@@ -101,6 +101,10 @@ def test_check_decreasing(h3full, capsys):
     code, out, _ = run(capsys, ["check-decreasing", h3full, "--contexts", "1"])
     assert code == 0
     assert out.endswith("PASS: 306 diagrams checked, 0 not decreasing\n")
+    code, out, _ = run(capsys, ["check-decreasing", h3full, "--contexts", "1", "--json"])
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["verdict"], doc["chooser"], doc["checked"]) == ("PASS", "curated", 306)
 
 
 def _gen3(tmp_path, variant):
@@ -113,12 +117,17 @@ def _gen3(tmp_path, variant):
 def test_check_decreasing_outside_curated_family(variant, checked, tmp_path, capsys):
     # The curated diagrams cover rfull only; the other variants are checked
     # with BFS joins, whose diagrams at the 3231 overlap are not decreasing.
-    code, out, _ = run(
-        capsys, ["check-decreasing", _gen3(tmp_path, variant), "--contexts", "1"]
-    )
+    # Another join might be, so the verdict is UNKNOWN, not FAIL.
+    path = _gen3(tmp_path, variant)
+    code, out, _ = run(capsys, ["check-decreasing", path, "--contexts", "1"])
     assert code == 1
     assert out.count("critical overlap 3231: ") == 2
-    assert out.endswith(f"FAIL: {checked} diagrams checked, 2 not decreasing\n")
+    assert out.count(" (bfs chooser)\n") == 2
+    assert out.endswith(f"UNKNOWN: {checked} diagrams checked, 2 not decreasing\n")
+    code, out, _ = run(capsys, ["check-decreasing", path, "--contexts", "1", "--json"])
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["verdict"], doc["chooser"], doc["ok"]) == ("UNKNOWN", "bfs", False)
 
 
 def test_complete_peak_outside_curated_family(tmp_path, capsys):
@@ -129,7 +138,7 @@ def test_complete_peak_outside_curated_family(tmp_path, capsys):
     # rprime lacks the inverse commutation c13, so the peak has no join.
     code, out, err = run(capsys, ["complete-peak", _gen3(tmp_path, "rprime"), *argv])
     assert code == 1 and out == ""
-    assert err.startswith("error: no cell for corner")
+    assert err == "error: no cell for corner (32:c31:-, -:b3:1)\n"
 
 
 def test_check_decreasing_needs_order(tmp_path, capsys):

@@ -24,6 +24,7 @@ from srw.diagrams import (
     transpose_ed,
     whisker_ed,
 )
+from srw import hecke
 from srw.hecke import cells_P, hecke_provider, hecke_system
 from srw.seminormal import canon
 from srw.words import (
@@ -37,7 +38,7 @@ from srw.words import (
     find_redexes,
 )
 
-from oracles import tiny_system
+from oracles import scan_path_search, tiny_system
 
 
 def _h3():
@@ -230,6 +231,55 @@ def test_paths_equivalent_needs_the_right_cells():
     assert paths_equivalent_mod_cells(loop, empty, bare, bound=500) is PathVerdict.UNKNOWN
     fam = cells_P(3)
     assert paths_equivalent_mod_cells(loop, empty, fam, bound=500) is PathVerdict.EQUIVALENT
+
+
+def _hand_made_searches():
+    """Searches that need a loop inserted, or that meet a member's start
+    word twice in one word, over the rank-3 base family."""
+    base = cells_P(3)
+    m = dict(zip(base.labels, base.members))
+    loops = (m["loop(1,3)"], m["loop(3,1)"])
+    loop = m["loop(1,3)"][0]
+    side1, side2 = m["aa(1)"]
+
+    def twice(x: Path, y: Path) -> Path:
+        """x on the first 111 of 1113111, then y on the second."""
+        first = x.whisker((), (3, 1, 1, 1))
+        return first.concat(y.whisker(first.end[:-3], ()))
+
+    # Only inserting loop(1,3) at the second 13 of 13213 reaches q.
+    yield Path((1, 3, 2, 1, 3)), loop.whisker((1, 3, 2), ()), loops[:1]
+    yield twice(side1, side1), twice(side2, side2), (m["aa(1)"],) + loops
+    yield twice(side1, side2), twice(side2, side1), loops + (m["aa(1)"],)
+
+
+def _assert_matches_scan(p: Path, q: Path, members: tuple, max_bound: int = 100) -> None:
+    # The verdict at a budget depends on the order in which neighbours are
+    # found, so checking every bound up to past the search's need checks
+    # that order, not just the occurrences found.
+    fam = CellFamily(name="t", members=members, with_naturals=True)
+    for bound in range(1, max_bound + 1):
+        found = paths_equivalent_mod_cells(p, q, fam, bound) is PathVerdict.EQUIVALENT
+        assert found == scan_path_search(p, q, members, True, bound), (p, q, bound)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_path_search_matches_scan_reference(case):
+    _assert_matches_scan(*list(_hand_made_searches())[case])
+
+
+def test_path_search_matches_scan_reference_rank3_coherence(monkeypatch):
+    searches = []
+
+    def record(p, q, family, bound):
+        searches.append((p, q, family.members))
+        return paths_equivalent_mod_cells(p, q, family, bound)
+
+    monkeypatch.setattr(hecke, "paths_equivalent_mod_cells", record)
+    item = hecke._verify_coherence(hecke_system(3, "rfull"), bound=1000)
+    assert item.status == "PASS" and len(searches) == 25
+    for p, q, members in searches:
+        _assert_matches_scan(p, q, members)
 
 
 def test_paths_equivalent_rejects_non_parallel():

@@ -19,6 +19,7 @@ from srw.words import (
     apply_instance,
     find_redexes,
     reach,
+    successors,
     word_from_str,
     word_to_str,
 )
@@ -192,6 +193,21 @@ def test_find_redexes_matches_oracle_rank4_rfull():
     sys = hecke_system(4, "rfull")
     for w in all_words(4, 6):
         assert find_redexes(w, sys) == _in_scan_order(naive_redexes(w, sys))
+
+
+@given(systems_with_words())
+@example((_EDGE_SYSTEM, (1, 1, 1, 1, 2, 1)))
+@example((_EDGE_SYSTEM, ()))
+@settings(max_examples=300)
+def test_successors_are_redex_targets(case):
+    sys, w = case
+    assert successors(w, sys) == [i.target for i in find_redexes(w, sys)]
+
+
+def test_successors_are_redex_targets_rank4_rfull():
+    sys = hecke_system(4, "rfull")
+    for w in all_words(4, 6):
+        assert successors(w, sys) == [i.target for i in find_redexes(w, sys)]
 
 
 def test_equal_systems_share_one_table():
