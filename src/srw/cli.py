@@ -61,7 +61,6 @@ from .seminormal import NotOneClass, canon, words_equal
 from .words import (
     BACKWARD,
     FORWARD,
-    BoundExceeded,
     Path,
     Rule,
     RuleInstance,
@@ -295,7 +294,7 @@ def cmd_normal_form(args: argparse.Namespace) -> int:
     w = parse_word(args.word, sys)
     try:
         c = canon(w, sys)
-    except (NotOneClass, BoundExceeded, ValueError) as exc:
+    except (NotOneClass, ValueError) as exc:
         print(f"no canonical form: {exc}", file=_sysmod.stderr)
         return 1
     if args.json:
@@ -311,7 +310,7 @@ def cmd_equal(args: argparse.Namespace) -> int:
     v = parse_word(args.word2, sys)
     try:
         eq = words_equal(u, v, sys)
-    except (NotOneClass, BoundExceeded, ValueError) as exc:
+    except (NotOneClass, ValueError) as exc:
         print(f"undecided: {exc}", file=_sysmod.stderr)
         return 1
     if args.json:
@@ -525,6 +524,18 @@ def cmd_hecke_verify(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _budget(least: int = 0):
+    """An argparse type: an integer budget of at least `least`."""
+
+    def budget(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="srw",
@@ -549,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reach", cmd_reach, help="list all words reachable by rewriting")
     p.add_argument("system")
     p.add_argument("word")
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=_budget(1), default=None)
     p.add_argument("--json", action="store_true")
 
     p = add("normal-form", cmd_normal_form, help="canonical form of a word")
@@ -569,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("confluence", cmd_confluence, help="joinability of all critical pairs")
     p.add_argument("system")
-    p.add_argument("--bound", type=int, default=16)
+    p.add_argument("--bound", type=_budget(), default=16)
     p.add_argument("--json", action="store_true")
 
     p = add(
@@ -578,21 +589,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the order makes natural and critical diagrams decreasing",
     )
     p.add_argument("system")
-    p.add_argument("--contexts", type=int, default=2)
+    p.add_argument("--contexts", type=_budget(), default=2)
     p.add_argument("--json", action="store_true")
 
     p = add("complete-peak", cmd_complete_peak, help="tile a peak of two reductions")
     p.add_argument("system")
     p.add_argument("--top", required=True, help="comma-separated steps, or -")
     p.add_argument("--left", required=True, help="comma-separated steps, or -")
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_budget(), default=10000)
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = add("complete-zigzag", cmd_complete_zigzag, help="tile a zigzag of reductions")
     p.add_argument("system")
     p.add_argument("--zigzag", required=True, help="semicolon-separated >/< steps")
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_budget(), default=10000)
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
 
@@ -620,12 +631,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rprime", "rdoubleprime", "rfull"],
         default="rdoubleprime",
     )
-    p.add_argument("--cap", type=int, default=5)
+    p.add_argument("--cap", type=_budget(), default=5)
     p.add_argument("--json", action="store_true")
 
     p = addh("verify", cmd_hecke_verify, help="run the machine checks for rank n")
     p.add_argument("rank", type=int)
-    p.add_argument("--coherence-bound", type=int, default=100000)
+    p.add_argument("--coherence-bound", type=_budget(), default=100000)
     p.add_argument("--json", action="store_true")
 
     return ap

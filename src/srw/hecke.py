@@ -43,7 +43,6 @@ diagrams go through `srw.order.check_decreasing`, the same check that
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -66,6 +65,7 @@ from .words import (
     SrsSystem,
     Word,
     all_words,
+    explore,
     find_redexes,
     reach,
     successors,
@@ -806,12 +806,17 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
     such step strictly decreases the length vector, so following it
     reaches the attractor.  Cross-checked against the generic sink-class
     attractor in the tests.
+
+    Raises ValueError when some commutation lacks its inverse (rprime
+    from rank 3 on): commutation components are then not the attractors,
+    and distinct irreducible words may present one element.
     """
     H = _hecke_rules(sys)
     if not H.paired:
-        from .seminormal import canon as generic_canon
-
-        return generic_canon(w, sys)
+        raise ValueError(
+            "canonical forms by commutation classes need every commutation "
+            "rule paired with its inverse"
+        )
     memo: dict[Word, Word] = _memo if _memo is not None else {}
     pending: list[frozenset[Word]] = []
     cur = w
@@ -847,24 +852,19 @@ def enumerate_monoid(
 ) -> list[Word]:
     """All monoid elements as canonical words, shortlex sorted.
 
-    Breadth-first closure of the canonical forms under right
-    multiplication by generators; the cap guards against accidentally
-    enumerating a monoid with tens of thousands of elements.
+    Breadth-first closure (`srw.words.explore`) of the canonical forms
+    under right multiplication by generators; the cap guards against
+    accidentally enumerating a monoid with tens of thousands of elements.
+    Raises ValueError where `hecke_canon` does (rprime from rank 3 on).
     """
     if n > cap:
         raise CapExceeded(f"rank {n} exceeds the enumeration cap {cap}")
     sys = hecke_system(n, variant)
     memo: dict[Word, Word] = {}
-    start = hecke_canon((), sys, memo)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for g in range(1, n + 1):
-            c = hecke_canon(w + (g,), sys, memo)
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
+    seen, _ = explore(
+        hecke_canon((), sys, memo),
+        lambda w: [hecke_canon(w + (g,), sys, memo) for g in range(1, n + 1)],
+    )
     return sorted(seen, key=lambda t: (len(t), t))
 
 

@@ -10,6 +10,11 @@ sink component and it is the attractor, a single mutual-reachability
 class.  Its lexicographically least member serves as a canonical form,
 so two words are congruent iff their canonical forms coincide.
 
+The descendant graph is built by `srw.words.explore`, whose step records
+each word's successors as its edges; a bound on explored words that cuts
+the graph short raises `Inexact`.  `is_seminormal` and `attractor` both
+read the sink components (Tarjan's components that no edge leaves).
+
 `attractor_loop_steps` returns every step between members of a word's
 attractor: the loops that reduction keeps running around once it has
 settled.
@@ -17,11 +22,10 @@ settled.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import RuleInstance, SrsSystem, Word, find_redexes, successors
+from .words import RuleInstance, SrsSystem, Word, explore, find_redexes, successors
 
 __all__ = [
     "Inexact",
@@ -57,20 +61,13 @@ def _descendant_graph(
             "system has lengthening rules: descendant graphs need a bound"
         )
     adj: dict[Word, list[Word]] = {}
-    queue: deque[Word] = deque([w])
-    adj[w] = []
-    while queue:
-        cur = queue.popleft()
-        targets = successors(cur, sys)
-        for t in targets:
-            if t not in adj:
-                if max_words is not None and len(adj) >= max_words:
-                    raise Inexact(
-                        f"descendant graph truncated at {max_words} words"
-                    )
-                adj[t] = []
-                queue.append(t)
-        adj[cur] = targets
+
+    def step(v: Word) -> list[Word]:
+        adj[v] = successors(v, sys)
+        return adj[v]
+
+    if not explore(w, step, max_words)[1]:
+        raise Inexact(f"descendant graph truncated at {max_words} words")
     return adj
 
 
@@ -123,29 +120,15 @@ def _sccs(adj: dict[Word, list[Word]]) -> list[list[Word]]:
 
 
 def _sink_components(adj: dict[Word, list[Word]]) -> list[set[Word]]:
-    comps = _sccs(adj)
-    cid: dict[Word, int] = {}
-    for i, comp in enumerate(comps):
-        for w in comp:
-            cid[w] = i
-    is_sink = [True] * len(comps)
-    for v, targets in adj.items():
-        for t in targets:
-            if cid[t] != cid[v]:
-                is_sink[cid[v]] = False
-    return [set(comp) for i, comp in enumerate(comps) if is_sink[i]]
+    """The strongly connected components that no edge leaves."""
+    comps = [set(comp) for comp in _sccs(adj)]
+    return [c for c in comps if all(t in c for v in c for t in adj[v])]
 
 
 def is_seminormal(w: Word, sys: SrsSystem, max_words: int | None = None) -> bool:
     """Whether every descendant of w can reach w back."""
     adj = _descendant_graph(w, sys, max_words)
-    comps = _sccs(adj)
-    cid: dict[Word, int] = {}
-    for i, comp in enumerate(comps):
-        for x in comp:
-            cid[x] = i
-    mine = cid[w]
-    return all(cid[t] == mine for v, ts in adj.items() if cid[v] == mine for t in ts)
+    return any(w in c for c in _sink_components(adj))
 
 
 @lru_cache(maxsize=None)

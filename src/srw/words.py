@@ -21,13 +21,16 @@ second table.
 (start position, rule name): at each position it tries only the rules
 whose left-hand side starts with the letter found there.  `successors`
 makes the same sweep but returns only the rewritten words, in the same
-order, without building a `RuleInstance` per redex: the graph explorers
-(`reach` here, the descendant graphs of `srw.seminormal` and the descent
-step of `srw.hecke.hecke_canon`) read nothing else.  `reach`
-computes the set of words reachable by any number of steps; for systems
-whose rules never lengthen words the set is finite and the closure is
-exact, otherwise a bound on explored words is required and the result
-may be truncated.
+order, without building a `RuleInstance` per redex.
+
+`explore` is the one breadth-first search of the package: given a start
+word and a step function listing the next words, it returns the words
+reached and whether the search ran to the end or stopped at its bound on
+explored words.  `reach` runs it over one-step rewriting; the descendant
+graphs of `srw.seminormal` and the element closure of
+`srw.hecke.enumerate_monoid` run it with their own steps.  For systems
+whose rules never lengthen words the closure under rewriting is finite
+and `reach` is exact, otherwise it needs a bound and may be truncated.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Word",
@@ -50,11 +53,11 @@ __all__ = [
     "Zigzag",
     "SrsSystem",
     "SourceMismatch",
-    "BoundExceeded",
     "ReachResult",
     "apply_instance",
     "find_redexes",
     "successors",
+    "explore",
     "reach",
 ]
 
@@ -149,10 +152,6 @@ Step = RuleInstance
 
 class SourceMismatch(ValueError):
     """Raised when an instance is applied to a word it does not match."""
-
-
-class BoundExceeded(RuntimeError):
-    """Raised when an exact closure was requested but the bound cut it off."""
 
 
 def apply_instance(w: Word, inst: RuleInstance) -> Word:
@@ -337,6 +336,30 @@ def successors(w: Word, sys: SrsSystem) -> list[Word]:
     return out
 
 
+def explore(
+    start: Word,
+    step: Callable[[Word], Iterable[Word]],
+    max_words: int | None = None,
+) -> tuple[set[Word], bool]:
+    """Breadth-first search from `start`, where `step(w)` lists the words
+    one step from w.
+
+    Returns the words seen and whether the search is complete.  With a
+    bound, the search stops as soon as a new word turns up while
+    `max_words` words are already seen, and reports itself incomplete.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for t in step(queue.popleft()):
+            if t not in seen:
+                if max_words is not None and len(seen) >= max_words:
+                    return seen, False
+                seen.add(t)
+                queue.append(t)
+    return seen, True
+
+
 @dataclass(frozen=True)
 class ReachResult:
     """Words reachable from a start word; `complete` is False when the
@@ -346,37 +369,16 @@ class ReachResult:
     complete: bool
 
 
-def reach(
-    w: Word,
-    sys: SrsSystem,
-    max_words: int | None = None,
-    require_exact: bool = False,
-) -> ReachResult:
+def reach(w: Word, sys: SrsSystem, max_words: int | None = None) -> ReachResult:
     """Breadth-first closure of {w} under one-step rewriting.
 
     For length-nonincreasing systems the closure is finite and no bound
     is needed.  Otherwise a bound on the number of explored words must be
-    given; when the bound truncates the closure the result is flagged
-    incomplete, or BoundExceeded is raised if `require_exact` was set.
+    given, and a closure it truncates is flagged incomplete.
     """
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: reach needs a max_words bound"
         )
-    seen: set[Word] = {w}
-    queue: deque[Word] = deque([w])
-    complete = True
-    while queue:
-        cur = queue.popleft()
-        for t in successors(cur, sys):
-            if t in seen:
-                continue
-            if max_words is not None and len(seen) >= max_words:
-                complete = False
-                queue.clear()
-                break
-            seen.add(t)
-            queue.append(t)
-    if not complete and require_exact:
-        raise BoundExceeded(f"reach truncated at {max_words} words")
+    seen, complete = explore(w, lambda v: successors(v, sys), max_words)
     return ReachResult(frozenset(seen), complete)

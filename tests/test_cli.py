@@ -198,9 +198,32 @@ def test_hecke_enumerate_output(capsys):
     assert out == "count 6\n-\n1\n2\n12\n21\n121\n"
     code, out, _ = run(capsys, ["hecke", "enumerate", "7"])
     assert code == 2
+    # rank-3 rprime lacks c13: its irreducible words are not one per element
+    code, out, err = run(capsys, ["hecke", "enumerate", "3", "--variant", "rprime"])
+    assert code == 2 and out == "" and "paired with its inverse" in err
     code, out, _ = run(capsys, ["hecke", "enumerate", "2", "--json"])
     doc = json.loads(out)
     assert doc["count"] == 6 and doc["elements"][0] == "-"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reach", "{sys}", "1", "--max", "-1"],
+        ["reach", "{sys}", "1", "--max", "0"],
+        ["confluence", "{sys}", "--bound", "-1"],
+        ["check-decreasing", "{sys}", "--contexts", "-1"],
+        ["complete-peak", "{sys}", "--top=32:c13:-", "--left=-:b31:-", "--fuel", "-1"],
+        ["complete-zigzag", "{sys}", "--zigzag=>-:a1:13", "--fuel", "-2"],
+        ["hecke", "enumerate", "2", "--cap", "-1"],
+        ["hecke", "verify", "2", "--coherence-bound", "-5"],
+        ["reach", "{sys}", "1", "--max", "many"],
+    ],
+)
+def test_negative_budgets_exit_two(argv, h3full, capsys):
+    code, out, err = run(capsys, [a.replace("{sys}", h3full) for a in argv])
+    assert code == 2 and out == ""
+    assert "must be at least" in err or "invalid budget value: 'many'" in err
 
 
 def test_hecke_verify_output(capsys):

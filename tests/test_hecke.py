@@ -1,6 +1,7 @@
 """Hecke systems, curated diagrams, cell family, translation, enumeration."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,6 +295,16 @@ def test_enumerate_monoid_variants_agree():
     assert len(enumerate_monoid(2, variant="rprime")) == 6
     got = {len(w) for w in enumerate_monoid(3, variant="rfull")}
     assert max(got) == 6  # the longest element has n(n+1)/2 letters
+
+
+def test_unpaired_commutations_rejected_at_once():
+    sys = hecke_system(3, "rprime")  # c31 without c13
+    with pytest.raises(ValueError):
+        hecke_canon((3, 2, 1), sys)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        enumerate_monoid(3, variant="rprime")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_enumerate_cap():

@@ -15,7 +15,7 @@ from srw.seminormal import (
     is_seminormal,
     words_equal,
 )
-from srw.words import Rule, SrsSystem
+from srw.words import Rule, SrsSystem, all_words
 
 from oracles import congruence_closure, tiny_system
 
@@ -43,6 +43,12 @@ def test_is_seminormal():
     assert not is_seminormal((1, 1), sys)
     assert not is_seminormal((2, 1, 2), sys)
     assert is_seminormal((), sys)
+
+
+def test_is_seminormal_iff_in_own_attractor():
+    sys = _h3()
+    for w in all_words(3, 5):
+        assert is_seminormal(w, sys) == (w in attractor(w, sys).members), w
 
 
 def test_seminormal_members_all_seminormal():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from srw.words import (
     BACKWARD,
     FORWARD,
-    BoundExceeded,
     Path,
     Rule,
     RuleInstance,
@@ -17,6 +16,7 @@ from srw.words import (
     Zigzag,
     all_words,
     apply_instance,
+    explore,
     find_redexes,
     reach,
     successors,
@@ -245,6 +245,15 @@ def test_reach_lengthening_needs_bound():
         reach((1,), grow)
     res = reach((1,), grow, max_words=5)
     assert not res.complete
-    assert len(res.words) == 5
-    with pytest.raises(BoundExceeded):
-        reach((1,), grow, max_words=5, require_exact=True)
+    assert res.words == {(1,) * k for k in range(1, 6)}
+
+
+def test_explore_truncates_only_on_a_new_word():
+    def grow(w):
+        return [w + (1,), w + (2,)] if len(w) < 2 else [w]
+
+    assert explore((), grow) == ({(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)}, True)
+    assert explore((), grow, max_words=3) == ({(), (1,), (2,)}, False)
+    # Seven words fill the bound exactly: no eighth turns up, so no cut.
+    assert explore((), grow, max_words=7)[1]
+    assert not explore((), grow, max_words=6)[1]
