@@ -3,9 +3,12 @@
 A small toolkit for string rewriting systems whose rules never lengthen
 words: redex enumeration, reachability, critical pairs, elementary
 reduction diagrams with a decreasingness check, diagram tiling for peaks
-and zigzags, semi-normal forms and attractors, and a fully worked family
-of rewriting systems for the 0-Hecke monoids together with the cell
-families that make their presentations coherent.
+and zigzags, semi-normal forms and attractors, normal forms of words
+modulo commutations (traces), and a fully worked family of rewriting
+systems for the 0-Hecke monoids together with the cell families that
+make their presentations coherent.
 """
 
-__all__ = ["words", "order", "critical", "diagrams", "seminormal", "hecke", "cli"]
+__all__ = [
+    "words", "order", "critical", "diagrams", "seminormal", "traces", "hecke", "cli",
+]

@@ -58,6 +58,7 @@ from .diagrams import (
 )
 from .order import InstanceOrder, Verdict, check_decreasing
 from .seminormal import attractor
+from .traces import factor_in_class, normal_form
 from .words import (
     Path,
     Rule,
@@ -67,8 +68,6 @@ from .words import (
     all_words,
     explore,
     find_redexes,
-    reach,
-    successors,
 )
 
 __all__ = [
@@ -224,23 +223,21 @@ class _HeckeRules:
     """Shape-indexed access to a system's rules, built once per system by
     `_hecke_rules`.
 
-    Besides the rules by kind it holds the commutation rules and the other
-    (idempotence and braid) rules as sub-systems, so the matcher finds the
-    steps of one family without scanning for the other, and `paired`:
-    whether every commutation's inverse is a rule as well.
+    Besides the rules by kind it holds the idempotence and braid rules as
+    a sub-system (`descents`, whose rules `descent_rules` lists in name
+    order), `independent`: the letter pairs (s, t) that some commutation
+    rule rewrites s t to t s, and `paired`: whether every commutation's
+    inverse is a rule as well, which makes `independent` symmetric.
     """
 
     def __init__(self, sys: SrsSystem):
         self._by_kind = {classify_rule(r): r for r in sys.rules}
-        swaps = tuple(r for r in sys.rules if classify_rule(r)[0] in ("cf", "ci"))
+        swaps = {k[1:] for k in self._by_kind if k[0] in ("cf", "ci")}
         rest = tuple(r for r in sys.rules if classify_rule(r)[0] not in ("cf", "ci"))
-        self.commutations = SrsSystem(sys.n, swaps)
+        self.independent = frozenset(swaps)
         self.descents = SrsSystem(sys.n, rest)
-        self.paired = all(
-            ("ci" if k[0] == "cf" else "cf", k[2], k[1]) in self._by_kind
-            for k in self._by_kind
-            if k[0] in ("cf", "ci")
-        )
+        self.descent_rules = tuple(sorted(rest, key=lambda r: r.name))
+        self.paired = all((t, s) in swaps for s, t in swaps)
 
     def a(self, i: int) -> Rule:
         return self._by_kind[("a", i)]
@@ -800,15 +797,19 @@ def translate_to_basic(path: Path, target: SrsSystem) -> Path:
 def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
     """Canonical form in a Hecke system with paired commutations.
 
-    Commutation components are mutual-reachability classes; a word is
-    semi-normal iff no shortening or braid step applies anywhere in its
-    component, and then the component is the attractor.  Otherwise any
-    such step strictly decreases the length vector, so following it
-    reaches the attractor.  Cross-checked against the generic sink-class
+    Words modulo the commutation rules are traces (`srw.traces`), and a
+    class is named by its lex-least word, its normal form.  A class is the
+    attractor iff no idempotence or braid step applies anywhere in it;
+    otherwise any such step strictly decreases the length vector.  So the
+    loop takes the normal form, looks for a descent's left-hand side as a
+    factor of some class member (rules in name order, without listing the
+    class) and rewrites it, until no descent is left; the result is the
+    final class's normal form.  `_memo` maps the normal forms met along
+    the way to the result.  Cross-checked against the generic sink-class
     attractor in the tests.
 
     Raises ValueError when some commutation lacks its inverse (rprime
-    from rank 3 on): commutation components are then not the attractors,
+    from rank 3 on): commutation classes are then not the attractors,
     and distinct irreducible words may present one element.
     """
     H = _hecke_rules(sys)
@@ -818,32 +819,24 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
             "rule paired with its inverse"
         )
     memo: dict[Word, Word] = _memo if _memo is not None else {}
-    pending: list[frozenset[Word]] = []
+    chain: list[Word] = []
     cur = w
     while True:
-        if cur in memo:
-            result = memo[cur]
+        key = normal_form(cur, H.independent)
+        if key in memo:
+            result = memo[key]
             break
-        comp = reach(cur, H.commutations).words
-        hit = next((m for m in comp if m in memo), None)
-        if hit is not None:
-            result = memo[hit]
-            pending.append(comp)
-            break
-        descend = None
-        for m in sorted(comp):
-            targets = successors(m, H.descents)
-            if targets:
-                descend = targets[0]
+        chain.append(key)
+        for rule in H.descent_rules:
+            hit = factor_in_class(key, rule.lhs, H.independent)
+            if hit is not None:
+                cur = hit[0] + rule.rhs + hit[1]
                 break
-        pending.append(comp)
-        if descend is None:
-            result = min(comp)
+        else:
+            result = key
             break
-        cur = descend
-    for comp in pending:
-        for m in comp:
-            memo[m] = result
+    for key in chain:
+        memo[key] = result
     return result
 
 
@@ -1035,8 +1028,6 @@ _FAMILY_RANK = {
     "Bc4": 17,
 }
 
-_REQUIRED_EQUIVALENT = {"aa", "ba", "ab", "ac", "ac-mirror", "bb", "bc"}
-
 
 def _coherence_sort_key(name: str, pair: CriticalPair) -> tuple:
     k1 = classify_rule(pair.first.rule)
@@ -1089,12 +1080,6 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
             labels.append(label)
         else:
             unknown.append(label)
-            if name in _REQUIRED_EQUIVALENT:
-                return VerifyItem(
-                    "coherence",
-                    "FAIL",
-                    f"required class {label} not derivable within bound {bound}",
-                )
     status = "PASS" if not unknown else "UNKNOWN"
     detail = f"{equivalent}/{len(todo)} diagram classes derivable from the base family"
     if unknown:

@@ -3,7 +3,8 @@
 Everything here is deliberately written with different algorithms and
 data structures than the library: a double-loop substring scan instead
 of the library's position/rule sweep, a fixpoint set closure instead of
-a worklist BFS, a union-find congruence closure over a bounded word
+a worklist BFS (and instead of trace normal forms for commutation
+classes), a union-find congruence closure over a bounded word
 universe instead of attractor canonical forms, and a layered
 set-intersection join instead of a bidirectional meet-in-the-middle
 search.  Tests compare the two routes; the oracle side is never
@@ -57,6 +58,24 @@ def fixpoint_reach(w: Word, sys: SrsSystem, cap: int = 100000) -> set[Word]:
         closure |= new
         if len(closure) > cap:
             raise RuntimeError("fixpoint_reach cap exceeded")
+
+
+def commutation_class(w: Word, n: int) -> set[Word]:
+    """Every word reached from w by swapping adjacent letters at distance
+    >= 2 (the rank-n Hecke commutations), by iterating all swaps of all
+    members to a fixpoint."""
+    assert all(1 <= a <= n for a in w), f"{w} is not a rank-{n} word"
+    closure: set[Word] = {w}
+    while True:
+        new = {
+            x[:i] + (x[i + 1], x[i]) + x[i + 2 :]
+            for x in closure
+            for i in range(len(x) - 1)
+            if abs(x[i] - x[i + 1]) >= 2
+        }
+        if new <= closure:
+            return closure
+        closure |= new
 
 
 def all_words(n: int, max_len: int) -> list[Word]:

@@ -255,6 +255,16 @@ def test_hecke_verify_unknown_exits_one(capsys):
     assert code == 1 and json.loads(out)["overall"] == "UNKNOWN"
 
 
+def test_hecke_verify_cut_coherence_is_unknown(capsys):
+    # A path search cut by its budget disproves nothing: no FAIL.
+    code, out, _ = run(capsys, ["hecke", "verify", "2", "--coherence-bound", "0"])
+    assert code == 1
+    assert out.endswith("VERDICT: UNKNOWN\n")
+    line = next(x for x in out.splitlines() if x.startswith("coherence: "))
+    assert line.startswith("coherence: UNKNOWN (0/5 ")
+    assert "aa@111" in line.split("unknown: ")[1].rstrip(")").split(",")
+
+
 def test_stdout_deterministic(h3full, capsys):
     argv = ["critical-pairs", h3full, "--json"]
     _, out1, _ = run(capsys, argv)

@@ -30,6 +30,7 @@ from srw.hecke import (
 from srw.hecke import NotCSortable
 from srw.order import is_decreasing_ed
 from srw.seminormal import canon as generic_canon
+from srw.traces import normal_form
 from srw.words import Path, Rule, RuleInstance, all_words, find_redexes
 
 
@@ -324,8 +325,15 @@ def test_hecke_canon_matches_generic(letters):
 @pytest.mark.parametrize("variant", ["rdoubleprime", "rfull"])
 def test_hecke_canon_matches_generic_rank4(variant):
     sys = hecke_system(4, variant)
-    for w in all_words(4, 6):
-        assert hecke_canon(w, sys) == generic_canon(w, sys), w
+    memo = {}
+    # longest words first, so that calls miss the memo and run whole chains
+    for w in reversed(list(all_words(4, 6))):
+        assert hecke_canon(w, sys, memo) == generic_canon(w, sys), w
+    # the memo is keyed by trace normal forms only
+    independent = frozenset(
+        (s, t) for s in range(1, 5) for t in range(1, 5) if abs(s - t) >= 2
+    )
+    assert memo and all(normal_form(k, independent) == k for k in memo)
 
 
 def test_verify_suite_rank2():

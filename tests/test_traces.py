@@ -1,0 +1,76 @@
+"""Trace normal forms and factors against the commutation-class oracle."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from srw.hecke import classify_rule, hecke_system
+from srw.traces import factor_in_class, normal_form
+from srw.words import all_words
+
+from oracles import commutation_class
+
+
+def _independent(n):
+    return frozenset(
+        (s, t) for s in range(1, n + 1) for t in range(1, n + 1) if abs(s - t) >= 2
+    )
+
+
+def _classes(n, max_len):
+    """The commutation classes of all rank-n words up to max_len, once each."""
+    seen = set()
+    for w in all_words(n, max_len):
+        if w not in seen:
+            cls = commutation_class(w, n)
+            seen |= cls
+            yield cls
+
+
+def test_normal_form_is_least_class_member_rank4():
+    ind = _independent(4)
+    for cls in _classes(4, 6):
+        least = min(cls)
+        for w in cls:
+            assert normal_form(w, ind) == least, w
+
+
+@given(st.lists(st.integers(1, 6), max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_is_least_class_member_rank6(letters):
+    w = tuple(letters)
+    assert normal_form(w, _independent(6)) == min(commutation_class(w, 6))
+
+
+@pytest.mark.parametrize("variant", ["rdoubleprime", "rfull"])
+def test_factor_in_class_matches_oracle_rank4(variant):
+    ind = _independent(4)
+    lhss = [
+        r.lhs for r in hecke_system(4, variant).rules if classify_rule(r)[0] in ("a", "b")
+    ]
+    hits = 0
+    for cls in _classes(4, 6):
+        for lhs in lhss:
+            has = any(
+                x[i : i + len(lhs)] == lhs for x in cls for i in range(len(x))
+            )
+            for w in cls:
+                got = factor_in_class(w, lhs, ind)
+                assert (got is not None) == has, (w, lhs)
+                if got is not None:
+                    assert got[0] + lhs + got[1] in cls, (w, lhs, got)
+                    hits += 1
+    assert hits > 0
+
+
+def test_factor_in_class_examples():
+    ind = _independent(4)
+    # 3231 has no increasing placement of 3213, yet 3213 is in its class
+    assert factor_in_class((3, 2, 3, 1), (3, 2, 1, 3), ind) == ((), ())
+    # the 3 between the two 2s lies above one and below the other
+    assert factor_in_class((2, 3, 2), (2, 2), ind) is None
+    # the 4 lies above the first 3 and below the second
+    assert factor_in_class((1, 3, 4, 3), (3, 3), ind) is None
+    # an lhs of independent letters, unlike every descent: its second
+    # letter may sit anywhere, even before the first
+    assert factor_in_class((3, 1, 4, 3), (1, 4), ind) == ((3,), (3,))
+    assert factor_in_class((4, 1), (1, 4), ind) == ((), ())
