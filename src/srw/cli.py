@@ -351,19 +351,22 @@ def cmd_confluence(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "ok": rep.ok,
+                "verdict": rep.verdict,
                 "bound": rep.bound,
                 "pairs": rep.total,
                 "failures": [p.render(sys.n) for p in rep.failures],
+                "cut": [p.render(sys.n) for p in rep.cut],
             }
         )
     else:
         for p in rep.failures:
-            print(f"unjoinable: {p.render(sys.n)}")
+            label = "undecided" if p in rep.cut else "unjoinable"
+            print(f"{label}: {p.render(sys.n)}")
         if rep.ok:
             print(f"PASS: {rep.total} critical pairs join (bound {rep.bound})")
         else:
             print(
-                f"FAIL: {len(rep.failures)} of {rep.total} critical pairs "
+                f"{rep.verdict}: {len(rep.failures)} of {rep.total} critical pairs "
                 f"did not join (bound {rep.bound})"
             )
     return 0 if rep.ok else 1

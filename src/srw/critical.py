@@ -15,7 +15,9 @@ place the first component on top of a square.  `join_pair` searches for
 a common reduct of the two targets by bidirectional breadth-first
 search; `build_critical_ed` packages a found join as the elementary
 diagram whose top is the pair's first component.  `local_confluence_report`
-runs the joinability check over every critical pair.
+runs the joinability check over every critical pair, and tells a pair
+that is refuted (both reachable sets exhausted without meeting) from one
+whose search the bound cut.
 """
 
 from __future__ import annotations
@@ -135,13 +137,10 @@ def _path_from_parents(
     return Path(cur, tuple(steps))
 
 
-def join_pair(pair: CriticalPair, sys: SrsSystem, bound: int = 16) -> Joinability | None:
-    """Find a common reduct of the two targets within `bound` steps per side.
-
-    Both reachable sets are grown breadth-first one layer at a time; the
-    first meeting word (lexicographically least among the earliest layer)
-    is returned together with the shortest paths leading to it.
-    """
+def _join(
+    pair: CriticalPair, sys: SrsSystem, bound: int
+) -> tuple[Joinability | None, bool]:
+    """`join_pair`'s search; the flag says whether the bound cut it short."""
     t1, t2 = pair.first.target, pair.second.target
     parents1: dict[Word, tuple[Word, RuleInstance] | None] = {t1: None}
     parents2: dict[Word, tuple[Word, RuleInstance] | None] = {t2: None}
@@ -164,13 +163,26 @@ def join_pair(pair: CriticalPair, sys: SrsSystem, bound: int = 16) -> Joinabilit
             frontier2 = _expand_layer(frontier2, parents2, sys)
             depth2 += 1
         else:
-            return None
+            # A side with words left to expand was stopped by the bound.
+            return None, bool(frontier1 or frontier2)
         m = meet()
     return Joinability(
         target=m,
         from_first=_path_from_parents(parents1, m),
         from_second=_path_from_parents(parents2, m),
-    )
+    ), False
+
+
+def join_pair(pair: CriticalPair, sys: SrsSystem, bound: int = 16) -> Joinability | None:
+    """Find a common reduct of the two targets within `bound` steps per side.
+
+    Both reachable sets are grown breadth-first one layer at a time; the
+    first meeting word (lexicographically least among the earliest layer)
+    is returned together with the shortest paths leading to it.  None
+    means no join within the bound; `local_confluence_report` tells a
+    refutation (both sets exhausted) from a search the bound cut.
+    """
+    return _join(pair, sys, bound)[0]
 
 
 def build_critical_ed(pair: CriticalPair, join: Joinability):
@@ -197,17 +209,35 @@ def build_critical_ed(pair: CriticalPair, join: Joinability):
 
 @dataclass(frozen=True)
 class ConfluenceReport:
+    """`failures` lists every pair not joined within the bound, and `cut`
+    those of them whose search the bound stopped: only the rest are
+    refuted, their two reachable sets exhausted and disjoint."""
+
     bound: int
     total: int
     failures: tuple[CriticalPair, ...]
+    cut: tuple[CriticalPair, ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def refuted(self) -> tuple[CriticalPair, ...]:
+        return tuple(p for p in self.failures if p not in self.cut)
+
+    @property
+    def verdict(self) -> str:
+        """FAIL if some pair is refuted, else UNKNOWN if some search was
+        cut, else PASS."""
+        return "FAIL" if self.refuted else "UNKNOWN" if self.cut else "PASS"
 
 
 def local_confluence_report(sys: SrsSystem, bound: int = 16) -> ConfluenceReport:
     """Try to join every critical pair; report the ones that resist."""
     pairs = enumerate_critical_pairs(sys)
     failures = tuple(p for p in pairs if join_pair(p, sys, bound) is None)
-    return ConfluenceReport(bound=bound, total=len(pairs), failures=failures)
+    # Search a failed pair again to learn whether the bound cut it: failures
+    # are few, and every join still goes through `join_pair`.
+    cut = tuple(p for p in failures if _join(p, sys, bound)[1])
+    return ConfluenceReport(bound=bound, total=len(pairs), failures=failures, cut=cut)

@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .critical import CriticalPair, enumerate_critical_pairs, join_pair
+from .critical import CriticalPair, enumerate_critical_pairs, local_confluence_report
 from .diagrams import (
     CellFamily,
     ElementaryDiagram,
@@ -57,7 +57,7 @@ from .diagrams import (
     transpose_ed,
 )
 from .order import InstanceOrder, Verdict, check_decreasing
-from .seminormal import attractor
+from .seminormal import attractors
 from .traces import factor_in_class, normal_form
 from .words import (
     Path,
@@ -968,12 +968,14 @@ def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
                 "FAIL",
                 f"critical pair {pair.render(sys.n)} is {name}, expected cc",
             )
-        if join_pair(pair, sub, bound=4) is None:
-            return VerifyItem(
-                "commutation-subsystem",
-                "FAIL",
-                f"critical pair {pair.render(sys.n)} does not join",
-            )
+    rep = local_confluence_report(sub, bound=4)
+    if not rep.ok:
+        return VerifyItem(
+            "commutation-subsystem",
+            rep.verdict,
+            f"critical pair {(rep.refuted or rep.cut)[0].render(sys.n)} does not join"
+            + ("" if rep.refuted else f" within bound {rep.bound}"),
+        )
     return VerifyItem(
         "commutation-subsystem",
         "PASS",
@@ -984,15 +986,13 @@ def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
 
 def _verify_attractor_loops(sys: SrsSystem, max_len: int) -> VerifyItem:
     descents = _hecke_rules(sys).descents
-    classes = 0
-    seen: set[Word] = set()
-    for w in all_words(sys.n, max_len):
-        if w in seen:
+    found = attractors(all_words(sys.n, max_len), sys)
+    checked: set[Word] = set()
+    for w, cls in found.items():
+        if cls.canon in checked:
             continue
-        members = attractor(w, sys).members
-        seen.update(members)
-        classes += 1
-        for m in members:
+        checked.add(cls.canon)
+        for m in cls.members:
             steps = find_redexes(m, descents)
             if steps:
                 return VerifyItem(
@@ -1003,7 +1003,8 @@ def _verify_attractor_loops(sys: SrsSystem, max_len: int) -> VerifyItem:
     return VerifyItem(
         "attractor-loops-are-commutations",
         "PASS",
-        f"{classes} attractor classes, all loop steps are commutations",
+        f"{len(checked)} attractor classes over {len(found)} words, "
+        "all loop steps are commutations",
     )
 
 

@@ -10,10 +10,12 @@ sink component and it is the attractor, a single mutual-reachability
 class.  Its lexicographically least member serves as a canonical form,
 so two words are congruent iff their canonical forms coincide.
 
-The descendant graph is built by `srw.words.explore`, whose step records
-each word's successors as its edges; a bound on explored words that cuts
-the graph short raises `Inexact`.  `is_seminormal` and `attractor` both
-read the sink components (Tarjan's components that no edge leaves).
+`attractors` reads every start's attractor off one shared descendant
+graph, which `srw.words.explore` builds from each start in turn (a
+bound on its words that cuts it short raises `Inexact`).  One pass of
+Tarjan's algorithm condenses it; as a component is finished after every
+component it reaches, the same pass gives it the sink components it
+reaches: itself if no edge leaves it, else the union over its edges.
 
 `attractor_loop_steps` returns every step between members of a word's
 attractor: the loops that reduction keeps running around once it has
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .words import RuleInstance, SrsSystem, Word, explore, find_redexes, successors
 
@@ -32,6 +35,7 @@ __all__ = [
     "NotOneClass",
     "AttractorClass",
     "is_seminormal",
+    "attractors",
     "attractor",
     "canon",
     "words_equal",
@@ -54,8 +58,10 @@ class AttractorClass:
 
 
 def _descendant_graph(
-    w: Word, sys: SrsSystem, max_words: int | None
+    starts: Iterable[Word], sys: SrsSystem, max_words: int | None
 ) -> dict[Word, list[Word]]:
+    """Each word reachable from some start, with its successors; a word
+    past the first `max_words` (the first start always fits) is `Inexact`."""
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: descendant graphs need a bound"
@@ -63,92 +69,102 @@ def _descendant_graph(
     adj: dict[Word, list[Word]] = {}
 
     def step(v: Word) -> list[Word]:
+        if v in adj:
+            return []
+        if max_words is not None and adj and len(adj) >= max_words:
+            raise Inexact(f"descendant graph truncated at {max_words} words")
         adj[v] = successors(v, sys)
         return adj[v]
 
-    if not explore(w, step, max_words)[1]:
-        raise Inexact(f"descendant graph truncated at {max_words} words")
+    for s in starts:
+        explore(s, step)
     return adj
 
 
-def _sccs(adj: dict[Word, list[Word]]) -> list[list[Word]]:
-    """Tarjan's strongly connected components, iteratively."""
+def _condense(
+    adj: dict[Word, list[Word]],
+) -> tuple[dict[Word, int], list[frozenset[AttractorClass]]]:
+    """Tarjan's components, iteratively: each word's component id, and
+    for each component the sink components it reaches."""
+    comp: dict[Word, int] = {}
+    sinks: list[frozenset[AttractorClass]] = []
     index: dict[Word, int] = {}
     low: dict[Word, int] = {}
-    onstack: set[Word] = set()
     stack: list[Word] = []
-    out: list[list[Word]] = []
-    counter = 0
     for root in adj:
         if root in index:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        onstack.add(root)
-        work: list[tuple[Word, "object"]] = [(root, iter(adj[root]))]
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for u in it:
                 if u not in index:
-                    index[u] = low[u] = counter
-                    counter += 1
+                    index[u] = low[u] = len(index)
                     stack.append(u)
-                    onstack.add(u)
                     work.append((u, iter(adj[u])))
-                    advanced = True
                     break
-                if u in onstack:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
+                if u not in comp and index[u] < low[v]:  # u is on the stack
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                cid = len(sinks)
+                members: set[Word] = set()
+                while v not in members:
                     u = stack.pop()
-                    onstack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                out.append(comp)
-    return out
-
-
-def _sink_components(adj: dict[Word, list[Word]]) -> list[set[Word]]:
-    """The strongly connected components that no edge leaves."""
-    comps = [set(comp) for comp in _sccs(adj)]
-    return [c for c in comps if all(t in c for v in c for t in adj[v])]
+                    comp[u] = cid
+                    members.add(u)
+                reached = None
+                for u in members:
+                    for t in adj[u]:
+                        c = comp[t]
+                        if c != cid and sinks[c] is not reached:
+                            reached = sinks[c] if reached is None else reached | sinks[c]
+                if reached is None:
+                    cls = frozenset(members)
+                    reached = frozenset((AttractorClass(cls, min(cls)),))
+                sinks.append(reached)
+    return comp, sinks
 
 
 def is_seminormal(w: Word, sys: SrsSystem, max_words: int | None = None) -> bool:
     """Whether every descendant of w can reach w back."""
-    adj = _descendant_graph(w, sys, max_words)
-    return any(w in c for c in _sink_components(adj))
+    comp, sinks = _condense(_descendant_graph((w,), sys, max_words))
+    return any(w in a.members for a in sinks[comp[w]])
+
+
+def attractors(
+    starts: Iterable[Word], sys: SrsSystem, max_words: int | None = None
+) -> dict[Word, AttractorClass]:
+    """The unique sink class of each start, all read off one shared graph
+    of at most `max_words` words.  Raises NotOneClass when reduction can
+    settle into two classes below some start (it is not confluent there)."""
+    starts = tuple(starts)
+    comp, sinks = _condense(_descendant_graph(starts, sys, max_words))
+    out: dict[Word, AttractorClass] = {}
+    for w in starts:
+        reached = sinks[comp[w]]
+        if len(reached) != 1:
+            raise NotOneClass(
+                f"{sys.fmt(w)} settles into {len(reached)} distinct classes"
+            )
+        (out[w],) = reached
+    return out
 
 
 @lru_cache(maxsize=None)
 def _attractor_cached(w: Word, sys: SrsSystem, max_words: int | None) -> AttractorClass:
-    adj = _descendant_graph(w, sys, max_words)
-    sinks = _sink_components(adj)
-    if len(sinks) != 1:
-        raise NotOneClass(
-            f"{sys.fmt(w)} settles into {len(sinks)} distinct classes"
-        )
-    members = frozenset(sinks[0])
-    return AttractorClass(members=members, canon=min(members))
+    return attractors((w,), sys, max_words)[w]
 
 
 def attractor(w: Word, sys: SrsSystem, max_words: int | None = None) -> AttractorClass:
-    """The unique sink class of w's descendant graph.
-
-    Raises NotOneClass when reduction can settle into two different
-    classes (the system is not confluent below w).
-    """
+    """The unique sink class of w's descendant graph: `attractors` of the
+    one start w, cached."""
     return _attractor_cached(w, sys, max_words)
 
 

@@ -4,11 +4,12 @@ Everything here is deliberately written with different algorithms and
 data structures than the library: a double-loop substring scan instead
 of the library's position/rule sweep, a fixpoint set closure instead of
 a worklist BFS (and instead of trace normal forms for commutation
-classes), a union-find congruence closure over a bounded word
-universe instead of attractor canonical forms, and a layered
-set-intersection join instead of a bidirectional meet-in-the-middle
-search.  Tests compare the two routes; the oracle side is never
-implemented by calling into the package.
+classes, and of one condensed descendant graph for attractors), a
+union-find congruence closure over a bounded word universe instead of
+attractor canonical forms, and a layered set-intersection join instead
+of a bidirectional meet-in-the-middle search.  Tests compare the two
+routes; the oracle side is never implemented by calling into the
+package.
 
 The exception is `scan_path_search`, the reference for
 `srw.diagrams.paths_equivalent_mod_cells`: its verdict at a given budget
@@ -58,6 +59,28 @@ def fixpoint_reach(w: Word, sys: SrsSystem, cap: int = 100000) -> set[Word]:
         closure |= new
         if len(closure) > cap:
             raise RuntimeError("fixpoint_reach cap exceeded")
+
+
+def attractor_classes(
+    w: Word, sys: SrsSystem, memo: dict[Word, set[Word]] | None = None
+) -> set[frozenset[Word]]:
+    """The mutual-reachability classes that reduction from w settles in:
+    the descendants x of w that every descendant of x can reach back,
+    grouped by their own reachable sets (for such an x that set is its
+    class).  Reachable sets are `fixpoint_reach` closures, kept in `memo`
+    when the caller passes one to share between calls."""
+    memo = {} if memo is None else memo
+
+    def closure(x: Word) -> set[Word]:
+        if x not in memo:
+            memo[x] = fixpoint_reach(x, sys)
+        return memo[x]
+
+    return {
+        frozenset(closure(x))
+        for x in closure(w)
+        if all(x in closure(y) for y in closure(x))
+    }
 
 
 def commutation_class(w: Word, n: int) -> set[Word]:

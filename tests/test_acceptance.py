@@ -218,12 +218,21 @@ def test_criterion_07_attractor_single_class():
 
 def test_criterion_08_attractor_loops_commute():
     t0 = time.monotonic()
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         item = _verify_attractor_loops(hecke_system(n, "rfull"), 6)
         assert item.status == "PASS", item.detail
     elapsed = _budget(t0, 30.0, "criterion 8")
     print(f"criterion 8 PASS: all attractor loop steps are commutations for "
-          f"ranks 1-3, words up to length 6 ({elapsed:.1f}s)")
+          f"ranks 1-4, words up to length 6 ({elapsed:.1f}s)")
+
+
+def test_criterion_08_attractor_loops_commute_rank5():
+    t0 = time.monotonic()
+    item = _verify_attractor_loops(hecke_system(5, "rfull"), 6)
+    elapsed = _budget(t0, 5.0, "criterion 8 at rank 5")
+    assert item.status == "PASS", item.detail
+    assert item.detail.startswith("259 attractor classes over 19531 words,"), item.detail
+    print(f"criterion 8 PASS at rank 5: {item.detail} ({elapsed:.1f}s)")
 
 
 def test_criterion_09_word_problem_oracle():

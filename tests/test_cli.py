@@ -95,6 +95,25 @@ def test_confluence_exit_codes(h3full, h3prime, capsys):
     assert code == 1
     assert "unjoinable: overlap 3231" in out
     assert "FAIL: 2 of 24" in out
+    code, out, _ = run(capsys, ["confluence", h3prime, "--json"])
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "FAIL" and doc["cut"] == []
+
+
+def test_confluence_cut_search_is_unknown(tmp_path, capsys):
+    rdp = str(tmp_path / "rdp3.json")
+    assert main(["hecke", "gen", "3", "--variant", "rdoubleprime", "-o", rdp]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["confluence", rdp, "--bound", "1"])
+    assert code == 1
+    assert "unjoinable" not in out and "undecided: overlap 311" in out
+    assert out.endswith("UNKNOWN: 24 of 34 critical pairs did not join (bound 1)\n")
+    code, out, _ = run(capsys, ["confluence", rdp, "--bound", "1", "--json"])
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "UNKNOWN"
+    assert len(doc["failures"]) == len(doc["cut"]) == 24
+    code, out, _ = run(capsys, ["confluence", rdp, "--json"])
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
 
 
 def test_check_decreasing(h3full, capsys):

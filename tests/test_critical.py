@@ -135,9 +135,30 @@ def test_local_confluence_verdicts():
     rp = local_confluence_report(hecke_system(3, "rprime"), bound=16)
     assert not rp.ok
     assert {p.peak for p in rp.failures} == {(3, 2, 3, 1)}
+    assert rp.cut == () and rp.verdict == "FAIL"
     for variant in ("rdoubleprime", "rfull"):
         rep = local_confluence_report(hecke_system(3, variant), bound=16)
         assert rep.ok and not rep.failures
+
+
+def test_cut_join_search_is_not_a_refutation():
+    rdp = hecke_system(3, "rdoubleprime")
+    cut = local_confluence_report(rdp, bound=1)
+    assert len(cut.failures) == 24 and cut.cut == cut.failures
+    assert cut.verdict == "UNKNOWN"
+    assert local_confluence_report(rdp, bound=16).verdict == "PASS"
+    # rprime's 3231 pairs are exhausted at depth 1: refuted from bound 1 on,
+    # only cut at bound 0, where a pair with equal targets still joins.
+    rp = hecke_system(3, "rprime")
+    assert local_confluence_report(rp, bound=1).verdict == "FAIL"
+    at0 = local_confluence_report(rp, bound=0)
+    assert at0.verdict == "UNKNOWN" and at0.cut == at0.failures
+    assert len(at0.failures) < at0.total
+    rp4 = hecke_system(4, "rprime")
+    full = local_confluence_report(rp4, bound=16)
+    assert (len(full.failures), full.total, full.cut) == (4, 46, ())
+    at1 = local_confluence_report(rp4, bound=1)
+    assert set(at1.failures) - set(at1.cut) == set(full.failures)
 
 
 @given(st.integers(0, 1))

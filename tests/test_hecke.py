@@ -27,6 +27,7 @@ from srw.hecke import (
     translate_to_basic,
     verify_suite,
 )
+from srw import hecke
 from srw.hecke import NotCSortable
 from srw.order import is_decreasing_ed
 from srw.seminormal import canon as generic_canon
@@ -349,6 +350,18 @@ def test_verify_suite_rank2():
         "attractor-loops-are-commutations",
         "coherence",
     ]
+
+
+def test_c_subsystem_cut_join_is_unknown(monkeypatch):
+    sys = hecke_system(5, "rfull")
+    assert hecke._verify_c_subsystem(sys).status == "PASS"
+    report = hecke.local_confluence_report
+    monkeypatch.setattr(
+        hecke, "local_confluence_report", lambda sub, bound: report(sub, bound=0)
+    )
+    item = hecke._verify_c_subsystem(sys)
+    assert item.status == "UNKNOWN", item.detail
+    assert item.detail.endswith("does not join within bound 0")
 
 
 def test_verify_report_verdict_fold():

@@ -11,13 +11,14 @@ from srw.seminormal import (
     NotOneClass,
     attractor,
     attractor_loop_steps,
+    attractors,
     canon,
     is_seminormal,
     words_equal,
 )
 from srw.words import Rule, SrsSystem, all_words
 
-from oracles import congruence_closure, tiny_system
+from oracles import attractor_classes, congruence_closure, tiny_system
 
 
 def _h3():
@@ -73,6 +74,43 @@ def test_inexact_on_truncated_graph():
         attractor((1,), grow)
     with pytest.raises(Inexact):
         attractor((1,), grow, max_words=5)
+
+
+@pytest.mark.parametrize(
+    "n,variant,max_len", [(3, "rfull", 6), (3, "rdoubleprime", 6), (4, "rfull", 5)]
+)
+def test_attractors_match_oracle(n, variant, max_len):
+    sys = hecke_system(n, variant)
+    words = list(all_words(n, max_len))
+    found = attractors(words, sys)
+    assert list(found) == words
+    memo: dict = {}
+    for w in words:
+        assert attractor_classes(w, sys, memo) == {found[w].members}, w
+        assert found[w].canon == min(found[w].members)
+        assert is_seminormal(w, sys) == (w in found[w].members), w
+
+
+_RANK3_WORDS = st.lists(st.integers(1, 3), max_size=6).map(tuple)
+
+
+@given(st.lists(_RANK3_WORDS, min_size=1, max_size=10), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_attractors_batch_equals_single(ws, rnd):
+    sys = hecke_system(3, "rfull")
+    batch = ws + ws[: len(ws) // 2]
+    rnd.shuffle(batch)
+    found = attractors(batch, sys)
+    assert set(found) == set(batch)
+    for w in batch:
+        assert found[w] == attractors((w,), sys)[w]
+
+
+def test_attractors_batch_with_one_nonconfluent_start():
+    sys = hecke_system(3, "rprime")
+    assert set(attractors([(1, 3), (2,), (3, 2, 1)], sys)) == {(1, 3), (2,), (3, 2, 1)}
+    with pytest.raises(NotOneClass, match="3231 settles into 2"):
+        attractors([(1, 3), (3, 2, 3, 1), (2,)], sys)
 
 
 def test_words_equal_frozen():
