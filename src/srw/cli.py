@@ -25,14 +25,22 @@ join of the same pair may still be decreasing.  Each critical failure
 line and the `--json` output name the chooser.  `hecke verify --json`
 gives each item's seconds.
 
+`normal-form` and `equal` take `--max-words`, a bound on the words of
+the descendant graph behind each canonical form; a graph cut short by it
+leaves the answer undecided.
+
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
 2 for unusable input.
+
+`main` may be called repeatedly in one process: every call shares one
+parser, built by the first call, and parses its own arguments afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sysmod
 from typing import Any
@@ -57,7 +65,7 @@ from .hecke import (
     verify_suite,
 )
 from .order import check_decreasing, rule_rank_order
-from .seminormal import NotOneClass, canon, words_equal
+from .seminormal import Inexact, NotOneClass, canon, words_equal
 from .words import (
     BACKWARD,
     FORWARD,
@@ -293,8 +301,8 @@ def cmd_normal_form(args: argparse.Namespace) -> int:
     sys = load_system(args.system)
     w = parse_word(args.word, sys)
     try:
-        c = canon(w, sys)
-    except (NotOneClass, ValueError) as exc:
+        c = canon(w, sys, args.max_words)
+    except (NotOneClass, Inexact, ValueError) as exc:
         print(f"no canonical form: {exc}", file=_sysmod.stderr)
         return 1
     if args.json:
@@ -309,8 +317,8 @@ def cmd_equal(args: argparse.Namespace) -> int:
     u = parse_word(args.word1, sys)
     v = parse_word(args.word2, sys)
     try:
-        eq = words_equal(u, v, sys)
-    except (NotOneClass, ValueError) as exc:
+        eq = words_equal(u, v, sys, args.max_words)
+    except (NotOneClass, Inexact, ValueError) as exc:
         print(f"undecided: {exc}", file=_sysmod.stderr)
         return 1
     if args.json:
@@ -539,7 +547,10 @@ def _budget(least: int = 0):
     return budget
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `srw` parser, built on the first call and shared by later ones:
+    building it costs far more than one `parse_args`."""
     ap = argparse.ArgumentParser(
         prog="srw",
         description="String rewriting: reduction, critical pairs, diagram tiling.",
@@ -566,15 +577,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_budget(1), default=None)
     p.add_argument("--json", action="store_true")
 
+    max_words_help = "bound on the descendant graph's words (default: unbounded)"
+
     p = add("normal-form", cmd_normal_form, help="canonical form of a word")
     p.add_argument("system")
     p.add_argument("word")
+    p.add_argument("--max-words", type=_budget(1), default=None, help=max_words_help)
     p.add_argument("--json", action="store_true")
 
     p = add("equal", cmd_equal, help="decide whether two words present the same element")
     p.add_argument("system")
     p.add_argument("word1")
     p.add_argument("word2")
+    p.add_argument("--max-words", type=_budget(1), default=None, help=max_words_help)
     p.add_argument("--json", action="store_true")
 
     p = add("critical-pairs", cmd_critical_pairs, help="enumerate critical pairs")

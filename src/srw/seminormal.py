@@ -157,14 +157,20 @@ def attractors(
     return out
 
 
-@lru_cache(maxsize=None)
+# Entries kept by `attractor`'s cache, least recently used dropped first.
+# One `srw equal` query adds at most two; a word_problem pass of the
+# benchmark adds about 1,700, so the bound costs it no hits.
+ATTRACTOR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ATTRACTOR_CACHE_SIZE)
 def _attractor_cached(w: Word, sys: SrsSystem, max_words: int | None) -> AttractorClass:
     return attractors((w,), sys, max_words)[w]
 
 
 def attractor(w: Word, sys: SrsSystem, max_words: int | None = None) -> AttractorClass:
     """The unique sink class of w's descendant graph: `attractors` of the
-    one start w, cached."""
+    one start w, cached (the ATTRACTOR_CACHE_SIZE most recently used)."""
     return _attractor_cached(w, sys, max_words)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from srw.cli import main, system_from_doc, system_to_doc
+from srw.cli import build_parser, main, system_from_doc, system_to_doc
 from srw.hecke import hecke_system
 
 
@@ -77,6 +77,35 @@ def test_normal_form_and_equal(h3full, capsys):
     assert code == 0 and out == "equal\n"
     code, out, _ = run(capsys, ["equal", h3full, "13", "12"])
     assert code == 1 and out == "different\n"
+
+
+def test_max_words_leaves_canonical_forms_undecided(h3full, capsys):
+    word = "32132132"
+    code, out, err = run(capsys, ["equal", h3full, word, "121", "--max-words", "1"])
+    assert code == 1 and out == ""
+    assert err == "undecided: descendant graph truncated at 1 words\n"
+    code, out, err = run(capsys, ["normal-form", h3full, word, "--max-words", "1"])
+    assert code == 1 and out == ""
+    assert err == "no canonical form: descendant graph truncated at 1 words\n"
+    # A bound the graph fits in changes no answer.
+    for argv in (["normal-form", h3full, word], ["equal", h3full, word, "2321"]):
+        assert run(capsys, argv + ["--max-words", "1000"]) == run(capsys, argv)
+
+
+def test_parser_reuse_leaks_no_state(h3full, capsys):
+    build_parser.cache_clear()
+    code, out, _ = run(capsys, ["equal", h3full, "212", "121", "--json"])
+    assert code == 0 and json.loads(out) == {"equal": True}
+    code, out, _ = run(capsys, ["equal", h3full, "212", "121"])
+    assert code == 0 and out == "equal\n"
+    code, out, err = run(capsys, ["reach", h3full, "3213", "--max", "2"])
+    assert code == 0 and len(out.splitlines()) == 2 and "truncated at 2 words" in err
+    code, out, err = run(capsys, ["reach", h3full, "3213"])
+    assert code == 0 and len(out.splitlines()) > 2 and err == ""
+    for bad in (["redexes", h3full, "19"], ["unknown-command"], []):
+        assert run(capsys, bad)[0] == 2
+        assert run(capsys, ["normal-form", h3full, "1131"]) == (0, "13\n", "")
+    assert build_parser.cache_info().misses == 1
 
 
 def test_critical_pairs_listing(h3full, capsys):
@@ -237,6 +266,8 @@ def test_hecke_enumerate_output(capsys):
         ["hecke", "enumerate", "2", "--cap", "-1"],
         ["hecke", "verify", "2", "--coherence-bound", "-5"],
         ["reach", "{sys}", "1", "--max", "many"],
+        ["normal-form", "{sys}", "1", "--max-words", "0"],
+        ["equal", "{sys}", "1", "2", "--max-words", "0"],
     ],
 )
 def test_negative_budgets_exit_two(argv, h3full, capsys):

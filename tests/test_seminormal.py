@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from srw.hecke import classify_rule, hecke_system
 from srw.seminormal import (
+    ATTRACTOR_CACHE_SIZE,
     Inexact,
     NotOneClass,
     attractor,
     attractor_loop_steps,
     attractors,
+    _attractor_cached,
     canon,
     is_seminormal,
     words_equal,
@@ -74,6 +76,24 @@ def test_inexact_on_truncated_graph():
         attractor((1,), grow)
     with pytest.raises(Inexact):
         attractor((1,), grow, max_words=5)
+
+
+def test_attractor_cache_is_bounded():
+    # Each bound is its own cache key, so one cheap word fills the cache.
+    sys = _h3()
+    over = ATTRACTOR_CACHE_SIZE + 50
+    _attractor_cached.cache_clear()
+    try:
+        for bound in range(1, over + 1):
+            attractor((1,), sys, bound)
+        info = _attractor_cached.cache_info()
+        assert (info.misses, info.currsize) == (over, ATTRACTOR_CACHE_SIZE)
+        attractor((1,), sys, over)  # the most recent entry is kept
+        attractor((1,), sys, 1)  # the oldest was dropped
+        info = _attractor_cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, over + 1, ATTRACTOR_CACHE_SIZE)
+    finally:
+        _attractor_cached.cache_clear()
 
 
 @pytest.mark.parametrize(
