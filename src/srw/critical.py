@@ -13,18 +13,18 @@ their redexes genuinely interfere:
 Pairs are enumerated in both orders because downstream constructions
 place the first component on top of a square.  `join_pair` searches for
 a common reduct of the two targets by bidirectional breadth-first
-search; `build_critical_ed` packages a found join as the elementary
-diagram whose top is the pair's first component.  `local_confluence_report`
-runs the joinability check over every critical pair, and tells a pair
-that is refuted (both reachable sets exhausted without meeting) from one
-whose search the bound cut.
+search (`srw.diagrams.bfs_join_chooser` turns a found join into the
+elementary diagram whose top is the pair's first component).
+`local_confluence_report` runs the joinability check over every critical
+pair, and tells a pair that is refuted (both reachable sets exhausted
+without meeting) from one whose search the bound cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Path, RuleInstance, SrsSystem, Word, find_redexes
+from .words import Path, RuleInstance, SrsSystem, Word, find_redexes, word_to_str
 
 __all__ = [
     "CriticalPair",
@@ -32,7 +32,6 @@ __all__ = [
     "ConfluenceReport",
     "enumerate_critical_pairs",
     "join_pair",
-    "build_critical_ed",
     "local_confluence_report",
 ]
 
@@ -47,8 +46,6 @@ class CriticalPair:
     peak: Word
 
     def render(self, n: int) -> str:
-        from .words import word_to_str
-
         return (
             f"{self.kind} {word_to_str(self.peak, n)}: "
             f"{self.first.render(n)} | {self.second.render(n)}"
@@ -183,28 +180,6 @@ def join_pair(pair: CriticalPair, sys: SrsSystem, bound: int = 16) -> Joinabilit
     refutation (both sets exhausted) from a search the bound cut.
     """
     return _join(pair, sys, bound)[0]
-
-
-def build_critical_ed(pair: CriticalPair, join: Joinability):
-    """The elementary diagram of a joined critical pair.
-
-    The pair's first component becomes the top step and the second the
-    left step; the join's paths become the right and bottom sides.  When
-    the two components are the same instance the join is empty on both
-    sides and the result is the improper diagram closing a repeated step.
-    """
-    from .diagrams import ElementaryDiagram
-
-    if join.from_first.start != pair.first.target:
-        raise ValueError("join does not start at the first component's target")
-    if join.from_second.start != pair.second.target:
-        raise ValueError("join does not start at the second component's target")
-    return ElementaryDiagram(
-        top=pair.first,
-        left=pair.second,
-        right=join.from_first,
-        bottom=join.from_second,
-    )
 
 
 @dataclass(frozen=True)

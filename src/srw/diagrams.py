@@ -36,8 +36,8 @@ reduction paths from both endpoints.
 A `CellFamily` is a set of parallel path pairs; `paths_equivalent_mod_cells`
 searches for a rewrite of one path into another by replacing whiskered
 occurrences of a member path with its partner (in both directions,
-including insertion and deletion of whiskered loops) and, optionally, by
-commuting adjacent steps with disjoint redexes.  The verdict is
+including insertion and deletion of whiskered loops) and by commuting
+adjacent steps with disjoint redexes.  The verdict is
 one-sided: Equivalent means a chain of substitutions was found, Unknown
 means none was found within the search budget.
 
@@ -55,9 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
+from .critical import CriticalPair, join_pair
 from .words import (
+    BACKWARD,
+    FORWARD,
     Path,
     Rule,
     RuleInstance,
@@ -66,7 +69,6 @@ from .words import (
     Word,
     Zigzag,
     all_words,
-    find_redexes,
     word_to_str,
 )
 
@@ -82,8 +84,6 @@ __all__ = [
     "CellRecord",
     "Tiling",
     "Boundary",
-    "tiling_from_peak",
-    "tiling_from_zigzag",
     "complete_tiling",
     "complete_peak",
     "complete_zigzag",
@@ -95,7 +95,6 @@ __all__ = [
     "NotParallel",
     "paths_equivalent_mod_cells",
     "export_dot",
-    "reduction_graph_dot",
 ]
 
 
@@ -239,49 +238,37 @@ class Boundary:
 class Tiling:
     """A partially tiled region under a zigzag.
 
-    The frontier is kept as the walk from the zigzag's start to its end;
-    horizontal entries are traversed backward, vertical entries forward.
+    The frontier is kept as the walk from the zigzag's start to its end:
+    its backward legs become horizontal entries, traversed backward, and
+    its forward legs vertical entries, traversed forward.
     Node identifiers exist for rendering; the reduction content lives in
     the step instances themselves.
     """
 
-    def __init__(self, n: int, start: Word, legs: Iterable[tuple[str, RuleInstance]]):
+    def __init__(self, n: int, zig: Zigzag):
         self.n = n
         self.nodes: dict[int, Word] = {}
         self.edges: list[_Edge] = []
         self.cells: list[CellRecord] = []
         self._frontier: list[_Edge] = []
-        self.walk_start = start
-        cur = self._new_node(start)
-        cur_word = start
-        for kind, step in legs:
-            if kind == "V":
-                if step.source != cur_word:
-                    raise SourceMismatch("vertical leg does not chain")
+        self.walk_start = zig.start
+        cur = self._new_node(zig.start)
+        for direction, step in zig.legs:
+            if direction == FORWARD:
                 nxt = self._new_node(step.target)
                 e = _Edge("V", step, cur, nxt)
-                cur_word = step.target
-            elif kind == "H":
-                if step.target != cur_word:
-                    raise SourceMismatch("horizontal leg does not chain")
+            else:
                 nxt = self._new_node(step.source)
                 e = _Edge("H", step, nxt, cur)
-                cur_word = step.source
-            else:
-                raise ValueError(f"bad leg kind {kind!r}")
             cur = nxt
             self.edges.append(e)
             self._frontier.append(e)
-        self.walk_end = cur_word
+        self.walk_end = self.nodes[cur]
 
     def _new_node(self, w: Word) -> int:
         i = len(self.nodes)
         self.nodes[i] = w
         return i
-
-    @property
-    def frontier(self) -> tuple[_Edge, ...]:
-        return tuple(self._frontier)
 
     def open_corners(self) -> list[tuple[int, RuleInstance, RuleInstance]]:
         """Positions where a horizontal step meets a diverging vertical one."""
@@ -349,20 +336,6 @@ class Tiling:
         )
 
 
-def tiling_from_peak(n: int, top: Path, left: Path) -> Tiling:
-    """Seed a tiling from a peak: two co-initial forward paths."""
-    if top.start != left.start:
-        raise SourceMismatch("peak paths must share their start word")
-    legs = [("H", s) for s in reversed(top.steps)] + [("V", s) for s in left.steps]
-    return Tiling(n, top.end, legs)
-
-
-def tiling_from_zigzag(n: int, zig: Zigzag) -> Tiling:
-    """Seed a tiling whose frontier is the given zigzag."""
-    legs = [("H" if d == "<" else "V", s) for d, s in zig.legs]
-    return Tiling(n, zig.start, legs)
-
-
 CellProvider = Callable[
     [RuleInstance, RuleInstance], tuple[ElementaryDiagram, str, str] | None
 ]
@@ -396,8 +369,16 @@ def complete_peak(
     left: Path,
     fuel: int = 10000,
 ) -> Tiling:
-    """Tile the peak formed by two co-initial paths."""
-    return complete_tiling(tiling_from_peak(sys.n, top, left), provider, fuel)
+    """Tile the peak formed by two co-initial paths: the zigzag that walks
+    the top path backward, then the left path forward."""
+    if top.start != left.start:
+        raise SourceMismatch("peak paths must share their start word")
+    zig = Zigzag(
+        top.end,
+        tuple((BACKWARD, s) for s in reversed(top.steps))
+        + tuple((FORWARD, s) for s in left.steps),
+    )
+    return complete_tiling(Tiling(sys.n, zig), provider, fuel)
 
 
 @dataclass(frozen=True)
@@ -415,7 +396,7 @@ def complete_zigzag(
     fuel: int = 10000,
 ) -> ZigzagCompletion:
     """Tile a zigzag down to a common reduct of its two endpoints."""
-    t = complete_tiling(tiling_from_zigzag(sys.n, zig), provider, fuel)
+    t = complete_tiling(Tiling(sys.n, zig), provider, fuel)
     b = t.boundary()
     return ZigzagCompletion(
         common=b.sink, from_start=b.from_start, from_end=b.from_end, tiling=t
@@ -431,8 +412,6 @@ def _relative_pair(h: RuleInstance, v: RuleInstance):
     Returns (bare critical pair, left context, right context) with h's
     stripped copy first, or None when the redexes do not interfere.
     """
-    from .critical import CriticalPair
-
     w = h.source
     ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
     av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
@@ -478,24 +457,29 @@ def _degenerate_cell(h: RuleInstance) -> tuple[ElementaryDiagram, str, str]:
     return ed, "improper", "repeated-step"
 
 
-def bfs_join_chooser(sys: SrsSystem, bound: int = 16):
-    """Critical-cell chooser that joins pairs by breadth-first search."""
-    from .critical import build_critical_ed, join_pair
+def bfs_join_chooser(sys: SrsSystem):
+    """Critical-cell chooser that joins pairs by breadth-first search.
 
-    def choose(pair) -> tuple[ElementaryDiagram, bool] | None:
-        j = join_pair(pair, sys, bound)
+    The pair's first component becomes the top step and the second the
+    left step; the join's paths become the right and bottom sides.
+    """
+
+    def choose(pair: CriticalPair) -> tuple[ElementaryDiagram, bool] | None:
+        j = join_pair(pair, sys)
         if j is None:
             return None
-        return build_critical_ed(pair, j), False
+        ed = ElementaryDiagram(
+            top=pair.first, left=pair.second, right=j.from_first, bottom=j.from_second
+        )
+        return ed, False
+
     return choose
 
 
-def standard_provider(sys: SrsSystem, chooser=None) -> CellProvider:
+def standard_provider(sys: SrsSystem, chooser) -> CellProvider:
     """Cells for every corner: repeated steps close improperly, disjoint
     redexes commute naturally, overlapping redexes defer to a critical-pair
-    chooser (BFS joining by default) and are whiskered back into context."""
-    if chooser is None:
-        chooser = bfs_join_chooser(sys)
+    chooser and are whiskered back into context."""
 
     def provide(h: RuleInstance, v: RuleInstance):
         if h.source != v.source:
@@ -541,12 +525,11 @@ class NotParallel(ValueError):
 
 @dataclass(frozen=True)
 class CellFamily:
-    """Named parallel path pairs, optionally taken together with all
-    commuting squares of disjoint redexes."""
+    """Named parallel path pairs; the path search takes them together with
+    all commuting squares of disjoint redexes."""
 
     name: str
     members: tuple[tuple[Path, Path], ...]
-    with_naturals: bool = False
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -663,8 +646,7 @@ def paths_equivalent_mod_cells(
                 yield from _replacements(steps, at[frm.steps[0].rule.name], frm, to)
             else:
                 yield from _insertions(start, steps, frm.start, to)
-        if family.with_naturals:
-            yield from _natural_swaps(start, steps)
+        yield from _natural_swaps(start, steps)
 
     seen_p: set[tuple] = {p.steps}
     seen_q: set[tuple] = {q.steps}
@@ -763,23 +745,5 @@ def export_dot(t: Tiling) -> str:
     for r in sorted(by_row):
         members = "; ".join(f"n{v}" for v in by_row[r])
         lines.append(f"  {{rank=same; {members};}}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def reduction_graph_dot(sys: SrsSystem, words: Iterable[Word]) -> str:
-    """Render the one-step reduction graph spanned by the given words."""
-    ws = sorted(set(words), key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(ws)}
-    lines = ["digraph reduction {", '  node [shape=box, fontname="monospace"];']
-    for w in ws:
-        lines.append(f'  n{index[w]} [label="{sys.fmt(w)}"];')
-    for w in ws:
-        for inst in find_redexes(w, sys):
-            if inst.target in index:
-                lines.append(
-                    f'  n{index[w]} -> n{index[inst.target]} '
-                    f'[label="{inst.render(sys.n)}"];'
-                )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,10 +28,10 @@ letters >= j on the left and <= i on the right for a forward
 commutation c_{ji}, letter counts of the surrounding context for basic
 braids); ascending commutations with the same source compare equal.
 
-`chosen_critical_ed` returns, for every critical pair of rfull, a
-curated elementary diagram that the order makes decreasing.  `cells_P`
-is the finite family of parallel path pairs over rdoubleprime that
-generates all loops.
+`chosen_critical_ed_tagged` returns, for every critical pair of rfull, a
+curated elementary diagram that the order makes decreasing, with its
+family name and whether it was transposed.  `cells_P` is the finite
+family of parallel path pairs over rdoubleprime that generates all loops.
 
 `verify_suite` machine-checks the whole setup in five items, each with
 its status, detail and seconds, and folds the statuses into one verdict:
@@ -77,10 +77,7 @@ __all__ = [
     "hecke_system",
     "classify_rule",
     "hecke_order",
-    "is_c_path",
-    "length_vector",
     "c_sort_path",
-    "chosen_critical_ed",
     "chosen_critical_ed_tagged",
     "chosen_chooser",
     "hecke_provider",
@@ -203,20 +200,6 @@ def _hecke_compare(p: RuleInstance, q: RuleInstance) -> Verdict:
 
 def hecke_order() -> InstanceOrder:
     return InstanceOrder(name="hecke", compare=_hecke_compare)
-
-
-def is_c_path(p: Path) -> bool:
-    """Whether every step of the path is a commutation."""
-    return all(classify_rule(s.rule)[0] in ("cf", "ci") for s in p.steps)
-
-
-def length_vector(w: Word, n: int) -> tuple[int, ...]:
-    """(length, count of n, count of n-1, ..., count of 2).
-
-    Idempotence and braid steps strictly decrease this vector in
-    lexicographic order; commutations preserve it.
-    """
-    return (len(w),) + tuple(sum(1 for g in w if g == m) for m in range(n, 1, -1))
 
 
 class _HeckeRules:
@@ -632,10 +615,6 @@ def chosen_critical_ed_tagged(
     )
 
 
-def chosen_critical_ed(pair: CriticalPair, sys: SrsSystem) -> ElementaryDiagram:
-    return chosen_critical_ed_tagged(pair, sys)[0]
-
-
 def chosen_chooser(sys: SrsSystem):
     """The curated family as a critical-pair chooser for `standard_provider`."""
 
@@ -757,12 +736,7 @@ def cells_P(n: int) -> CellFamily:
                     add(f"cc({k},{j},{i})", _sides(_cc_cell(k, j, i, H)))
     for k in range(2, n):
         add(f"zz({k})", _tz_member(k, H))
-    return CellFamily(
-        name=f"P({n})",
-        members=tuple(members),
-        with_naturals=True,
-        labels=tuple(labels),
-    )
+    return CellFamily(name=f"P({n})", members=tuple(members), labels=tuple(labels))
 
 
 def translate_to_basic(path: Path, target: SrsSystem) -> Path:
@@ -1049,12 +1023,13 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     rdp = hecke_system(sys.n, "rdoubleprime")
     base = cells_P(sys.n)
     pairs = enumerate_critical_pairs(sys)
-    chosen: dict[tuple, tuple[str, CriticalPair]] = {}
+    # One curated diagram per unordered pair: the first orientation met.
+    chosen: dict[frozenset, tuple[str, CriticalPair, ElementaryDiagram]] = {}
     for pair in pairs:
-        key = tuple(sorted([pair.first, pair.second], key=repr))
+        key = frozenset((pair.first, pair.second))
         if key not in chosen:
-            name = chosen_critical_ed_tagged(pair, sys)[1]
-            chosen[key] = (name, pair)
+            ed, name, _ = chosen_critical_ed_tagged(pair, sys)
+            chosen[key] = (name, pair, ed)
     todo = sorted(
         chosen.values(), key=lambda it: _coherence_sort_key(it[0], it[1])
     )
@@ -1062,16 +1037,12 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     labels = list(base.labels)
     unknown: list[str] = []
     equivalent = 0
-    for name, pair in todo:
-        ed = chosen_critical_ed_tagged(pair, sys)[0]
+    for name, pair, ed in todo:
         s1, s2 = _sides(ed)
         t1 = translate_to_basic(s1, rdp)
         t2 = translate_to_basic(s2, rdp)
         family = CellFamily(
-            name=base.name,
-            members=tuple(members),
-            with_naturals=True,
-            labels=tuple(labels),
+            name=base.name, members=tuple(members), labels=tuple(labels)
         )
         verdict = paths_equivalent_mod_cells(t1, t2, family, bound=bound)
         label = f"{name}@{sys.fmt(pair.peak)}"

@@ -24,18 +24,16 @@ diagrams) go through.
 
 `rule_rank_order` builds the simplest useful order: instances compare by
 an integer rank attached to their rule's name, with ties either declared
-equivalent or broken by total instance length.  `check_monomial_sample`
-random-tests compatibility of an order with left and right whiskering.
+equivalent or broken by total instance length.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from .words import RuleInstance, SrsSystem, Word
+from .words import RuleInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .diagrams import ElementaryDiagram
@@ -48,8 +46,6 @@ __all__ = [
     "is_decreasing_ed",
     "DecreasingReport",
     "check_decreasing",
-    "MonomialReport",
-    "check_monomial_sample",
 ]
 
 
@@ -57,13 +53,6 @@ class Verdict(Enum):
     GREATER = "greater"
     LESS = "less"
     EQUIVALENT = "equivalent"
-
-    def flip(self) -> "Verdict":
-        if self is Verdict.GREATER:
-            return Verdict.LESS
-        if self is Verdict.LESS:
-            return Verdict.GREATER
-        return Verdict.EQUIVALENT
 
 
 @dataclass(frozen=True)
@@ -218,61 +207,3 @@ def check_decreasing(
         if not ok:
             failures.append((label, wit.reason))
     return DecreasingReport(checked=checked, failures=tuple(failures))
-
-
-@dataclass(frozen=True)
-class MonomialReport:
-    trials: int
-    counterexamples: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def _random_instance(rng: random.Random, sys: SrsSystem, max_context: int) -> RuleInstance:
-    rule = rng.choice(sys.rules)
-    lu = rng.randrange(max_context + 1)
-    lv = rng.randrange(max_context + 1)
-    u = tuple(rng.randrange(1, sys.n + 1) for _ in range(lu))
-    v = tuple(rng.randrange(1, sys.n + 1) for _ in range(lv))
-    return RuleInstance(u, rule, v)
-
-
-def _random_word(rng: random.Random, sys: SrsSystem, max_len: int) -> Word:
-    return tuple(
-        rng.randrange(1, sys.n + 1) for _ in range(rng.randrange(max_len + 1))
-    )
-
-
-def check_monomial_sample(
-    order: InstanceOrder,
-    sys: SrsSystem,
-    trials: int = 1000,
-    seed: int = 0,
-    max_context: int = 3,
-) -> MonomialReport:
-    """Random-test that whiskering preserves comparison verdicts.
-
-    For sampled instances p, q and words w the verdicts of (w·p, w·q) and
-    (p·w, q·w) must equal the verdict of (p, q).  Counterexamples are
-    rendered for the report; an empty list means the sample found the
-    order compatible with contexts.
-    """
-    rng = random.Random(seed)
-    bad: list[str] = []
-    for _ in range(trials):
-        p = _random_instance(rng, sys, max_context)
-        q = _random_instance(rng, sys, max_context)
-        w = _random_word(rng, sys, max_context)
-        base = order.compare(p, q)
-        lv = order.compare(p.whisker(w, ()), q.whisker(w, ()))
-        rv = order.compare(p.whisker((), w), q.whisker((), w))
-        if lv is not base or rv is not base:
-            bad.append(
-                f"{p.render(sys.n)} vs {q.render(sys.n)} -> {base.value}, "
-                f"under w={sys.fmt(w)}: left {lv.value}, right {rv.value}"
-            )
-            if len(bad) >= 10:
-                break
-    return MonomialReport(trials=trials, counterexamples=tuple(bad))

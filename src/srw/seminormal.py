@@ -16,10 +16,7 @@ bound on its words that cuts it short raises `Inexact`).  One pass of
 Tarjan's algorithm condenses it; as a component is finished after every
 component it reaches, the same pass gives it the sink components it
 reaches: itself if no edge leaves it, else the union over its edges.
-
-`attractor_loop_steps` returns every step between members of a word's
-attractor: the loops that reduction keeps running around once it has
-settled.
+A word is semi-normal iff it lies in its own attractor.
 """
 
 from __future__ import annotations
@@ -28,18 +25,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .words import RuleInstance, SrsSystem, Word, explore, find_redexes, successors
+from .words import SrsSystem, Word, explore, successors
 
 __all__ = [
     "Inexact",
     "NotOneClass",
     "AttractorClass",
-    "is_seminormal",
     "attractors",
     "attractor",
     "canon",
     "words_equal",
-    "attractor_loop_steps",
 ]
 
 
@@ -61,7 +56,8 @@ def _descendant_graph(
     starts: Iterable[Word], sys: SrsSystem, max_words: int | None
 ) -> dict[Word, list[Word]]:
     """Each word reachable from some start, with its successors; a word
-    past the first `max_words` (the first start always fits) is `Inexact`."""
+    past the first `max_words` (the first start always fits) is `Inexact`,
+    and the error names the start being explored."""
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: descendant graphs need a bound"
@@ -72,12 +68,15 @@ def _descendant_graph(
         if v in adj:
             return []
         if max_words is not None and adj and len(adj) >= max_words:
-            raise Inexact(f"descendant graph truncated at {max_words} words")
+            words = "word" if max_words == 1 else "words"
+            raise Inexact(
+                f"descendant graph of {sys.fmt(start)} truncated at {max_words} {words}"
+            )
         adj[v] = successors(v, sys)
         return adj[v]
 
-    for s in starts:
-        explore(s, step)
+    for start in starts:  # `step` names the start it is exploring from
+        explore(start, step)
     return adj
 
 
@@ -132,12 +131,6 @@ def _condense(
     return comp, sinks
 
 
-def is_seminormal(w: Word, sys: SrsSystem, max_words: int | None = None) -> bool:
-    """Whether every descendant of w can reach w back."""
-    comp, sinks = _condense(_descendant_graph((w,), sys, max_words))
-    return any(w in a.members for a in sinks[comp[w]])
-
-
 def attractors(
     starts: Iterable[Word], sys: SrsSystem, max_words: int | None = None
 ) -> dict[Word, AttractorClass]:
@@ -186,17 +179,3 @@ def words_equal(u: Word, v: Word, sys: SrsSystem, max_words: int | None = None) 
     strictly descending behaviour: congruent words share their attractor.
     """
     return canon(u, sys, max_words) == canon(v, sys, max_words)
-
-
-def attractor_loop_steps(
-    w: Word, sys: SrsSystem, max_words: int | None = None
-) -> frozenset[RuleInstance]:
-    """All steps between members of w's attractor class."""
-    cls = attractor(w, sys, max_words).members
-    steps: set[RuleInstance] = set()
-    for m in cls:
-        for inst in find_redexes(m, sys):
-            if inst.target not in cls:  # pragma: no cover - sink classes are closed
-                raise NotOneClass("attractor class is not closed under steps")
-            steps.add(inst)
-    return frozenset(steps)

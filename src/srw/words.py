@@ -48,13 +48,11 @@ __all__ = [
     "all_words",
     "Rule",
     "RuleInstance",
-    "Step",
     "Path",
     "Zigzag",
     "SrsSystem",
     "SourceMismatch",
     "ReachResult",
-    "apply_instance",
     "find_redexes",
     "successors",
     "explore",
@@ -113,9 +111,6 @@ class Rule:
         if not self.lhs:
             raise ValueError(f"rule {self.name}: empty left-hand side")
 
-    def shortens(self) -> bool:
-        return len(self.rhs) < len(self.lhs)
-
 
 @dataclass(frozen=True)
 class RuleInstance:
@@ -144,21 +139,9 @@ class RuleInstance:
         )
 
 
-# A step of a reduction path is exactly a rule instance: its source and
-# target words are determined by the contexts, so no separate record is
-# needed.
-Step = RuleInstance
-
-
 class SourceMismatch(ValueError):
-    """Raised when an instance is applied to a word it does not match."""
-
-
-def apply_instance(w: Word, inst: RuleInstance) -> Word:
-    """Apply one step to w; w must equal the instance's source word."""
-    if w != inst.source:
-        raise SourceMismatch(f"step source {inst.source} does not match {w}")
-    return inst.target
+    """Raised when a step of a path, zigzag or diagram does not chain with
+    the word it is placed at."""
 
 
 @dataclass(frozen=True)
@@ -184,22 +167,8 @@ class Path:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def words(self) -> list[Word]:
-        """All words visited, start first, end last."""
-        out = [self.start]
-        for s in self.steps:
-            out.append(s.target)
-        return out
-
     def whisker(self, u: Word, v: Word) -> "Path":
         return Path(u + self.start + v, tuple(s.whisker(u, v) for s in self.steps))
-
-    def concat(self, other: "Path") -> "Path":
-        if other.start != self.end:
-            raise SourceMismatch(
-                f"cannot concatenate: {self.end} then {other.start}"
-            )
-        return Path(self.start, self.steps + other.steps)
 
     def render(self, n: int) -> str:
         if not self.steps:

@@ -17,11 +17,16 @@ depends on the order in which neighbours are found, so it keeps the
 library's order on purpose (every move, step index and word offset, in
 that nesting, then the adjacent swaps) and its bidirectional search, but
 finds each occurrence by a plain scan instead of an index.
+
+`monomial_counterexamples` is no reference implementation but a sampler
+that two test modules share: it puts the order under test to random
+instances and their whiskered copies.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from srw.words import Path, Rule, RuleInstance, SrsSystem, Word
 
@@ -176,6 +181,43 @@ def tiny_system() -> SrsSystem:
     )
 
 
+def monomial_counterexamples(
+    order, sys: SrsSystem, trials: int, seed: int, max_context: int = 3
+) -> list[str]:
+    """Random-test that whiskering preserves comparison verdicts.
+
+    For sampled instances p, q and words w the verdicts of (w·p, w·q) and
+    (p·w, q·w) must equal the verdict of (p, q).  Returns the first ten
+    counterexamples, rendered; none means the sample found the order
+    compatible with contexts.
+    """
+    rng = random.Random(seed)
+
+    def word(length: int) -> Word:
+        return tuple(rng.randrange(1, sys.n + 1) for _ in range(length))
+
+    def instance() -> RuleInstance:
+        rule = rng.choice(sys.rules)
+        lu, lv = rng.randrange(max_context + 1), rng.randrange(max_context + 1)
+        return RuleInstance(word(lu), rule, word(lv))
+
+    bad: list[str] = []
+    for _ in range(trials):
+        p, q = instance(), instance()
+        w = word(rng.randrange(max_context + 1))
+        base = order.compare(p, q)
+        lv = order.compare(p.whisker(w, ()), q.whisker(w, ()))
+        rv = order.compare(p.whisker((), w), q.whisker((), w))
+        if lv is not base or rv is not base:
+            bad.append(
+                f"{p.render(sys.n)} vs {q.render(sys.n)} -> {base.value}, "
+                f"under w={sys.fmt(w)}: left {lv.value}, right {rv.value}"
+            )
+            if len(bad) >= 10:
+                break
+    return bad
+
+
 def _at(w: Word, pos: int, rule: Rule) -> RuleInstance:
     """The step applying `rule` at position `pos` of w."""
     return RuleInstance(w[:pos], rule, w[pos + len(rule.lhs) :])
@@ -202,9 +244,7 @@ def _adjacent_swaps(steps: tuple) -> list[tuple]:
     return out
 
 
-def scan_path_search(
-    p: Path, q: Path, members: tuple, with_naturals: bool, bound: int
-) -> bool:
+def scan_path_search(p: Path, q: Path, members: tuple, bound: int) -> bool:
     """Whether a chain of member substitutions (and adjacent swaps) turns
     p into q before `bound` new states are explored."""
     if p.steps == q.steps:
@@ -226,8 +266,7 @@ def scan_path_search(
                     if list(steps[i : i + k]) == moved:
                         put = tuple(RuleInstance(u + s.left, s.rule, s.right + v) for s in to.steps)
                         out.append(steps[:i] + put + steps[i + k :])
-        if with_naturals:
-            out.extend(_adjacent_swaps(steps))
+        out.extend(_adjacent_swaps(steps))
         return out
 
     sides = {"p": ({p.steps}, [p.steps]), "q": ({q.steps}, [q.steps])}

@@ -83,13 +83,20 @@ def test_max_words_leaves_canonical_forms_undecided(h3full, capsys):
     word = "32132132"
     code, out, err = run(capsys, ["equal", h3full, word, "121", "--max-words", "1"])
     assert code == 1 and out == ""
-    assert err == "undecided: descendant graph truncated at 1 words\n"
+    assert err == f"undecided: descendant graph of {word} truncated at 1 word\n"
     code, out, err = run(capsys, ["normal-form", h3full, word, "--max-words", "1"])
     assert code == 1 and out == ""
-    assert err == "no canonical form: descendant graph truncated at 1 words\n"
+    assert err == f"no canonical form: descendant graph of {word} truncated at 1 word\n"
     # A bound the graph fits in changes no answer.
     for argv in (["normal-form", h3full, word], ["equal", h3full, word, "2321"]):
         assert run(capsys, argv + ["--max-words", "1000"]) == run(capsys, argv)
+
+
+def test_undecided_answer_names_its_word(h3full, capsys):
+    # The second word's graph outgrows the bound, not the first's.
+    code, out, err = run(capsys, ["equal", h3full, "121", "32132132", "--max-words", "10"])
+    assert code == 1 and out == ""
+    assert err == "undecided: descendant graph of 32132132 truncated at 10 words\n"
 
 
 def test_parser_reuse_leaks_no_state(h3full, capsys):

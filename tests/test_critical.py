@@ -2,17 +2,15 @@
 
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from srw.critical import (
-    build_critical_ed,
     enumerate_critical_pairs,
     join_pair,
     local_confluence_report,
 )
 from srw.hecke import hecke_system
-from srw.words import Rule, RuleInstance, SrsSystem, find_redexes
+from srw.words import Rule, SrsSystem, find_redexes
 
 from oracles import layered_joinable, tiny_system
 
@@ -115,20 +113,6 @@ def test_join_paths_land_on_target():
         assert j.from_first.start == p.first.target
         assert j.from_second.start == p.second.target
         assert j.from_first.end == j.from_second.end == j.target
-
-
-def test_build_critical_ed_one_step_square():
-    sys = hecke_system(3, "rfull")
-    pair = next(
-        p
-        for p in enumerate_critical_pairs(sys)
-        if p.peak == (3, 2, 1, 3) and p.first.rule.name == "c13"
-    )
-    j = join_pair(pair, sys, bound=16)
-    ed = build_critical_ed(pair, j)
-    assert ed.top == pair.first and ed.left == pair.second
-    assert [s.render(3) for s in ed.right.steps] == ["-:b32:1"]
-    assert len(ed.bottom) == 0
 
 
 def test_local_confluence_verdicts():

@@ -10,30 +10,27 @@ from srw.diagrams import (
     FuelExhausted,
     NotParallel,
     PathVerdict,
+    Tiling,
     bfs_join_chooser,
     complete_peak,
-    complete_tiling,
     complete_zigzag,
     export_dot,
     natural_ed,
     paths_equivalent_mod_cells,
-    reduction_graph_dot,
     standard_provider,
-    tiling_from_peak,
-    tiling_from_zigzag,
     transpose_ed,
     whisker_ed,
 )
 from srw import hecke
+from srw.critical import enumerate_critical_pairs
 from srw.hecke import cells_P, hecke_provider, hecke_system
 from srw.seminormal import canon
 from srw.words import (
     BACKWARD,
     FORWARD,
     Path,
-    Rule,
     RuleInstance,
-    SrsSystem,
+    SourceMismatch,
     Zigzag,
     find_redexes,
 )
@@ -43,6 +40,11 @@ from oracles import scan_path_search, tiny_system
 
 def _h3():
     return hecke_system(3, "rfull")
+
+
+def _peak_tiling(sys, top: RuleInstance, left: RuleInstance) -> Tiling:
+    """The untiled peak of two co-initial steps."""
+    return Tiling(sys.n, Zigzag(top.target, ((BACKWARD, top), (FORWARD, left))))
 
 
 def test_diagram_shapes():
@@ -112,22 +114,21 @@ def test_natural_whisker_transpose():
 def test_tiling_walk_and_corners():
     sys = _h3()
     w = (3, 2, 1, 3)
-    top = Path(w, (find_redexes(w, sys)[1],))  # 32:c13:-
-    left = Path(w, (find_redexes(w, sys)[0],))  # -:b31:-
-    t = tiling_from_peak(sys.n, top, left)
+    top = find_redexes(w, sys)[1]  # 32:c13:-
+    left = find_redexes(w, sys)[0]  # -:b31:-
+    t = _peak_tiling(sys, top, left)
     assert not t.is_complete
     corners = t.open_corners()
     assert len(corners) == 1
     idx, h, v = corners[0]
-    assert h == top.steps[0] and v == left.steps[0]
+    assert h == top and v == left
+    assert (t.walk_start, t.walk_end) == (top.target, left.target)
 
 
 def test_adjoin_validates_corner():
     sys = _h3()
     w = (3, 2, 1, 3)
-    top = Path(w, (find_redexes(w, sys)[1],))
-    left = Path(w, (find_redexes(w, sys)[0],))
-    t = tiling_from_peak(sys.n, top, left)
+    t = _peak_tiling(sys, find_redexes(w, sys)[1], find_redexes(w, sys)[0])
     idx, h, v = t.open_corners()[0]
     # a dashed-top unit cell does not fit a corner whose top is a real step
     unit = ElementaryDiagram(
@@ -165,6 +166,9 @@ def test_complete_peak_trivial_and_degenerate():
     assert [rec.tag for rec in t.cells] == ["improper"]
     dot = export_dot(t)
     assert "style=dashed" in dot
+    # An empty left path still has to start where the top path does.
+    with pytest.raises(SourceMismatch):
+        complete_peak(sys, hecke_provider(sys), p, Path((1,)))
 
 
 def test_fuel_exhausted():
@@ -184,6 +188,19 @@ def test_bfs_chooser_provider_completes():
     t = complete_peak(sys, provider, Path(w, (insts[0],)), Path(w, (insts[1],)))
     b = t.boundary()
     assert b.from_start.end == b.from_end.end == b.sink
+
+
+def test_bfs_join_chooser_one_step_square():
+    sys = _h3()
+    pair = next(
+        p
+        for p in enumerate_critical_pairs(sys)
+        if p.peak == (3, 2, 1, 3) and p.first.rule.name == "c13"
+    )
+    ed, transposed = bfs_join_chooser(sys)(pair)
+    assert ed.top == pair.first and ed.left == pair.second and not transposed
+    assert [s.render(3) for s in ed.right.steps] == ["-:b32:1"]
+    assert len(ed.bottom) == 0
 
 
 def test_zigzag_completion_forward_only():
@@ -212,7 +229,7 @@ def test_zigzag_completion_mixed_legs():
 
 def test_paths_equivalent_trivial_and_swap():
     sys = _h3()
-    fam = CellFamily(name="empty", members=(), with_naturals=True)
+    fam = CellFamily(name="empty", members=())
     a1 = RuleInstance((), sys.rule("a1"), (2, 2))
     a2 = RuleInstance((1, 1), sys.rule("a2"), ())
     p = Path((1, 1, 2, 2), (a1, RuleInstance((1,), sys.rule("a2"), ())))
@@ -227,7 +244,7 @@ def test_paths_equivalent_needs_the_right_cells():
     c13 = RuleInstance((), sys.rule("c13"), ())
     loop = Path((3, 1), (c31, c13))
     empty = Path((3, 1))
-    bare = CellFamily(name="bare", members=(), with_naturals=True)
+    bare = CellFamily(name="bare", members=())
     assert paths_equivalent_mod_cells(loop, empty, bare, bound=500) is PathVerdict.UNKNOWN
     fam = cells_P(3)
     assert paths_equivalent_mod_cells(loop, empty, fam, bound=500) is PathVerdict.EQUIVALENT
@@ -245,7 +262,7 @@ def _hand_made_searches():
     def twice(x: Path, y: Path) -> Path:
         """x on the first 111 of 1113111, then y on the second."""
         first = x.whisker((), (3, 1, 1, 1))
-        return first.concat(y.whisker(first.end[:-3], ()))
+        return Path(first.start, first.steps + y.whisker(first.end[:-3], ()).steps)
 
     # Only inserting loop(1,3) at the second 13 of 13213 reaches q.
     yield Path((1, 3, 2, 1, 3)), loop.whisker((1, 3, 2), ()), loops[:1]
@@ -257,10 +274,10 @@ def _assert_matches_scan(p: Path, q: Path, members: tuple, max_bound: int = 100)
     # The verdict at a budget depends on the order in which neighbours are
     # found, so checking every bound up to past the search's need checks
     # that order, not just the occurrences found.
-    fam = CellFamily(name="t", members=members, with_naturals=True)
+    fam = CellFamily(name="t", members=members)
     for bound in range(1, max_bound + 1):
         found = paths_equivalent_mod_cells(p, q, fam, bound) is PathVerdict.EQUIVALENT
-        assert found == scan_path_search(p, q, members, True, bound), (p, q, bound)
+        assert found == scan_path_search(p, q, members, bound), (p, q, bound)
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -284,7 +301,7 @@ def test_path_search_matches_scan_reference_rank3_coherence(monkeypatch):
 
 def test_paths_equivalent_rejects_non_parallel():
     sys = _h3()
-    fam = CellFamily(name="empty", members=(), with_naturals=True)
+    fam = CellFamily(name="empty", members=())
     p = Path((1, 1), (RuleInstance((), sys.rule("a1"), ()),))
     q = Path((1, 1))
     with pytest.raises(NotParallel):
@@ -311,13 +328,6 @@ def test_export_dot_shape():
     assert 'label="32:c31:-"' in dot
     assert "rank=same" in dot
     assert dot.endswith("}\n")
-
-
-def test_reduction_graph_dot():
-    sys = _h3()
-    dot = reduction_graph_dot(sys, [(1, 3), (3, 1)])
-    assert 'label="13"' in dot and 'label="31"' in dot
-    assert "->" in dot
 
 
 @given(st.integers(0, 10**6))

@@ -1,6 +1,5 @@
 """Hecke systems, curated diagrams, cell family, translation, enumeration."""
 
-import itertools
 import time
 
 import pytest
@@ -16,14 +15,11 @@ from srw.hecke import (
     VerifyReport,
     c_sort_path,
     cells_P,
-    chosen_critical_ed,
     chosen_critical_ed_tagged,
     classify_rule,
     enumerate_monoid,
     hecke_canon,
     hecke_system,
-    is_c_path,
-    length_vector,
     translate_to_basic,
     verify_suite,
 )
@@ -103,7 +99,7 @@ def test_c_sort_path():
     sys = hecke_system(4, "rdoubleprime")
     p = c_sort_path((3, 1, 2, 4), (1, 3, 4, 2), sys)
     assert p.start == (3, 1, 2, 4) and p.end == (1, 3, 4, 2)
-    assert is_c_path(p)
+    assert all(classify_rule(s.rule)[0] in ("cf", "ci") for s in p.steps)
     with pytest.raises(NotCSortable):
         c_sort_path((1, 2), (2, 1), sys)
     with pytest.raises(NotCSortable):
@@ -120,18 +116,25 @@ def test_c_sort_path_equal_letters_keep_order():
         c_sort_path((1, 2, 1), (1, 1, 2), sys)
 
 
+def _length_vector(w, n):
+    """(length, count of n, count of n-1, ..., count of 2)."""
+    return (len(w),) + tuple(sum(1 for g in w if g == m) for m in range(n, 1, -1))
+
+
 def test_length_vector():
-    assert length_vector((3, 1, 3, 2), 3) == (4, 2, 1)
-    assert length_vector((), 3) == (0, 0, 0)
+    assert _length_vector((3, 1, 3, 2), 3) == (4, 2, 1)
+    assert _length_vector((), 3) == (0, 0, 0)
 
 
 @given(st.lists(st.integers(1, 3), max_size=6))
 @settings(max_examples=150)
 def test_length_vector_monotone_along_steps(letters):
+    # Idempotence and braid steps strictly decrease the length vector in
+    # lexicographic order; commutations preserve it.
     sys = hecke_system(3, "rfull")
     w = tuple(letters)
     for inst in find_redexes(w, sys):
-        before, after = length_vector(w, 3), length_vector(inst.target, 3)
+        before, after = _length_vector(w, 3), _length_vector(inst.target, 3)
         kind = classify_rule(inst.rule)[0]
         if kind in ("cf", "ci"):
             assert after == before
@@ -183,7 +186,6 @@ def test_chosen_diagrams_fit_and_decrease():
             assert ed.top == p.first and ed.left == p.second
             ok, wit = is_decreasing_ed(sys.order, ed)
             assert ok, (name, p.render(n), wit)
-            assert chosen_critical_ed(p, sys) == ed
 
 
 def test_chosen_orientations_are_paired():
@@ -209,7 +211,7 @@ def test_unclassified_inclusion_pair():
         peak=(3, 2, 1, 3),
     )
     with pytest.raises(UnclassifiedPair):
-        chosen_critical_ed(pair, sys)
+        chosen_critical_ed_tagged(pair, sys)
 
 
 def test_cells_family_sizes_and_labels():
@@ -225,7 +227,6 @@ def test_cells_family_sizes_and_labels():
     ]
     p4 = cells_P(4)
     assert len(p4.members) == 29
-    assert p4.with_naturals
 
 
 def test_cells_are_parallel_pairs():
@@ -383,7 +384,7 @@ def test_mirror_commutation_cell_derivable_from_base():
         for p in enumerate_critical_pairs(sys)
         if chosen_critical_ed_tagged(p, sys)[1] == "ac-mirror"
     )
-    ed = chosen_critical_ed(pair, sys)
+    ed = chosen_critical_ed_tagged(pair, sys)[0]
     s1 = Path(ed.top.source, (ed.top,) + ed.right.steps)
     s2 = Path(ed.left.source, (ed.left,) + ed.bottom.steps)
     v = paths_equivalent_mod_cells(
