@@ -41,14 +41,17 @@ adjacent steps with disjoint redexes.  The verdict is
 one-sided: Equivalent means a chain of substitutions was found, Unknown
 means none was found within the search budget.
 
-The search indexes its moves once per call by the rule of their first
-step.  In a state, a move is tried only at the step indices where that
-rule is applied, and there the whiskered step's left context fixes the
-one word offset that can match; moves from an empty path (inserting a
-loop) still try every index and offset.  The neighbours come out in the
-order a full scan would find them (move, step index, offset), because
-the budget cuts the search after a fixed number of new states: another
-order could change an Unknown at a given bound into Equivalent or back.
+The search numbers the R distinct rules of p, q and the family once per
+call and codes each step as one int, `len(step.left) * R + rule number`,
+so a state is a tuple of ints, cheap to hash, whose words are computed
+once when it is expanded.  Whiskering by x letters on the left adds x * R
+to every code: a member path occurs where the gaps between adjacent codes
+agree and its base word sits at the offset that shift names.  So moves
+are indexed by their first rule and first gap, loop insertions by their
+base word.  The neighbours come out in the order a full scan would find
+them (move, step index, offset, then swaps), because the budget cuts the
+search after a fixed number of new states: another order could change
+an Unknown at a given bound into Equivalent or back.
 """
 
 from __future__ import annotations
@@ -542,72 +545,55 @@ class CellFamily:
             raise ValueError("labels must match members")
 
 
-def _word_at(start: Word, steps: tuple[RuleInstance, ...], i: int) -> Word:
-    return steps[i - 1].target if i > 0 else start
+# A path's steps from a known start word, each coded as one int.
+_Codes = tuple[int, ...]
 
 
 def _replacements(
-    steps: tuple[RuleInstance, ...], at: list[int], frm: Path, to: Path
-) -> Iterator[tuple[RuleInstance, ...]]:
-    """All ways to replace a whiskered occurrence of `frm`, a path with
-    steps, by `to`, trying the step indices `at` (ascending) where the rule
-    of frm's first step applies: that step's left context fixes the only
-    word offset that can match."""
-    k, first, base = len(frm.steps), frm.steps[0], frm.start
+    steps: _Codes, words: list[Word], gaps: _Codes, at: list[int], move: tuple, R: int
+) -> Iterator[_Codes]:
+    """Replace each whiskered occurrence of a move's coded path `frm`, from
+    `base`, by its `to`, trying the step indices `at` (ascending) where
+    frm's first rule, and gap to its second step, occur.  A whisker adds
+    one shift to every code, so frm occurs at i iff the gaps between
+    adjacent codes agree there and `base` sits at the offset shift names."""
+    base, frm, to, frm_gaps, _ = move
+    k = len(frm)
     for i in at:
         if i + k > len(steps):
             break
-        x = len(steps[i].left) - len(first.left)
-        w = steps[i].source
-        if x < 0 or w[x : x + len(base)] != base:
-            continue
-        u, v = w[:x], w[x + len(base) :]
-        if all(steps[i + t] == frm.steps[t].whisker(u, v) for t in range(k)):
-            yield steps[:i] + tuple(s.whisker(u, v) for s in to.steps) + steps[i + k :]
+        shift = steps[i] - frm[0]  # offset * R: the rules agree
+        if shift >= 0 and gaps[i : i + k - 1] == frm_gaps:
+            x = shift // R
+            if words[i][x : x + len(base)] == base:
+                yield steps[:i] + tuple(c + shift for c in to) + steps[i + k :]
 
 
-def _insertions(
-    start: Word, steps: tuple[RuleInstance, ...], base: Word, to: Path
-) -> Iterator[tuple[RuleInstance, ...]]:
-    """All ways to insert a whiskered copy of `to`, a path from `base`, at
-    any step index and any word offset where `base` occurs."""
-    for i in range(len(steps) + 1):
-        w = _word_at(start, steps, i)
-        for x in range(len(w) - len(base) + 1):
-            if w[x : x + len(base)] == base:
-                u, v = w[:x], w[x + len(base) :]
-                yield steps[:i] + tuple(s.whisker(u, v) for s in to.steps) + steps[i:]
+def _insertions(steps: _Codes, places: list[tuple[int, int]], to: _Codes, R: int) -> Iterator[_Codes]:
+    """Insert a whiskered copy of `to`, a coded loop, at each (step index,
+    word offset) of `places`, where its base word occurs."""
+    for i, x in places:
+        shift = x * R
+        yield steps[:i] + tuple(c + shift for c in to) + steps[i:]
 
 
-def _natural_swaps(
-    start: Word, steps: tuple[RuleInstance, ...]
-) -> Iterator[tuple[RuleInstance, ...]]:
-    """Commute adjacent steps whose redexes do not touch."""
+def _natural_swaps(steps: _Codes, lhs: list[Word], rhs: list[Word], R: int) -> Iterator[_Codes]:
+    """Commute adjacent coded steps whose redexes do not touch."""
     for i in range(len(steps) - 1):
-        s1, s2 = steps[i], steps[i + 1]
-        a1 = len(s1.left)
-        b1 = a1 + len(s1.rule.rhs)
-        a2 = len(s2.left)
-        b2 = a2 + len(s2.rule.lhs)
-        if a2 >= b1:  # second redex right of the first rewrite
-            mid = s2.left[len(s1.left) + len(s1.rule.rhs) :]
-            first = RuleInstance(s1.left + s1.rule.lhs + mid, s2.rule, s2.right)
-            second = RuleInstance(s1.left, s1.rule, mid + s2.rule.rhs + s2.right)
-            yield steps[:i] + (first, second) + steps[i + 2 :]
-        elif b2 <= a1:  # second redex left of the first rewrite
-            mid = s1.left[b2:]
-            first = RuleInstance(s2.left, s2.rule, mid + s1.rule.lhs + s1.right)
-            second = RuleInstance(
-                s2.left + s2.rule.rhs + mid, s1.rule, s1.right
-            )
-            yield steps[:i] + (first, second) + steps[i + 2 :]
+        c1, c2 = steps[i], steps[i + 1]
+        a1, r1 = divmod(c1, R)
+        a2, r2 = divmod(c2, R)
+        if a2 >= a1 + len(rhs[r1]):  # second redex right of the first rewrite
+            moved = (c2 + (len(lhs[r1]) - len(rhs[r1])) * R, c1)
+        elif a2 + len(lhs[r2]) <= a1:  # second redex left of the first rewrite
+            moved = (c2, c1 + (len(rhs[r2]) - len(lhs[r2])) * R)
+        else:
+            continue
+        yield steps[:i] + moved + steps[i + 2 :]
 
 
 def paths_equivalent_mod_cells(
-    p: Path,
-    q: Path,
-    family: CellFamily,
-    bound: int = 10000,
+    p: Path, q: Path, family: CellFamily, bound: int = 10000
 ) -> PathVerdict:
     """Search for a chain of member substitutions turning p into q.
 
@@ -617,67 +603,86 @@ def paths_equivalent_mod_cells(
     """
     if p.start != q.start or p.end != q.end:
         raise NotParallel("paths must share start and end words")
-    start = p.start
     if p.steps == q.steps:
         return PathVerdict.EQUIVALENT
-    moves: list[tuple[Path, Path]] = []
+    index: dict[Rule, int] = {}
+    for path in (*(m for pair in family.members for m in pair), p, q):
+        for st in path.steps:
+            index.setdefault(st.rule, len(index))
+    R = len(index)
+    lhs, rhs = [r.lhs for r in index], [r.rhs for r in index]
+
+    def code(path: Path) -> _Codes:
+        return tuple(len(st.left) * R + index[st.rule] for st in path.steps)
+
+    def gaps(c: _Codes) -> _Codes:
+        return tuple(y - x for x, y in zip(c, c[1:]))
+
+    # Each move (base, frm, to, frm's gaps, key) is indexed by its key:
+    # frm's first rule and (first gap,) for a replacement, the base word
+    # for a loop insertion (a word has no tuple in it, so keys never clash).
+    moves: list[tuple] = []
+    by_key: dict[tuple, list[int]] = {}
     for a, b in family.members:
-        moves.append((a, b))
-        moves.append((b, a))
-    # First-step index: rule name -> moves whose `frm` starts with that rule.
-    by_first: dict[str, list[int]] = {}
-    insert_moves: list[int] = []
-    for j, (frm, _) in enumerate(moves):
-        if frm.steps:
-            by_first.setdefault(frm.steps[0].rule.name, []).append(j)
-        else:
-            insert_moves.append(j)
+        ca, cb = code(a), code(b)
+        for frm, to in ((ca, cb), (cb, ca)):
+            g = gaps(frm)
+            key = (frm[0] % R, g[:1]) if frm else a.start
+            by_key.setdefault(key, []).append(len(moves))
+            moves.append((a.start, frm, to, g, key))
+    bases = {base for base, frm, *_ in moves if not frm}
+    found: dict[Word, list[tuple[Word, int]]] = {}  # word -> (loop base, offset) in it
 
-    def neighbours(steps: tuple[RuleInstance, ...]) -> Iterator[tuple[RuleInstance, ...]]:
-        at: dict[str, list[int]] = {}
-        for i, st in enumerate(steps):
-            at.setdefault(st.rule.name, []).append(i)
-        candidates = insert_moves + [j for name in at for j in by_first.get(name, ())]
-        # In move order, as a full scan would find them: the verdict at a
-        # given budget depends on the order of the neighbours.
-        for j in sorted(candidates):
-            frm, to = moves[j]
-            if frm.steps:
-                yield from _replacements(steps, at[frm.steps[0].rule.name], frm, to)
+    def neighbours(steps: _Codes) -> Iterator[_Codes]:
+        words = [p.start]
+        for c in steps:
+            a, r = divmod(c, R)
+            words.append(words[-1][:a] + rhs[r] + words[-1][a + len(lhs[r]) :])
+        state_gaps = gaps(steps)
+        at: dict[tuple, list[int]] = {}
+        for i, c in enumerate(steps):
+            at.setdefault((c % R, ()), []).append(i)
+            if i < len(state_gaps):
+                at.setdefault((c % R, state_gaps[i : i + 1]), []).append(i)
+        places: dict[Word, list[tuple[int, int]]] = {}
+        for i, w in enumerate(words):
+            if w not in found:
+                found[w] = [
+                    (b, x) for x in range(len(w) + 1) for b in bases if w[x : x + len(b)] == b
+                ]
+            for b, x in found[w]:
+                places.setdefault(b, []).append((i, x))
+        # In move order, then step index and offset, as a full scan would
+        # find them: the verdict at a given budget depends on that order.
+        for j in sorted(j for key in (*at, *places) for j in by_key.get(key, ())):
+            _, frm, to, _, key = move = moves[j]
+            if frm:
+                yield from _replacements(steps, words, state_gaps, at[key], move, R)
             else:
-                yield from _insertions(start, steps, frm.start, to)
-        yield from _natural_swaps(start, steps)
+                yield from _insertions(steps, places[key], to, R)
+        yield from _natural_swaps(steps, lhs, rhs, R)
 
-    seen_p: set[tuple] = {p.steps}
-    seen_q: set[tuple] = {q.steps}
-    frontier_p: list[tuple] = [p.steps]
-    frontier_q: list[tuple] = [q.steps]
+    frontiers = [[code(p)], [code(q)]]
+    seen = tuple(set(f) for f in frontiers)
     budget = bound
-    while frontier_p and frontier_q and budget > 0:
-        if len(frontier_p) <= len(frontier_q):
-            frontier, seen, other = frontier_p, seen_p, seen_q
-            which = "p"
-        else:
-            frontier, seen, other = frontier_q, seen_q, seen_p
-            which = "q"
-        new: list[tuple] = []
-        for state in frontier:
+    while frontiers[0] and frontiers[1] and budget > 0:
+        me = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = seen[me], seen[1 - me]
+        new: list[_Codes] = []
+        for state in frontiers[me]:
             for nxt in neighbours(state):
-                if nxt in seen:
+                if nxt in mine:
                     continue
                 if nxt in other:
                     return PathVerdict.EQUIVALENT
-                seen.add(nxt)
+                mine.add(nxt)
                 new.append(nxt)
                 budget -= 1
                 if budget <= 0:
                     break
             if budget <= 0:
                 break
-        if which == "p":
-            frontier_p = new
-        else:
-            frontier_q = new
+        frontiers[me] = new
     return PathVerdict.UNKNOWN
 
 

@@ -16,7 +16,10 @@ The exception is `scan_path_search`, the reference for
 depends on the order in which neighbours are found, so it keeps the
 library's order on purpose (every move, step index and word offset, in
 that nesting, then the adjacent swaps) and its bidirectional search, but
-finds each occurrence by a plain scan instead of an index.
+finds each occurrence by a plain scan over `RuleInstance` steps instead
+of an index over coded steps.  `scan_neighbours` lists one state's
+neighbours in that order; the random-system test also walks it to build
+paths that the search should join.
 
 `monomial_counterexamples` is no reference implementation but a sampler
 that two test modules share: it puts the order under test to random
@@ -244,31 +247,34 @@ def _adjacent_swaps(steps: tuple) -> list[tuple]:
     return out
 
 
+def scan_neighbours(start: Word, steps: tuple, moves: list) -> list[tuple]:
+    """The states one move from the path `steps` from `start`, in the
+    order the search meets them: every move (frm, to), step index and word
+    offset, in that nesting, then the adjacent swaps."""
+    words = [start] + [s.target for s in steps]
+    out = []
+    for frm, to in moves:
+        k, base = len(frm.steps), frm.start
+        for i in range(len(steps) - k + 1):
+            w = words[i]
+            for x in range(len(w) - len(base) + 1):
+                if w[x : x + len(base)] != base:
+                    continue
+                u, v = w[:x], w[x + len(base) :]
+                moved = [RuleInstance(u + s.left, s.rule, s.right + v) for s in frm.steps]
+                if list(steps[i : i + k]) == moved:
+                    put = tuple(RuleInstance(u + s.left, s.rule, s.right + v) for s in to.steps)
+                    out.append(steps[:i] + put + steps[i + k :])
+    out.extend(_adjacent_swaps(steps))
+    return out
+
+
 def scan_path_search(p: Path, q: Path, members: tuple, bound: int) -> bool:
     """Whether a chain of member substitutions (and adjacent swaps) turns
     p into q before `bound` new states are explored."""
     if p.steps == q.steps:
         return True
     moves = [m for a, b in members for m in ((a, b), (b, a))]
-
-    def neighbours(steps: tuple) -> list[tuple]:
-        words = [p.start] + [s.target for s in steps]
-        out = []
-        for frm, to in moves:
-            k, base = len(frm.steps), frm.start
-            for i in range(len(steps) - k + 1):
-                w = words[i]
-                for x in range(len(w) - len(base) + 1):
-                    if w[x : x + len(base)] != base:
-                        continue
-                    u, v = w[:x], w[x + len(base) :]
-                    moved = [RuleInstance(u + s.left, s.rule, s.right + v) for s in frm.steps]
-                    if list(steps[i : i + k]) == moved:
-                        put = tuple(RuleInstance(u + s.left, s.rule, s.right + v) for s in to.steps)
-                        out.append(steps[:i] + put + steps[i + k :])
-        out.extend(_adjacent_swaps(steps))
-        return out
-
     sides = {"p": ({p.steps}, [p.steps]), "q": ({q.steps}, [q.steps])}
     budget = bound
     while sides["p"][1] and sides["q"][1] and budget > 0:
@@ -277,7 +283,7 @@ def scan_path_search(p: Path, q: Path, members: tuple, bound: int) -> bool:
         other = sides["q" if me == "p" else "p"][0]
         grown: list[tuple] = []
         for state in frontier:
-            for nxt in neighbours(state):
+            for nxt in scan_neighbours(p.start, state, moves):
                 if nxt in seen:
                     continue
                 if nxt in other:

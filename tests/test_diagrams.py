@@ -29,13 +29,16 @@ from srw.words import (
     BACKWARD,
     FORWARD,
     Path,
+    Rule,
     RuleInstance,
     SourceMismatch,
+    SrsSystem,
     Zigzag,
     find_redexes,
 )
 
-from oracles import scan_path_search, tiny_system
+from oracles import scan_neighbours, scan_path_search, tiny_system
+from test_words import systems_with_words
 
 
 def _h3():
@@ -299,6 +302,88 @@ def test_path_search_matches_scan_reference_rank3_coherence(monkeypatch):
         _assert_matches_scan(p, q, members)
 
 
+def _loop_rules(m: int) -> tuple[Rule, ...]:
+    """A lengthening and two shortening rules on a letter m that the drawn
+    rules never touch, so that loops exist; `twin` rewrites like `drop`
+    and `fold`, but only family members use it, so it occurs in neither
+    searched path."""
+    return (
+        Rule("grow", (m,), (m, m)),
+        Rule("drop", (m, m), (m,)),
+        Rule("fold", (m, m), (m,)),
+        Rule("twin", (m, m), (m,)),
+    )
+
+
+def _random_walk(rng, sys: SrsSystem, start, length: int) -> Path:
+    steps, cur = [], start
+    for _ in range(length):
+        reds = find_redexes(cur, sys)
+        if not reds:
+            break
+        steps.append(rng.choice(reds))
+        cur = steps[-1].target
+    return Path(start, tuple(steps))
+
+
+def _random_family(rng, sys: SrsSystem, twin: Rule) -> tuple:
+    """Loop members (a loop against the empty path) and members through
+    `twin`, each in a random context of at most one letter a side, and
+    parallel pairs of random walks from short words."""
+    grow, drop, fold = (RuleInstance((), sys.rule(name), ()) for name in ("grow", "drop", "fold"))
+    tw, m = RuleInstance((), twin, ()), (sys.n,)
+
+    def context():
+        return tuple(rng.randint(1, sys.n) for _ in range(rng.randint(0, 1)))
+
+    members = []
+    for a, b in [
+        (Path(m, (grow, drop)), Path(m)),
+        (Path(m + m, (drop,)), Path(m + m, (tw,))),
+        (Path(m + m, (tw,)), Path(m + m, (fold,))),
+        (Path(m, (grow, tw)), Path(m)),
+    ]:
+        u, v = context(), context()
+        members.append((a.whisker(u, v), b.whisker(u, v)))
+    by_end: dict = {}
+    for _ in range(40):
+        u = tuple(rng.randint(1, sys.n) for _ in range(rng.randint(1, 3)))
+        walk = _random_walk(rng, sys, u, rng.randint(0, 3))
+        by_end.setdefault((u, walk.end), set()).add(walk)
+    for walks in by_end.values():
+        walks = sorted(walks, key=lambda w: w.render(sys.n))
+        members += [(a, b) for a, b in zip(walks, walks[1:])][:2]
+    rng.shuffle(members)
+    return tuple(members[:8])
+
+
+@given(systems_with_words(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_path_search_matches_scan_reference_on_random_systems(case, rng):
+    drawn, w = case
+    m = drawn.n + 1
+    *loops, twin = _loop_rules(m)
+    sys = SrsSystem(n=m, rules=drawn.rules + tuple(loops))
+    members = _random_family(rng, sys, twin)
+    # A start word longer than the number of rules, so that some steps
+    # sit at offsets past it, with the loop letter once or twice.
+    start = list(w) + [rng.randint(1, drawn.n) for _ in range(len(sys.rules) + 2 - len(w))]
+    for _ in range(rng.randint(1, 2)):
+        start.insert(rng.randint(0, len(start)), m)
+    p = _random_walk(rng, sys, tuple(start), rng.randint(2, 5))
+    # q: one adjacent swap from p in half of the cases where p has one,
+    # else one to three moves of the search.
+    swaps = scan_neighbours(p.start, p.steps, [])
+    moves = [move for a, b in members for move in ((a, b), (b, a))]
+    steps = rng.choice(swaps) if swaps and rng.random() < 0.5 else p.steps
+    for _ in range(0 if steps != p.steps else rng.randint(1, 3)):
+        found = scan_neighbours(p.start, steps, moves)
+        nexts = [n for n in found if n != p.steps and all(s.rule != twin for s in n)]
+        if nexts:
+            steps = rng.choice(nexts)
+    _assert_matches_scan(p, Path(p.start, steps), members, max_bound=60)
+
+
 def test_paths_equivalent_rejects_non_parallel():
     sys = _h3()
     fam = CellFamily(name="empty", members=())
@@ -339,21 +424,8 @@ def test_random_peaks_close_and_agree_with_canon(seed):
     sys = _h3()
     provider = hecke_provider(sys)
     w = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 7)))
-
-    def random_path(start, max_steps):
-        steps = []
-        cur = start
-        for _ in range(max_steps):
-            reds = find_redexes(cur, sys)
-            if not reds:
-                break
-            st_ = rng.choice(reds)
-            steps.append(st_)
-            cur = st_.target
-        return Path(start, tuple(steps))
-
-    top = random_path(w, rng.randint(0, 4))
-    left = random_path(w, rng.randint(0, 4))
+    top = _random_walk(rng, sys, w, rng.randint(0, 4))
+    left = _random_walk(rng, sys, w, rng.randint(0, 4))
     t = complete_peak(sys, provider, top, left, fuel=10000)
     b = t.boundary()
     assert b.from_start.start == top.end
