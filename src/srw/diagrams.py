@@ -31,7 +31,13 @@ down to a common sink, then a path from the walk's end to the same sink.
 Completing a peak (a two-sided zigzag: reversed top path, then left
 path) yields the right and bottom boundary of the classical confluence
 diagram; completing an arbitrary zigzag yields a common reduct with
-reduction paths from both endpoints.
+reduction paths from both endpoints.  `complete_tiling` always glues at
+the first open corner, and after each cell resumes its scan one place
+before that corner: gluing rewrites only that corner's two entries, so no
+earlier corner can appear.  The standard provider builds a natural cell
+in place, as one diagram from the corner's two steps, equal to the
+whiskered (and, when the vertical redex lies to the left, transposed)
+`natural_ed`.
 
 A `CellFamily` is a set of parallel path pairs; `paths_equivalent_mod_cells`
 searches for a rewrite of one path into another by replacing whiskered
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .critical import CriticalPair, join_pair
 from .words import (
@@ -221,8 +227,7 @@ class CellRecord:
     origin: str
 
 
-@dataclass(frozen=True)
-class _Edge:
+class _Edge(NamedTuple):
     kind: str  # "H" or "V"
     step: RuleInstance | None  # None only for dashed identification edges
     src: int
@@ -243,7 +248,9 @@ class Tiling:
 
     The frontier is kept as the walk from the zigzag's start to its end:
     its backward legs become horizontal entries, traversed backward, and
-    its forward legs vertical entries, traversed forward.
+    its forward legs vertical entries, traversed forward.  Cells are glued
+    at the first open corner; the scan for the next one resumes one place
+    before the last, since gluing leaves every earlier entry as it was.
     Node identifiers exist for rendering; the reduction content lives in
     the step instances themselves.
     """
@@ -273,18 +280,26 @@ class Tiling:
         self.nodes[i] = w
         return i
 
+    def _first_corner(self, start: int) -> int | None:
+        """The frontier position of the first open corner at or after `start`."""
+        f = self._frontier
+        for i in range(start, len(f) - 1):
+            if f[i].kind == "H" and f[i + 1].kind == "V":
+                return i
+        return None
+
     def open_corners(self) -> list[tuple[int, RuleInstance, RuleInstance]]:
         """Positions where a horizontal step meets a diverging vertical one."""
         out = []
-        f = self._frontier
-        for i in range(len(f) - 1):
-            if f[i].kind == "H" and f[i + 1].kind == "V":
-                out.append((i, f[i].step, f[i + 1].step))
+        i = self._first_corner(0)
+        while i is not None:
+            out.append((i, self._frontier[i].step, self._frontier[i + 1].step))
+            i = self._first_corner(i + 1)
         return out
 
     @property
     def is_complete(self) -> bool:
-        return not self.open_corners()
+        return self._first_corner(0) is None
 
     def adjoin_at_corner(self, index: int, ed: ElementaryDiagram, tag: str, origin: str = "") -> None:
         """Glue `ed` at the open corner starting at frontier position `index`."""
@@ -346,15 +361,13 @@ CellProvider = Callable[
 
 def complete_tiling(t: Tiling, provider: CellProvider, fuel: int = 10000) -> Tiling:
     """Adjoin provider cells at the first open corner until none remain."""
-    while True:
-        corners = t.open_corners()
-        if not corners:
-            return t
+    index = t._first_corner(0)
+    while index is not None:
         if fuel <= 0:
             raise FuelExhausted(
-                f"{len(corners)} open corner(s) remain with no fuel left"
+                f"{len(t.open_corners())} open corner(s) remain with no fuel left"
             )
-        index, h, v = corners[0]
+        h, v = t._frontier[index].step, t._frontier[index + 1].step
         got = provider(h, v)
         if got is None:
             raise NoCellForCorner(
@@ -363,6 +376,9 @@ def complete_tiling(t: Tiling, provider: CellProvider, fuel: int = 10000) -> Til
         ed, tag, origin = got
         t.adjoin_at_corner(index, ed, tag, origin)
         fuel -= 1
+        # Gluing rewrites only positions index and index + 1, and no corner lies before index.
+        index = t._first_corner(max(index - 1, 0))
+    return t
 
 
 def complete_peak(
@@ -433,23 +449,27 @@ def _relative_pair(h: RuleInstance, v: RuleInstance):
 def _natural_cell(
     h: RuleInstance, v: RuleInstance
 ) -> tuple[ElementaryDiagram, str, str] | None:
-    """A whiskered (possibly transposed) commuting square for disjoint redexes."""
+    """The commuting square of two disjoint co-initial redexes, built in
+    context: the right side applies v's rule after h, the bottom side h's
+    rule after v.  It equals `whisker_ed` of `natural_ed` (tag natural)
+    or of its `transpose_ed` (tag transposed, v's redex to the left)."""
     ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
     av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
-    w = h.source
     if bh <= av:
-        mid = w[bh:av]
-        ed = whisker_ed(natural_ed(h.rule, mid, v.rule), w[:ah], w[bv:])
+        mid = v.left[bh:]
+        right = RuleInstance(h.left + h.rule.rhs + mid, v.rule, v.right)
+        bottom = RuleInstance(h.left, h.rule, mid + v.rule.rhs + v.right)
         tag = "natural"
     elif bv <= ah:
-        mid = w[bv:ah]
-        ed = transpose_ed(natural_ed(v.rule, mid, h.rule))
-        ed = whisker_ed(ed, w[:av], w[bh:])
+        mid = h.left[bv:]
+        right = RuleInstance(v.left, v.rule, mid + h.rule.rhs + h.right)
+        bottom = RuleInstance(v.left + v.rule.rhs + mid, h.rule, h.right)
         tag = "transposed"
     else:
         return None
-    if ed.top != h or ed.left != v:  # pragma: no cover - construction invariant
-        raise CornerMismatch("natural square construction mismatch")
+    ed = ElementaryDiagram(
+        top=h, left=v, right=Path(h.target, (right,)), bottom=Path(v.target, (bottom,))
+    )
     return ed, tag, f"natural({h.rule.name},{v.rule.name})"
 
 

@@ -244,14 +244,16 @@ class SrsSystem:
 
     `order`, when present, compares rule instances (see srw.order); it is
     excluded from equality and hashing so systems with the same rules are
-    interchangeable as cache keys.  The compiled rule table is excluded
-    from equality, hashing and repr as well.
+    interchangeable as cache keys.  The compiled rule table and the hash,
+    computed once from (n, rules), are excluded from equality, hashing and
+    repr as well.
     """
 
     n: int
     rules: tuple[Rule, ...]
     order: object | None = field(default=None, compare=False, hash=False)
     _table: _RuleTable = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -271,6 +273,10 @@ class SrsSystem:
         if table is None:
             table = _TABLES[key] = _RuleTable(self.rules)
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def rule(self, name: str) -> Rule:
         return self._table.by_name[name]

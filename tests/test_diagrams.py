@@ -13,6 +13,7 @@ from srw.diagrams import (
     Tiling,
     bfs_join_chooser,
     complete_peak,
+    complete_tiling,
     complete_zigzag,
     export_dot,
     natural_ed,
@@ -34,6 +35,7 @@ from srw.words import (
     SourceMismatch,
     SrsSystem,
     Zigzag,
+    all_words,
     find_redexes,
 )
 
@@ -181,6 +183,121 @@ def test_fuel_exhausted():
     left = Path(w, (find_redexes(w, sys)[0],))
     with pytest.raises(FuelExhausted):
         complete_peak(sys, hecke_provider(sys), top, left, fuel=0)
+
+
+def _no_critical_cells(pair):
+    raise AssertionError(f"disjoint redexes reached the chooser: {pair}")
+
+
+def test_natural_cells_in_place_equal_the_three_stage_build():
+    sys = hecke_system(4, "rfull")
+    provide = standard_provider(sys, chooser=_no_critical_cells)
+    checked = {"natural": 0, "transposed": 0}
+    for w in all_words(4, 6):
+        redexes = find_redexes(w, sys)
+        for h in redexes:
+            for v in redexes:
+                ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
+                av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
+                if bh <= av:
+                    built = natural_ed(h.rule, w[bh:av], v.rule)
+                    built = whisker_ed(built, h.left, v.right)
+                    tag = "natural"
+                elif bv <= ah:
+                    built = transpose_ed(natural_ed(v.rule, w[bv:ah], h.rule))
+                    built = whisker_ed(built, v.left, h.right)
+                    tag = "transposed"
+                else:
+                    continue
+                ed, got_tag, origin = provide(h, v)
+                assert (ed.top, ed.left, ed.right, ed.bottom) == (
+                    built.top, built.left, built.right, built.bottom
+                )
+                assert (got_tag, origin) == (tag, f"natural({h.rule.name},{v.rule.name})")
+                checked[tag] += 1
+    assert checked["natural"] == checked["transposed"] > 10000
+
+
+def _inverse_steps(w, sys: SrsSystem) -> list[RuleInstance]:
+    """Every step whose target is w."""
+    return [
+        RuleInstance(w[:i], r, w[i + len(r.rhs) :])
+        for r in sys.rules
+        for i in range(len(w) - len(r.rhs) + 1)
+        if w[i : i + len(r.rhs)] == r.rhs
+    ]
+
+
+def _rescan_tiling(t: Tiling, provider, fuel: int) -> Tiling:
+    """Reference loop: rescan the whole frontier after every cell."""
+    while True:
+        corners = t.open_corners()
+        if not corners:
+            return t
+        if fuel <= 0:
+            raise FuelExhausted(f"{len(corners)} open corner(s) remain with no fuel left")
+        index, h, v = corners[0]
+        ed, tag, origin = provider(h, v)
+        t.adjoin_at_corner(index, ed, tag, origin)
+        fuel -= 1
+
+
+def _seeded_zigzags(rng, sys: SrsSystem, count: int) -> list[Zigzag]:
+    """Peaks (some sharing a first step, so repeated-step cells occur)
+    and zigzags whose legs run either way (a step walked back and then
+    forward again is a repeated-step corner)."""
+    out = []
+    while len(out) < count:
+        w = tuple(rng.randint(1, sys.n) for _ in range(rng.randint(4, 12)))
+        if rng.random() < 0.5:
+            top = _random_walk(rng, sys, w, rng.randint(1, 5))
+            left = _random_walk(rng, sys, w, rng.randint(1, 5))
+            if rng.random() < 0.3 and top.steps:
+                rest = _random_walk(rng, sys, top.steps[0].target, 3)
+                left = Path(w, top.steps[:1] + rest.steps)
+            legs = tuple((BACKWARD, s) for s in reversed(top.steps))
+            legs += tuple((FORWARD, s) for s in left.steps)
+            out.append(Zigzag(top.end, legs))
+            continue
+        legs, cur = [], w
+        for _ in range(rng.randint(2, 8)):
+            forward = find_redexes(cur, sys)
+            if legs and legs[-1][0] == BACKWARD and rng.random() < 0.2:
+                leg = (FORWARD, legs[-1][1])
+            elif forward and rng.random() < 0.5:
+                leg = (FORWARD, rng.choice(forward))
+            else:
+                leg = (BACKWARD, rng.choice(_inverse_steps(cur, sys)))
+            legs.append(leg)
+            cur = leg[1].target if leg[0] == FORWARD else leg[1].source
+        out.append(Zigzag(w, tuple(legs)))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_resumed_corner_scan_glues_cells_in_the_rescan_order(n):
+    import random
+
+    rng = random.Random(1100 + n)
+    sys = hecke_system(n, "rfull")
+    provider = hecke_provider(sys)
+    tags = set()
+    for zig in _seeded_zigzags(rng, sys, 150):
+        ref = _rescan_tiling(Tiling(n, zig), provider, 10000)
+        t = complete_tiling(Tiling(n, zig), provider, 10000)
+        assert t.cells == ref.cells
+        assert t.boundary() == ref.boundary()
+        tags.update(c.tag for c in t.cells)
+        for fuel in range(len(ref.cells)):
+            ref_cut, cut = Tiling(n, zig), Tiling(n, zig)
+            with pytest.raises(FuelExhausted) as ref_exc:
+                _rescan_tiling(ref_cut, provider, fuel)
+            with pytest.raises(FuelExhausted) as exc:
+                complete_tiling(cut, provider, fuel)
+            assert str(exc.value) == str(ref_exc.value)
+            assert cut.cells == ref_cut.cells
+        assert complete_tiling(Tiling(n, zig), provider, len(ref.cells)).cells == ref.cells
+    assert {"improper", "natural", "transposed", "whiskered"} <= tags
 
 
 def test_bfs_chooser_provider_completes():

@@ -28,19 +28,29 @@ def _private_srw_imports(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_and_public_imports(script):
-    assert not _private_srw_imports(script.read_text())
+def _run(*argv: str) -> subprocess.CompletedProcess:
+    """Run a script with `src` on its import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(script), "--help"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_and_public_imports(script):
+    assert not _private_srw_imports(script.read_text())
+    proc = _run(str(script), "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_tile_random_peaks_runs_to_completion():
+    script = ROOT / "scripts" / "tile_random_peaks.py"
+    proc = _run(str(script), "--rank", "4", "--trials", "200", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    first = proc.stdout.splitlines()[0]
+    assert first.startswith("200 peaks tiled in ")
+    assert first.endswith("over rank 4 (rfull), all within fuel 10000")

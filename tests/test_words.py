@@ -213,6 +213,18 @@ def test_equal_systems_share_one_table():
     assert "_table" not in repr(a) and "dbl" in repr(a)
 
 
+def test_system_hash_is_cached_and_follows_equality():
+    a = tiny_system()
+    ranked = dataclasses.replace(a, order=rule_rank_order({"dbl": 0, "swp": 1}))
+    assert ranked == a and hash(ranked) == hash(a) == hash((a.n, a.rules))
+    assert hash(a) == hash(a) == a._hash
+    renamed = SrsSystem(a.n, (dataclasses.replace(a.rules[0], name="dbl2"),) + a.rules[1:])
+    rewired = SrsSystem(a.n, (dataclasses.replace(a.rules[0], rhs=a.rules[0].lhs),) + a.rules[1:])
+    assert renamed != a and rewired != a and renamed != rewired
+    assert len({a, ranked, renamed, rewired}) == 3
+    assert "_hash" not in repr(a)
+
+
 def test_reach_frozen_example():
     sys = tiny_system()
     res = reach((2, 1, 1), sys)
