@@ -1,23 +1,11 @@
 """Elementary diagrams, tilings of peaks and zigzags, and cell families.
 
-An elementary diagram is a rectangle of reductions: a top step, a left
-step, and two convergence paths (right and bottom) ending at a common
-word.  Dashed sides encode the degenerate shapes: a dashed top or left
-is stored as None (a length-zero side), a dashed right or bottom as an
-empty path.  The legal shapes are
-
-- proper: solid top and left, arbitrary (possibly empty) right and
-  bottom convergence paths with a common end;
-- dashed top: the right side is the single step repeating the left step,
-  the bottom is empty;
-- dashed left: the bottom is the single step repeating the top step, the
-  right is empty;
-- all dashed: every side has length zero.
-
-`natural_ed(r, w, r')` is the square that commutes two non-overlapping
-redexes separated by the word w, and `natural_squares` lists all of them
-up to a separator length; whiskering extends a diagram by outer context,
-transposition swaps the two sides.
+An elementary diagram is a rectangle of reductions: a top step and a
+left step from a common word, and two convergence paths (right and
+bottom, possibly empty) from their targets to a common word.
+`natural_squares` lists the squares that commute two non-overlapping
+redexes, up to a separator length; whiskering extends a diagram by outer
+context, transposition swaps the two sides.
 
 A `Tiling` fills the area under a zigzag with elementary diagrams.  The
 untiled boundary (the frontier) is walked from the zigzag's start to its
@@ -35,9 +23,8 @@ reduction paths from both endpoints.  `complete_tiling` always glues at
 the first open corner, and after each cell resumes its scan one place
 before that corner: gluing rewrites only that corner's two entries, so no
 earlier corner can appear.  The standard provider builds a natural cell
-in place, as one diagram from the corner's two steps, equal to the
-whiskered (and, when the vertical redex lies to the left, transposed)
-`natural_ed`.
+in place, as one diagram from the corner's two steps; `natural_squares`
+builds each of its squares the same way.
 
 A `CellFamily` is a set of parallel path pairs; `paths_equivalent_mod_cells`
 searches for a rewrite of one path into another by replacing whiskered
@@ -83,7 +70,6 @@ from .words import (
 
 __all__ = [
     "ElementaryDiagram",
-    "natural_ed",
     "natural_squares",
     "whisker_ed",
     "transpose_ed",
@@ -109,91 +95,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ElementaryDiagram:
-    """One tile: top/left steps (None = dashed) and right/bottom paths."""
+    """One tile: top and left steps from a common word, right and bottom
+    paths from their targets to a common end."""
 
-    top: RuleInstance | None
-    left: RuleInstance | None
+    top: RuleInstance
+    left: RuleInstance
     right: Path
     bottom: Path
 
     def __post_init__(self) -> None:
         t, l = self.top, self.left
-        if t is not None and l is not None:
-            if t.source != l.source:
-                raise SourceMismatch("top and left must share their source")
-            if self.right.start != t.target:
-                raise SourceMismatch("right side must start at the top's target")
-            if self.bottom.start != l.target:
-                raise SourceMismatch("bottom side must start at the left's target")
-            if self.right.end != self.bottom.end:
-                raise SourceMismatch("right and bottom must converge")
-        elif t is None and l is not None:
-            if self.right.steps != (l,) or self.right.start != l.source:
-                raise SourceMismatch(
-                    "dashed top: right side must repeat the left step"
-                )
-            if self.bottom != Path(l.target):
-                raise SourceMismatch("dashed top: bottom side must be dashed-empty")
-        elif l is None and t is not None:
-            if self.bottom.steps != (t,) or self.bottom.start != t.source:
-                raise SourceMismatch(
-                    "dashed left: bottom side must repeat the top step"
-                )
-            if self.right != Path(t.target):
-                raise SourceMismatch("dashed left: right side must be dashed-empty")
-        else:
-            if self.right.steps or self.bottom.steps:
-                raise SourceMismatch("all-dashed diagram must have empty sides")
-            if self.right.start != self.bottom.start:
-                raise SourceMismatch("all-dashed diagram sides must share a word")
-
-    @property
-    def source(self) -> Word:
-        if self.top is not None:
-            return self.top.source
-        if self.left is not None:
-            return self.left.source
-        return self.right.start
-
-    @property
-    def sink(self) -> Word:
-        return self.right.end if self.top is not None or self.left is not None else self.right.start
-
-    @property
-    def is_proper(self) -> bool:
-        return self.top is not None and self.left is not None
-
-
-def natural_ed(r1: Rule, w: Word, r2: Rule) -> ElementaryDiagram:
-    """The commuting square of two disjoint redexes separated by w.
-
-    Top applies r1 with the word w·lhs(r2) on its right; left applies r2
-    with lhs(r1)·w on its left; either order reaches rhs(r1)·w·rhs(r2).
-    """
-    top = RuleInstance((), r1, w + r2.lhs)
-    left = RuleInstance(r1.lhs + w, r2, ())
-    right = Path(top.target, (RuleInstance(r1.rhs + w, r2, ()),))
-    bottom = Path(left.target, (RuleInstance((), r1, w + r2.rhs),))
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
+        if t.source != l.source:
+            raise SourceMismatch("top and left must share their source")
+        if self.right.start != t.target:
+            raise SourceMismatch("right side must start at the top's target")
+        if self.bottom.start != l.target:
+            raise SourceMismatch("bottom side must start at the left's target")
+        if self.right.end != self.bottom.end:
+            raise SourceMismatch("right and bottom must converge")
 
 
 def natural_squares(
     sys: SrsSystem, max_mid: int
 ) -> Iterator[tuple[tuple[Rule, Word, Rule], ElementaryDiagram]]:
     """Every natural square r1 · w · r2 of the system with |w| <= max_mid,
-    labelled (r1, w, r2).  Transposes are left out: decreasingness is
-    transpose-invariant."""
+    labelled (r1, w, r2): top applies r1 with w·lhs(r2) on its right, left
+    applies r2 with lhs(r1)·w on its left.  Transposes are left out:
+    decreasingness is transpose-invariant."""
     for r1 in sys.rules:
         for r2 in sys.rules:
             for w in all_words(sys.n, max_mid):
-                yield (r1, w, r2), natural_ed(r1, w, r2)
+                h = RuleInstance((), r1, w + r2.lhs)
+                v = RuleInstance(r1.lhs + w, r2, ())
+                yield (r1, w, r2), _natural_cell(h, v)[0]
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:
     """The same diagram inside the outer context u·(-)·v."""
     return ElementaryDiagram(
-        top=None if ed.top is None else ed.top.whisker(u, v),
-        left=None if ed.left is None else ed.left.whisker(u, v),
+        top=ed.top.whisker(u, v),
+        left=ed.left.whisker(u, v),
         right=ed.right.whisker(u, v),
         bottom=ed.bottom.whisker(u, v),
     )
@@ -451,8 +392,8 @@ def _natural_cell(
 ) -> tuple[ElementaryDiagram, str, str] | None:
     """The commuting square of two disjoint co-initial redexes, built in
     context: the right side applies v's rule after h, the bottom side h's
-    rule after v.  It equals `whisker_ed` of `natural_ed` (tag natural)
-    or of its `transpose_ed` (tag transposed, v's redex to the left)."""
+    rule after v.  Tagged natural, or transposed when v's redex lies to
+    the left of h's."""
     ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
     av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
     if bh <= av:

@@ -56,7 +56,7 @@ from .diagrams import (
     standard_provider,
     transpose_ed,
 )
-from .order import InstanceOrder, Verdict, check_decreasing
+from .order import InstanceOrder, check_decreasing
 from .seminormal import attractors
 from .traces import factor_in_class, normal_form
 from .words import (
@@ -172,7 +172,7 @@ def classify_rule(rule: Rule) -> tuple:
 
 
 def _instance_key(inst: RuleInstance) -> tuple:
-    """The comparison key implementing the instance preorder."""
+    """The sort key of `hecke_order`: instances compare by their keys."""
     kind = classify_rule(inst.rule)
     u, v = inst.left, inst.right
     if kind[0] == "a":
@@ -191,15 +191,8 @@ def _instance_key(inst: RuleInstance) -> tuple:
     return ((2, 0, j, 0), counts)
 
 
-def _hecke_compare(p: RuleInstance, q: RuleInstance) -> Verdict:
-    kp, kq = _instance_key(p), _instance_key(q)
-    if kp == kq:
-        return Verdict.EQUIVALENT
-    return Verdict.GREATER if kp > kq else Verdict.LESS
-
-
 def hecke_order() -> InstanceOrder:
-    return InstanceOrder(name="hecke", compare=_hecke_compare)
+    return InstanceOrder(name="hecke", key=_instance_key)
 
 
 class _HeckeRules:
@@ -635,8 +628,6 @@ def hecke_provider(sys: SrsSystem):
 
 def _sides(ed: ElementaryDiagram) -> tuple[Path, Path]:
     """(top then right, left then bottom) as parallel composite paths."""
-    if ed.top is None or ed.left is None:
-        raise ValueError("sides are only defined for proper diagrams")
     side1 = Path(ed.top.source, (ed.top,) + ed.right.steps)
     side2 = Path(ed.left.source, (ed.left,) + ed.bottom.steps)
     return side1, side2
@@ -912,7 +903,7 @@ def _inversions(w: Word) -> int:
     )
 
 
-def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
+def _verify_c_subsystem(sys: SrsSystem) -> VerifyItem:
     forward = tuple(r for r in sys.rules if classify_rule(r)[0] == "cf")
     sub = SrsSystem(n=sys.n, rules=forward, order=sys.order)
     for r in forward:
@@ -923,7 +914,7 @@ def _verify_c_subsystem(sys: SrsSystem, max_len: int = 5) -> VerifyItem:
                 f"rule {r.name} does not reduce inversions",
             )
     checked = 0
-    for w in all_words(sys.n, max_len):
+    for w in all_words(sys.n, _C_SUBSYSTEM_MAX_LEN):
         inv = _inversions(w)
         for inst in find_redexes(w, sub):
             checked += 1
@@ -1059,9 +1050,11 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     return VerifyItem("coherence", status, detail)
 
 
-# Separator length of the natural squares and word length of the
-# attractor sweep that `verify_suite` checks.
+# Separator length of the natural squares, and word lengths of the
+# commutation-subsystem sample and of the attractor sweep, that
+# `verify_suite` checks.
 _NATURAL_CONTEXT = 3
+_C_SUBSYSTEM_MAX_LEN = 5
 _ATTRACTOR_MAX_LEN = 6
 
 

@@ -1,11 +1,10 @@
 """Well-founded preorders on rule instances and decreasing diagrams.
 
-A preorder on rule instances is given by a total comparison returning
-Greater, Less or Equivalent.  The orders used here are key-based: each
-instance maps to a finite tuple and instances compare by their tuples,
-which makes equivalence transitive and rules out infinite strictly
-descending chains (keys live in a finite product of well-ordered sets
-once a system is fixed).
+An instance order is a sort key: each instance maps to a finite tuple,
+a > b when key(a) > key(b) and a ~ b when the keys are equal.  So
+equivalence is transitive, and no infinite strictly descending chain
+exists (keys live in a finite product of well-ordered sets once a
+system is fixed).
 
 An elementary diagram with top step u, left step l, right path
 r_1 .. r_m and bottom path d_1 .. d_n is *decreasing* when
@@ -15,12 +14,10 @@ r_1 .. r_m and bottom path d_1 .. d_n is *decreasing* when
   (2) there is s in 0..m with l ~ r_s when s > 0, u > r_t for all t < s,
       and (u > r_t or l > r_t) for all t > s.
 
-A dashed top or left imposes no conditions of its own; the check simply
-never lets a missing side dominate anything.  Transposing a diagram
-swaps the two conditions, so decreasingness is transpose-invariant.
-`check_decreasing` runs the check over a family of labelled diagrams; it
-is the one place that family checks (natural squares, chosen critical
-diagrams) go through.
+Transposing a diagram swaps the two conditions, so decreasingness is
+transpose-invariant.  `check_decreasing` runs the check over a family of
+labelled diagrams; it is the one place that family checks (natural
+squares, chosen critical diagrams) go through.
 
 `rule_rank_order` builds the simplest useful order: instances compare by
 an integer rank attached to their rule's name, with ties either declared
@@ -30,7 +27,6 @@ equivalent or broken by total instance length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .words import RuleInstance
@@ -39,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .diagrams import ElementaryDiagram
 
 __all__ = [
-    "Verdict",
     "InstanceOrder",
     "rule_rank_order",
     "DecreasingWitness",
@@ -49,24 +44,18 @@ __all__ = [
 ]
 
 
-class Verdict(Enum):
-    GREATER = "greater"
-    LESS = "less"
-    EQUIVALENT = "equivalent"
-
-
 @dataclass(frozen=True)
 class InstanceOrder:
-    """A named total preorder on rule instances."""
+    """A named total preorder on rule instances, given by a sort key."""
 
     name: str
-    compare: Callable[[RuleInstance, RuleInstance], Verdict]
+    key: Callable[[RuleInstance], tuple]
 
     def greater(self, a: RuleInstance, b: RuleInstance) -> bool:
-        return self.compare(a, b) is Verdict.GREATER
+        return self.key(a) > self.key(b)
 
     def equivalent(self, a: RuleInstance, b: RuleInstance) -> bool:
-        return self.compare(a, b) is Verdict.EQUIVALENT
+        return self.key(a) == self.key(b)
 
 
 def rule_rank_order(ranks: Mapping[str, int], tie: str = "equivalent") -> InstanceOrder:
@@ -76,21 +65,15 @@ def rule_rank_order(ranks: Mapping[str, int], tie: str = "equivalent") -> Instan
     under tie="equivalent", or compared by total source length under
     tie="length".
     """
-    if tie not in ("equivalent", "length"):
+    if tie == "equivalent":
+        def key(a: RuleInstance) -> tuple:
+            return (ranks.get(a.rule.name, 0),)
+    elif tie == "length":
+        def key(a: RuleInstance) -> tuple:
+            return (ranks.get(a.rule.name, 0), len(a.source))
+    else:
         raise ValueError(f"unknown tie policy {tie!r}")
-
-    def cmp(a: RuleInstance, b: RuleInstance) -> Verdict:
-        ra = ranks.get(a.rule.name, 0)
-        rb = ranks.get(b.rule.name, 0)
-        if ra != rb:
-            return Verdict.GREATER if ra > rb else Verdict.LESS
-        if tie == "length":
-            la, lb = len(a.source), len(b.source)
-            if la != lb:
-                return Verdict.GREATER if la > lb else Verdict.LESS
-        return Verdict.EQUIVALENT
-
-    return InstanceOrder(name=f"rule-rank/{tie}", compare=cmp)
+    return InstanceOrder(name=f"rule-rank/{tie}", key=key)
 
 
 @dataclass(frozen=True)
@@ -110,8 +93,8 @@ class DecreasingWitness:
 
 def _side_split(
     order: InstanceOrder,
-    anchor: RuleInstance | None,
-    other: RuleInstance | None,
+    anchor: RuleInstance,
+    other: RuleInstance,
     steps: tuple[RuleInstance, ...],
 ) -> tuple[int | None, str]:
     """Find a split index for one convergence side.
@@ -119,17 +102,9 @@ def _side_split(
     `anchor` is the parallel boundary step (top for the bottom path, left
     for the right path); steps before the split must be dominated by
     `other`, the split step must be equivalent to `anchor`, and steps
-    after the split must be dominated by `other` or `anchor`.  A missing
-    (dashed) boundary step dominates nothing and is equivalent to
-    nothing.
+    after the split must be dominated by `other` or `anchor`.
     """
-
-    def gt(a: RuleInstance | None, b: RuleInstance) -> bool:
-        return a is not None and order.greater(a, b)
-
-    def sim(a: RuleInstance | None, b: RuleInstance) -> bool:
-        return a is not None and order.equivalent(a, b)
-
+    gt, sim = order.greater, order.equivalent
     best_block = ""
     for j in range(len(steps) + 1):
         ok = True

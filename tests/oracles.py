@@ -21,6 +21,10 @@ of an index over coded steps.  `scan_neighbours` lists one state's
 neighbours in that order; the random-system test also walks it to build
 paths that the search should join.
 
+`natural_square` is the bare formula of a natural square, the reference
+for the in-place builder behind `srw.diagrams.natural_squares` and the
+tiler's natural cells.
+
 `monomial_counterexamples` is no reference implementation but a sampler
 that two test modules share: it puts the order under test to random
 instances and their whiskered copies.
@@ -184,15 +188,30 @@ def tiny_system() -> SrsSystem:
     )
 
 
+def natural_square(r1: Rule, w: Word, r2: Rule) -> tuple[RuleInstance, RuleInstance, Path, Path]:
+    """(top, left, right, bottom) of the square commuting r1 and r2 across w.
+
+    Top applies r1 with the word w·lhs(r2) on its right; left applies r2
+    with lhs(r1)·w on its left; either order reaches rhs(r1)·w·rhs(r2).
+    """
+    top = RuleInstance((), r1, w + r2.lhs)
+    left = RuleInstance(r1.lhs + w, r2, ())
+    right = Path(top.target, (RuleInstance(r1.rhs + w, r2, ()),))
+    bottom = Path(left.target, (RuleInstance((), r1, w + r2.rhs),))
+    return top, left, right, bottom
+
+
 def monomial_counterexamples(
     order, sys: SrsSystem, trials: int, seed: int, max_context: int = 3
 ) -> list[str]:
     """Random-test that whiskering preserves comparison verdicts.
 
     For sampled instances p, q and words w the verdicts of (w·p, w·q) and
-    (p·w, q·w) must equal the verdict of (p, q).  Returns the first ten
-    counterexamples, rendered; none means the sample found the order
-    compatible with contexts.
+    (p·w, q·w) must equal the verdict of (p, q), where a verdict is
+    "greater", "less" or "equivalent" as `order.greater` and
+    `order.equivalent` say.  Returns the first ten counterexamples,
+    rendered; none means the sample found the order compatible with
+    contexts.
     """
     rng = random.Random(seed)
 
@@ -204,17 +223,22 @@ def monomial_counterexamples(
         lu, lv = rng.randrange(max_context + 1), rng.randrange(max_context + 1)
         return RuleInstance(word(lu), rule, word(lv))
 
+    def verdict(a: RuleInstance, b: RuleInstance) -> str:
+        if order.greater(a, b):
+            return "greater"
+        return "equivalent" if order.equivalent(a, b) else "less"
+
     bad: list[str] = []
     for _ in range(trials):
         p, q = instance(), instance()
         w = word(rng.randrange(max_context + 1))
-        base = order.compare(p, q)
-        lv = order.compare(p.whisker(w, ()), q.whisker(w, ()))
-        rv = order.compare(p.whisker((), w), q.whisker((), w))
-        if lv is not base or rv is not base:
+        base = verdict(p, q)
+        lv = verdict(p.whisker(w, ()), q.whisker(w, ()))
+        rv = verdict(p.whisker((), w), q.whisker((), w))
+        if lv != base or rv != base:
             bad.append(
-                f"{p.render(sys.n)} vs {q.render(sys.n)} -> {base.value}, "
-                f"under w={sys.fmt(w)}: left {lv.value}, right {rv.value}"
+                f"{p.render(sys.n)} vs {q.render(sys.n)} -> {base}, "
+                f"under w={sys.fmt(w)}: left {lv}, right {rv}"
             )
             if len(bad) >= 10:
                 break

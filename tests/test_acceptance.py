@@ -24,7 +24,7 @@ from srw.hecke import (
     hecke_provider,
     hecke_system,
 )
-from srw.order import Verdict, check_decreasing
+from srw.order import check_decreasing
 from srw.seminormal import attractor, canon, words_equal
 from srw.words import BACKWARD, FORWARD, Path, RuleInstance, Zigzag, find_redexes
 
@@ -279,25 +279,16 @@ def test_criterion_11_order_sanity():
     keys.sort()  # a total key ranking exists, so the strict part is acyclic
     assert len(keys) == len(instances)
 
-    # The verdict of (q, p) given that of (p, q).
-    flip = {
-        Verdict.GREATER: Verdict.LESS,
-        Verdict.LESS: Verdict.GREATER,
-        Verdict.EQUIVALENT: Verdict.EQUIVALENT,
-    }
     rng = random.Random(11)
     nonvacuous = 0
     for _ in range(10000):
         p, q, r = (rng.choice(instances) for _ in range(3))
-        pq = order.compare(p, q)
-        assert pq is not None
-        assert order.compare(q, p) is flip[pq]
-        expected = {
-            0: Verdict.EQUIVALENT, 1: Verdict.GREATER, -1: Verdict.LESS,
-        }[(_instance_key(p) > _instance_key(q)) - (_instance_key(p) < _instance_key(q))]
-        assert pq is expected
-        if pq is Verdict.EQUIVALENT and order.compare(q, r) is Verdict.EQUIVALENT:
-            assert order.compare(p, r) is Verdict.EQUIVALENT
+        pq, qp, eq = order.greater(p, q), order.greater(q, p), order.equivalent(p, q)
+        assert pq + qp + eq == 1
+        kp, kq = _instance_key(p), _instance_key(q)
+        assert (pq, qp, eq) == (kp > kq, kq > kp, kp == kq)
+        if eq and order.equivalent(q, r):
+            assert order.equivalent(p, r)
             nonvacuous += 1
     assert nonvacuous > 0
 

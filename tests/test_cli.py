@@ -346,8 +346,21 @@ def test_rule_rank_order_document(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["validate", str(path)])
     assert code == 0
-    code, out, _ = run(capsys, ["check-decreasing", str(path), "--contexts", "1"])
-    assert code in (0, 1)  # a verdict, not a usage error
+    # Each BFS join of the 211 overlap has a swp step of the left swp step's
+    # rank and source length, which neither the dbl step (rank 0) nor that
+    # swp step dominates, under either tie policy.
+    want = (
+        "critical overlap 211: 2:dbl:- | -:swp:1: bottom path: "
+        "step 1 not dominated by either side (bfs chooser)\n"
+        "critical overlap 211: -:swp:1 | 2:dbl:-: right path: "
+        "step 1 not dominated by either side (bfs chooser)\n"
+        "UNKNOWN: 16 diagrams checked, 2 not decreasing\n"
+    )
+    for tie in ("length", "equivalent"):
+        doc["order"]["tie"] = tie
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["check-decreasing", str(path), "--contexts", "1"])
+        assert (code, out) == (1, want)
     doc["order"] = {"kind": "mystery"}
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["validate", str(path)])

@@ -16,7 +16,7 @@ from srw.diagrams import (
     complete_tiling,
     complete_zigzag,
     export_dot,
-    natural_ed,
+    natural_squares,
     paths_equivalent_mod_cells,
     standard_provider,
     transpose_ed,
@@ -39,7 +39,7 @@ from srw.words import (
     find_redexes,
 )
 
-from oracles import scan_neighbours, scan_path_search, tiny_system
+from oracles import natural_square, scan_neighbours, scan_path_search, tiny_system
 from test_words import systems_with_words
 
 
@@ -64,53 +64,31 @@ def test_diagram_shapes():
         right=Path(top.target, (mid,)),
         bottom=Path(left.target, (mid,)),
     )
-    assert proper.is_proper
-    assert proper.source == (1, 1, 1) and proper.sink == (1,)
+    assert proper.right.end == proper.bottom.end == (1,)
 
-    # dashed top: the single right step repeats the left arrow
-    unit_left = ElementaryDiagram(
-        top=None,
-        left=left,
-        right=Path(left.source, (left,)),
-        bottom=Path(left.target),
-    )
-    assert not unit_left.is_proper
-    unit_top = ElementaryDiagram(
-        top=top,
-        left=None,
-        right=Path(top.target),
-        bottom=Path(top.source, (top,)),
-    )
-    assert unit_top.source == top.source
-    all_dashed = ElementaryDiagram(
-        top=None, left=None, right=Path((1, 2)), bottom=Path((1, 2))
-    )
-    assert all_dashed.sink == (1, 2)
-
-    other = RuleInstance((1,), dbl, ())  # same source as left, different step
-    with pytest.raises(ValueError):
-        ElementaryDiagram(
-            top=None,
-            left=left,
-            right=Path(left.source, (other,)),
-            bottom=Path(other.target),
-        )
-    with pytest.raises(ValueError):
-        ElementaryDiagram(
-            top=top,
-            left=left,
-            right=Path(top.target, (mid,)),
-            bottom=Path(left.target),  # does not converge
-        )
+    other = RuleInstance((2,), dbl, ())  # source 211, not 111
+    bad_shapes = [
+        (other, left, Path(other.target), Path(left.target, (mid,))),
+        (top, left, Path(top.source, (top,)), Path(left.target, (mid,))),
+        (top, left, Path(top.target, (mid,)), Path(left.source, (left,))),
+        (top, left, Path(top.target, (mid,)), Path(left.target)),  # no convergence
+    ]
+    for t, l, r, b in bad_shapes:
+        with pytest.raises(SourceMismatch):
+            ElementaryDiagram(top=t, left=l, right=r, bottom=b)
 
 
 def test_natural_whisker_transpose():
     sys = _h3()
-    ed = natural_ed(sys.rule("a1"), (3,), sys.rule("c31"))
-    assert ed.source == (1, 1, 3, 3, 1)
+    ed = next(
+        ed
+        for (r1, w, r2), ed in natural_squares(sys, 1)
+        if (r1.name, w, r2.name) == ("a1", (3,), "c31")
+    )
+    assert ed.top.source == ed.left.source == (1, 1, 3, 3, 1)
     assert ed.right.end == ed.bottom.end == (1, 3, 1, 3)
     w = whisker_ed(ed, (2,), (2,))
-    assert w.source == (2,) + ed.source + (2,)
+    assert w.top.source == (2,) + ed.top.source + (2,)
     t = transpose_ed(ed)
     assert t.top == ed.left and t.left == ed.top
     assert t.right.steps == ed.bottom.steps and t.bottom.steps == ed.right.steps
@@ -135,12 +113,10 @@ def test_adjoin_validates_corner():
     w = (3, 2, 1, 3)
     t = _peak_tiling(sys, find_redexes(w, sys)[1], find_redexes(w, sys)[0])
     idx, h, v = t.open_corners()[0]
-    # a dashed-top unit cell does not fit a corner whose top is a real step
-    unit = ElementaryDiagram(
-        top=None, left=v, right=Path(v.source, (v,)), bottom=Path(v.target)
-    )
+    # the improper cell of the vertical step does not fit: its top is not h
+    unit = ElementaryDiagram(top=v, left=v, right=Path(v.target), bottom=Path(v.target))
     with pytest.raises(CornerMismatch):
-        t.adjoin_at_corner(idx, unit, tag="unit")
+        t.adjoin_at_corner(idx, unit, tag="improper")
 
 
 def test_complete_peak_undo_square():
@@ -191,6 +167,10 @@ def _no_critical_cells(pair):
 
 def test_natural_cells_in_place_equal_the_three_stage_build():
     sys = hecke_system(4, "rfull")
+    squares = list(natural_squares(sys, 2))
+    for (r1, w, r2), ed in squares:
+        assert (ed.top, ed.left, ed.right, ed.bottom) == natural_square(r1, w, r2)
+    assert len(squares) == 16 * 16 * 21
     provide = standard_provider(sys, chooser=_no_critical_cells)
     checked = {"natural": 0, "transposed": 0}
     for w in all_words(4, 6):
@@ -200,11 +180,11 @@ def test_natural_cells_in_place_equal_the_three_stage_build():
                 ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
                 av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
                 if bh <= av:
-                    built = natural_ed(h.rule, w[bh:av], v.rule)
+                    built = ElementaryDiagram(*natural_square(h.rule, w[bh:av], v.rule))
                     built = whisker_ed(built, h.left, v.right)
                     tag = "natural"
                 elif bv <= ah:
-                    built = transpose_ed(natural_ed(v.rule, w[bv:ah], h.rule))
+                    built = transpose_ed(ElementaryDiagram(*natural_square(v.rule, w[bv:ah], h.rule)))
                     built = whisker_ed(built, v.left, h.right)
                     tag = "transposed"
                 else:

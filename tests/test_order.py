@@ -1,13 +1,12 @@
-"""Instance preorders, decreasingness of diagrams, monomiality checks."""
+"""Instance orders, decreasingness of diagrams, monomiality checks."""
 
 import random
 
 from srw.critical import enumerate_critical_pairs
-from srw.diagrams import ElementaryDiagram, natural_ed, natural_squares, transpose_ed
+from srw.diagrams import ElementaryDiagram, natural_squares, transpose_ed
 from srw.hecke import chosen_critical_ed_tagged, hecke_system
 from srw.order import (
     InstanceOrder,
-    Verdict,
     check_decreasing,
     is_decreasing_ed,
     rule_rank_order,
@@ -29,6 +28,9 @@ def test_rule_rank_order():
     long = RuleInstance((1, 2), sys.rule("dbl"), ())
     short = RuleInstance((), sys.rule("dbl"), ())
     assert by_len.greater(long, short)
+    # The rank decides before the length does.
+    ranked = rule_rank_order({"dbl": 1, "swp": 0}, tie="length")
+    assert ranked.greater(short, RuleInstance((1, 1), sys.rule("swp"), ()))
 
 
 def test_hecke_order_idempotence_by_total_length():
@@ -146,8 +148,13 @@ def test_not_decreasing_reports_reason():
 
 def test_natural_square_decreasing_under_hecke_order():
     sys = hecke_system(3, "rfull")
+    squares = {
+        w: ed
+        for (r1, w, r2), ed in natural_squares(sys, 3)
+        if (r1.name, r2.name) == ("a1", "c31")
+    }
     for w in [(), (1,), (2, 2), (3, 1, 2)]:
-        ed = natural_ed(sys.rule("a1"), w, sys.rule("c31"))
+        ed = squares[w]
         ok, _ = is_decreasing_ed(sys.order, ed)
         assert ok
         ok, _ = is_decreasing_ed(sys.order, transpose_ed(ed))
@@ -185,7 +192,7 @@ def test_check_decreasing_counts_and_labels_failures():
         right=Path(top.target, (swp,)),
         bottom=Path(top.target, (swp,)),
     )
-    good = natural_ed(sys.rule("dbl"), (), sys.rule("dbl"))
+    good = next(ed for (r1, _, r2), ed in natural_squares(sys, 0) if r1.name == r2.name == "dbl")
     rep = check_decreasing(ord_, [("good", good), ("bad", bad), ("none", None)])
     assert rep.checked == 3 and not rep.ok
     assert [label for label, _ in rep.failures] == ["bad", "none"]
@@ -205,15 +212,7 @@ def _first_letter_order() -> InstanceOrder:
     Looks as if it measures the context, but whiskering on the left
     changes the first letter, so verdicts flip under composition.
     """
-
-    def cmp(a: RuleInstance, b: RuleInstance) -> Verdict:
-        ka = a.left[0] if a.left else 0
-        kb = b.left[0] if b.left else 0
-        if ka == kb:
-            return Verdict.EQUIVALENT
-        return Verdict.GREATER if ka > kb else Verdict.LESS
-
-    return InstanceOrder(name="first-letter", compare=cmp)
+    return InstanceOrder(name="first-letter", key=lambda a: (a.left[0] if a.left else 0,))
 
 
 def test_monomial_sample_catches_broken_order():
