@@ -1,6 +1,6 @@
 """Tile one peak and write the reduction diagram as Graphviz DOT.
 
-Builds the rank-n Hecke system, parses the two sides of a peak from
+Builds the rank-n rfull Hecke system, parses the two sides of a peak from
 step specs (LEFT:RULE:RIGHT with '-' for an empty context, comma
 separated), closes the peak with the curated cell family, and emits DOT
 on stdout or to a file.  Render with `dot -Tsvg out.dot -o out.svg`.
@@ -23,8 +23,6 @@ from srw.words import Path, find_redexes
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rank", type=int, default=3)
-    ap.add_argument("--variant", default="rfull",
-                    choices=["rprime", "rdoubleprime", "rfull"])
     ap.add_argument("--top", help="comma separated step specs")
     ap.add_argument("--left", help="comma separated step specs")
     ap.add_argument("--word", help="peak word; use with --all-pairs")
@@ -34,7 +32,7 @@ def main() -> None:
     ap.add_argument("-o", "--output", help="write DOT here instead of stdout")
     args = ap.parse_args()
 
-    sys = hecke_system(args.rank, args.variant)
+    sys = hecke_system(args.rank, "rfull")
     provider = hecke_provider(sys)
 
     if args.all_pairs:

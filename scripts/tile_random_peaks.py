@@ -1,4 +1,4 @@
-"""Sample random peaks over a Hecke system and tile them to completion.
+"""Sample random peaks over an rfull Hecke system and tile them to completion.
 
 For each trial the script draws a random word, two random reduction paths
 out of it, and asks the tiler to close the peak using the curated cell
@@ -35,8 +35,6 @@ def random_path(rng: random.Random, w, sys, max_steps: int) -> Path:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rank", type=int, default=3)
-    ap.add_argument("--variant", default="rfull",
-                    choices=["rprime", "rdoubleprime", "rfull"])
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--max-len", type=int, default=8, help="word length cap")
     ap.add_argument("--max-steps", type=int, default=3, help="steps per side")
@@ -44,7 +42,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    sys = hecke_system(args.rank, args.variant)
+    sys = hecke_system(args.rank, "rfull")
     provider = hecke_provider(sys)
     rng = random.Random(args.seed)
     tags = collections.Counter()
@@ -68,7 +66,7 @@ def main() -> None:
     dt = time.monotonic() - t0
 
     print(f"{done} peaks tiled in {dt:.2f}s over rank {args.rank} "
-          f"({args.variant}), all within fuel {args.fuel}")
+          f"(rfull), all within fuel {args.fuel}")
     print(f"largest tiling: {biggest} cells")
     print("cells by tag:")
     for tag, k in tags.most_common():

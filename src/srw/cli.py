@@ -56,8 +56,6 @@ from .diagrams import (
     standard_provider,
 )
 from .hecke import (
-    CapExceeded,
-    InvalidRank,
     chosen_chooser,
     enumerate_monoid,
     hecke_order,
@@ -182,11 +180,9 @@ def parse_step(s: str, sys: SrsSystem) -> RuleInstance:
     return RuleInstance(parse_word(left, sys), rule, parse_word(right, sys))
 
 
-def parse_path(s: str, sys: SrsSystem, start: tuple[int, ...] | None = None) -> Path:
+def parse_path(s: str, sys: SrsSystem) -> Path:
     if s == "-":
-        if start is None:
-            raise UsageError("an empty path needs a start word from elsewhere")
-        return Path(start)
+        raise UsageError("an empty path needs a start word from elsewhere")
     steps = tuple(parse_step(part, sys) for part in s.split(","))
     try:
         return Path(steps[0].source, steps)
@@ -236,7 +232,7 @@ def _emit_json(doc: Any) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _tiling_doc(t: Tiling, sys: SrsSystem) -> dict[str, Any]:
+def _tiling_doc(t: Tiling) -> dict[str, Any]:
     tags: dict[str, int] = {}
     for rec in t.cells:
         tags[rec.tag] = tags.get(rec.tag, 0) + 1
@@ -440,7 +436,7 @@ def _print_completion(
         return
     first, second = ("right", "bottom") if kind == "peak" else ("from-start", "from-end")
     if args.json:
-        doc = _tiling_doc(t, sys)
+        doc = _tiling_doc(t)
         doc["common" if kind == "zigzag" else "sink"] = sys.fmt(sink)
         doc[first] = p1.render(sys.n)
         doc[second] = p2.render(sys.n)
@@ -668,10 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, InvalidRank, CapExceeded) as exc:
-        print(f"error: {exc}", file=_sysmod.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
     except RuntimeError as exc:

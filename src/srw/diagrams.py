@@ -238,10 +238,6 @@ class Tiling:
             i = self._first_corner(i + 1)
         return out
 
-    @property
-    def is_complete(self) -> bool:
-        return self._first_corner(0) is None
-
     def adjoin_at_corner(self, index: int, ed: ElementaryDiagram, tag: str, origin: str = "") -> None:
         """Glue `ed` at the open corner starting at frontier position `index`."""
         f = self._frontier
@@ -370,13 +366,11 @@ def _relative_pair(h: RuleInstance, v: RuleInstance):
     """Strip the common outer context of two overlapping co-initial steps.
 
     Returns (bare critical pair, left context, right context) with h's
-    stripped copy first, or None when the redexes do not interfere.
+    stripped copy first.
     """
     w = h.source
     ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
     av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
-    if bh <= av or bv <= ah:
-        return None
     lo, hi = min(ah, av), max(bh, bv)
     u_ctx, v_ctx = w[:lo], w[hi:]
     h_rel = RuleInstance(h.left[lo:], h.rule, h.right[: len(h.right) - len(v_ctx)])
@@ -453,10 +447,7 @@ def standard_provider(sys: SrsSystem, chooser) -> CellProvider:
         nat = _natural_cell(h, v)
         if nat is not None:
             return nat
-        rel = _relative_pair(h, v)
-        if rel is None:  # pragma: no cover - one of the cases above applies
-            return None
-        pair, u_ctx, v_ctx = rel
+        pair, u_ctx, v_ctx = _relative_pair(h, v)
         got = chooser(pair)
         if got is None:
             return None

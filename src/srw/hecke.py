@@ -32,6 +32,9 @@ braids); ascending commutations with the same source compare equal.
 curated elementary diagram that the order makes decreasing, with its
 family name and whether it was transposed.  `cells_P` is the finite
 family of parallel path pairs over rdoubleprime that generates all loops.
+Each curated diagram and member is written as a peak word plus, step by
+step, the position where a rule rewrites the current word (a run of
+commutations is given by the word it reaches).
 
 `verify_suite` machine-checks the whole setup in five items, each with
 its status, detail and seconds, and folds the statuses into one verdict:
@@ -63,6 +66,7 @@ from .words import (
     Path,
     Rule,
     RuleInstance,
+    SourceMismatch,
     SrsSystem,
     Word,
     all_words,
@@ -204,9 +208,11 @@ class _HeckeRules:
     order), `independent`: the letter pairs (s, t) that some commutation
     rule rewrites s t to t s, and `paired`: whether every commutation's
     inverse is a rule as well, which makes `independent` symmetric.
+    `sys` is the system indexed.
     """
 
     def __init__(self, sys: SrsSystem):
+        self.sys = sys
         self._by_kind = {classify_rule(r): r for r in sys.rules}
         swaps = {k[1:] for k in self._by_kind if k[0] in ("cf", "ci")}
         rest = tuple(r for r in sys.rules if classify_rule(r)[0] not in ("cf", "ci"))
@@ -270,263 +276,182 @@ def c_sort_path(start: Word, target: Word, sys: SrsSystem) -> Path:
 # --- curated critical diagrams over rfull ----------------------------------
 
 
-def _path(start: Word, steps: list[RuleInstance]) -> Path:
+def _at(word: Word, pos: int, rule: Rule) -> RuleInstance:
+    """The step that rewrites the occurrence of `rule.lhs` at `pos` in `word`."""
+    end = pos + len(rule.lhs)
+    if word[pos:end] != rule.lhs:
+        raise SourceMismatch(f"{rule.name} does not apply at {pos} in {word}")
+    return RuleInstance(word[:pos], rule, word[end:])
+
+
+def _walk(start: Word, moves, H: _HeckeRules) -> Path:
+    """The path from `start` that makes each move in turn: a (pos, rule)
+    pair rewrites the current word at pos, a word is reached by
+    `c_sort_path`."""
+    steps: list[RuleInstance] = []
+    cur = start
+    for move in moves:
+        if isinstance(move[-1], Rule):
+            steps.append(_at(cur, *move))
+            cur = steps[-1].target
+        else:
+            steps.extend(c_sort_path(cur, move, H.sys).steps)
+            cur = move
     return Path(start, tuple(steps))
 
 
-def _ri(u: Word, r: Rule, v: Word) -> RuleInstance:
-    return RuleInstance(u, r, v)
+def _square(peak: Word, top, left, right, bottom, H: _HeckeRules) -> ElementaryDiagram:
+    """The diagram on `peak` with (pos, rule) steps `top` and `left`, whose
+    right and bottom sides walk their moves from the top's and the left's
+    targets."""
+    t, l = _at(peak, *top), _at(peak, *left)
+    return ElementaryDiagram(
+        top=t, left=l, right=_walk(t.target, right, H), bottom=_walk(l.target, bottom, H)
+    )
 
 
 def _aa_cell(k: int, H: _HeckeRules) -> ElementaryDiagram:
     a = H.a(k)
-    top = _ri((k,), a, ())
-    left = _ri((), a, (k,))
-    mid = _ri((), a, ())
-    return ElementaryDiagram(
-        top=top,
-        left=left,
-        right=_path(top.target, [mid]),
-        bottom=_path(left.target, [mid]),
-    )
+    return _square((k, k, k), (1, a), (0, a), [(0, a)], [(0, a)], H)
 
 
 def _aB_cell(k: int, j: int, H: _HeckeRules) -> ElementaryDiagram:
     """Idempotence at the left end of a braid source: peak k · (k...jk)."""
     kp = k - 1
-    top = _ri((k,), H.b(k, j), ())
-    left = _ri((), H.a(k), _D(kp, j) + (k,))
-    right = _path(
-        top.target,
-        [
-            _ri((), H.b(k, kp), _D(kp, j)),
-            _ri((kp, k), H.a(kp), _D(k - 2, j)),
-        ],
+    return _square(
+        (k,) + _D(k, j) + (k,), (1, H.b(k, j)), (0, H.a(k)),
+        [(0, H.b(k, kp)), (2, H.a(kp))],
+        [(0, H.b(k, j))],
+        H,
     )
-    bottom = _path(left.target, [_ri((), H.b(k, j), ())])
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
 
 
 def _Ba_cell(k: int, j: int, H: _HeckeRules) -> ElementaryDiagram:
     """Idempotence at the right end of a braid source: peak (k...jk) · k."""
-    kp = k - 1
-    top = _ri(_D(k, j), H.a(k), ())
-    left = _ri((), H.b(k, j), (k,))
-    right = _path(top.target, [_ri((), H.b(k, j), ())])
-    bottom = _path(
-        left.target,
-        [
-            _ri((kp,), H.b(k, j), ()),
-            _ri((), H.a(kp), (k,) + _D(kp, j)),
-        ],
+    return _square(
+        _D(k, j) + (k, k), (k - j + 1, H.a(k)), (0, H.b(k, j)),
+        [(0, H.b(k, j))],
+        [(1, H.b(k, j)), (0, H.a(k - 1))],
+        H,
     )
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
 
 
 def _bB_cell(k: int, i: int, H: _HeckeRules) -> ElementaryDiagram:
     """Basic braid overlapping a braid: peak (k k' k) · (k'...i k)."""
-    kp, kpp = k - 1, k - 2
-    top = _ri((k, kp), H.b(k, i), ())
-    left = _ri((), H.b(k, kp), _D(kp, i) + (k,))
-    right = _path(
-        top.target,
-        [
-            _ri((k,), H.a(kp), (k,) + _D(kp, i)),
-            _ri((), H.b(k, kp), _D(kp, i)),
-            _ri((kp, k), H.a(kp), _D(kpp, i)),
-        ],
+    kp = k - 1
+    b, bi, a = H.b(k, kp), H.b(k, i), H.a(kp)
+    return _square(
+        (k, kp) + _D(k, i) + (k,), (2, bi), (0, b),
+        [(1, a), (0, b), (2, a)],
+        [(2, a), (1, bi), (0, a)],
+        H,
     )
-    bottom = _path(
-        left.target,
-        [
-            _ri((kp, k), H.a(kp), _D(kpp, i) + (k,)),
-            _ri((kp,), H.b(k, i), ()),
-            _ri((), H.a(kp), (k,) + _D(kp, i)),
-        ],
-    )
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
 
 
-def _BB_cell(k: int, j: int, i: int, H: _HeckeRules, sys: SrsSystem) -> ElementaryDiagram:
+def _BB_cell(k: int, j: int, i: int, H: _HeckeRules) -> ElementaryDiagram:
     """Long braid overlapping a braid: peak (k...jk) · (k'...ik), j <= k-2."""
-    kp, kpp, kppp = k - 1, k - 2, k - 3
-    S = _D(kppp, j) + _D(kpp, i)
-    top = _ri(_D(k, j), H.b(k, i), ())
-    left = _ri((), H.b(k, j), _D(kp, i) + (k,))
-
-    r0 = top.target
-    r1 = (k, kp, kpp, kp, k, kp) + S
-    right_steps = list(c_sort_path(r0, r1, sys).steps)
-    st = _ri((k,), H.b(kp, kpp), (k, kp) + S)
-    right_steps.append(st)
-    r2 = st.target
-    r3 = (kpp, k, kp, k, kpp, kp) + S
-    right_steps.extend(c_sort_path(r2, r3, sys).steps)
-    st = _ri((kpp,), H.b(k, kp), (kpp, kp) + S)
-    right_steps.append(st)
-    st2 = _ri((kpp, kp, k), H.b(kp, kpp), S)
-    right_steps.append(st2)
-    sink = st2.target
-
-    b0 = left.target
-    b1 = (kp, k, kp, kpp, kp, k) + S
-    bottom_steps = list(c_sort_path(b0, b1, sys).steps)
-    st = _ri((kp, k), H.b(kp, kpp), (k,) + S)
-    bottom_steps.append(st)
-    b2 = st.target
-    b3 = (kp, kpp, k, kp, k, kpp) + S
-    bottom_steps.extend(c_sort_path(b2, b3, sys).steps)
-    st = _ri((kp, kpp), H.b(k, kp), (kpp,) + S)
-    bottom_steps.append(st)
-    st2 = _ri((), H.b(kp, kpp), (k, kp, kpp) + S)
-    bottom_steps.append(st2)
-    bottom_steps.extend(c_sort_path(st2.target, sink, sys).steps)
-
-    return ElementaryDiagram(
-        top=top,
-        left=left,
-        right=_path(r0, right_steps),
-        bottom=_path(b0, bottom_steps),
+    kp, kpp = k - 1, k - 2
+    S = _D(k - 3, j) + _D(kpp, i)
+    b, bp = H.b(k, kp), H.b(kp, kpp)
+    return _square(
+        _D(k, j) + _D(k, i) + (k,), (k - j + 1, H.b(k, i)), (0, H.b(k, j)),
+        [
+            (k, kp, kpp, kp, k, kp) + S, (1, bp),
+            (kpp, k, kp, k, kpp, kp) + S, (1, b), (3, bp),
+        ],
+        [
+            (kp, k, kp, kpp, kp, k) + S, (2, bp),
+            (kp, kpp, k, kp, k, kpp) + S, (2, b), (0, bp),
+            (kpp, kp, k, kpp, kp, kpp) + S,
+        ],
+        H,
     )
 
 
-def _cB_cell(k: int, j: int, i: int, H: _HeckeRules, sys: SrsSystem) -> ElementaryDiagram:
+def _cB_cell(k: int, j: int, i: int, H: _HeckeRules) -> ElementaryDiagram:
     """Commutation then braid: peak k · (j...ij), k >= j+2."""
     b = H.b(j, i)
-    top = _ri((k,), b, ())
-    left = _ri((), H.c(k, j), _D(j - 1, i) + (j,))
-    right = c_sort_path((k,) + b.rhs, b.rhs + (k,), sys)
-    bottom_steps = list(c_sort_path(left.target, _D(j, i) + (k, j), sys).steps)
-    bottom_steps.append(_ri(_D(j, i), H.c(k, j), ()))
-    bottom_steps.append(_ri((), b, (k,)))
-    return ElementaryDiagram(
-        top=top, left=left, right=right, bottom=_path(left.target, bottom_steps)
+    return _square(
+        (k,) + b.lhs, (1, b), (0, H.c(k, j)),
+        [b.rhs + (k,)],
+        [_D(j, i) + (k, j), (j - i + 1, H.c(k, j)), (0, b)],
+        H,
     )
 
 
-def _Bc1_cell(k: int, j: int, s: int, H: _HeckeRules, sys: SrsSystem) -> ElementaryDiagram:
+def _Bc1_cell(k: int, j: int, s: int, H: _HeckeRules) -> ElementaryDiagram:
     """Braid then small commutation: peak (k...jk) · s with s <= j-2."""
-    kp = k - 1
     b = H.b(k, j)
-    top = _ri(_D(k, j), H.c(k, s), ())
-    left = _ri((), b, (s,))
-    right_steps = list(
-        c_sort_path(top.target, (k, s) + _D(kp, j) + (k,), sys).steps
-    )
-    right_steps.append(_ri((), H.c(k, s), _D(kp, j) + (k,)))
-    right_steps.append(_ri((s,), b, ()))
-    bottom = c_sort_path(left.target, (s,) + b.rhs, sys)
-    return ElementaryDiagram(
-        top=top, left=left, right=_path(top.target, right_steps), bottom=bottom
+    return _square(
+        b.lhs + (s,), (k - j + 1, H.c(k, s)), (0, b),
+        [(k, s) + _D(k - 1, j) + (k,), (0, H.c(k, s)), (1, b)],
+        [(s,) + b.rhs],
+        H,
     )
 
 
 def _Bc2_cell(k: int, j: int, H: _HeckeRules) -> ElementaryDiagram:
     """Braid absorbing the commutation below its foot: peak (k...jk) · (j-1)."""
-    jp = j - 1
-    top = _ri(_D(k, j), H.c(k, jp), ())
-    left = _ri((), H.b(k, j), (jp,))
-    right = _path(top.target, [_ri((), H.b(k, jp), ())])
-    bottom = _path(left.target, [])
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
+    return _square(
+        _D(k, j) + (k, j - 1), (k - j + 1, H.c(k, j - 1)), (0, H.b(k, j)),
+        [(0, H.b(k, j - 1))],
+        [],
+        H,
+    )
 
 
 def _Bc3_cell(k: int, j: int, H: _HeckeRules) -> ElementaryDiagram:
     """Braid meeting the commutation of its own foot letter: peak (k...jk) · j."""
-    kp = k - 1
-    top = _ri(_D(k, j), H.c(k, j), ())
-    left = _ri((), H.b(k, j), (j,))
-    right = _path(
-        top.target,
-        [
-            _ri(_D(k, j + 1), H.a(j), (k,)),
-            _ri((), H.b(k, j), ()),
-        ],
+    return _square(
+        _D(k, j) + (k, j), (k - j + 1, H.c(k, j)), (0, H.b(k, j)),
+        [(k - j, H.a(j)), (0, H.b(k, j))],
+        [(k - j + 1, H.a(j))],
+        H,
     )
-    bottom = _path(
-        left.target,
-        [_ri((kp, k) + _D(kp, j + 1), H.a(j), ())],
-    )
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
 
 
-def _Bc4_cell(k: int, j: int, s: int, H: _HeckeRules, sys: SrsSystem) -> ElementaryDiagram:
+def _Bc4_cell(k: int, j: int, s: int, H: _HeckeRules) -> ElementaryDiagram:
     """Braid then mid-range commutation: peak (k...jk) · s, j < s <= k-2."""
-    kp = k - 1
-    sh = s + 1
     bsj = H.b(s, j)
-    top = _ri(_D(k, j), H.c(k, s), ())
-    left = _ri((), H.b(k, j), (s,))
-    right_steps = list(
-        c_sort_path(top.target, _D(k, sh) + (k,) + _D(s, j) + (s,), sys).steps
-    )
-    st = _ri(_D(k, sh) + (k,), bsj, ())
-    right_steps.append(st)
-    right_steps.append(_ri((), H.b(k, sh), bsj.rhs))
-    bottom = _path(
-        left.target,
-        [_ri((kp, k) + _D(kp, sh), bsj, ())],
-    )
-    return ElementaryDiagram(
-        top=top, left=left, right=_path(top.target, right_steps), bottom=bottom
+    return _square(
+        _D(k, j) + (k, s), (k - j + 1, H.c(k, s)), (0, H.b(k, j)),
+        [_D(k, s + 1) + (k,) + bsj.lhs, (k - s + 1, bsj), (0, H.b(k, s + 1))],
+        [(k - s + 1, bsj)],
+        H,
     )
 
 
 def _cc_cell(k: int, j: int, i: int, H: _HeckeRules) -> ElementaryDiagram:
     """Two chained commutations: peak k j i with k >= j+2 >= i+4."""
-    top = _ri((k,), H.c(j, i), ())
-    left = _ri((), H.c(k, j), (i,))
-    right = _path(
-        top.target,
-        [_ri((), H.c(k, i), (j,)), _ri((i,), H.c(k, j), ())],
+    ckj, cki, cji = H.c(k, j), H.c(k, i), H.c(j, i)
+    return _square(
+        (k, j, i), (1, cji), (0, ckj), [(0, cki), (1, ckj)], [(1, cki), (0, cji)], H
     )
-    bottom = _path(
-        left.target,
-        [_ri((j,), H.c(k, i), ()), _ri((), H.c(j, i), (k,))],
-    )
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
 
 
 def _ac_cell(s: int, t: int, H: _HeckeRules) -> ElementaryDiagram:
     """Commutation into idempotence: peak s t t."""
-    c = H.c(s, t)
-    top = _ri((s,), H.a(t), ())
-    left = _ri((), c, (t,))
-    right = _path(top.target, [_ri((), c, ())])
-    bottom = _path(
-        left.target,
-        [_ri((t,), c, ()), _ri((), H.a(t), (s,))],
-    )
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
+    c, a = H.c(s, t), H.a(t)
+    return _square((s, t, t), (1, a), (0, c), [(0, c)], [(1, c), (0, a)], H)
 
 
 def _ac_mirror_cell(s: int, t: int, H: _HeckeRules) -> ElementaryDiagram:
     """Idempotence into commutation: peak s s t."""
-    c = H.c(s, t)
-    top = _ri((), H.a(s), (t,))
-    left = _ri((s,), c, ())
-    right = _path(top.target, [_ri((), c, ())])
-    bottom = _path(
-        left.target,
-        [_ri((), c, (s,)), _ri((t,), H.a(s), ())],
-    )
-    return ElementaryDiagram(top=top, left=left, right=right, bottom=bottom)
+    c, a = H.c(s, t), H.a(s)
+    return _square((s, s, t), (0, a), (1, c), [(0, c)], [(0, c), (1, a)], H)
 
 
 def _undo_cell(inv: RuleInstance, other: RuleInstance, H: _HeckeRules) -> ElementaryDiagram:
     """Any pair touching an inverse commutation: undo it and replay the other."""
     s, t = inv.rule.lhs
-    undo = _ri(inv.left, H.c(t, s), inv.right)
+    undo = _at(inv.target, len(inv.left), H.c(t, s))
     return ElementaryDiagram(
-        top=inv,
-        left=other,
-        right=_path(inv.target, [undo, other]),
-        bottom=_path(other.target, []),
+        top=inv, left=other, right=Path(inv.target, (undo, other)), bottom=Path(other.target)
     )
 
 
 def _display_cell(
-    i1: RuleInstance, i2: RuleInstance, H: _HeckeRules, sys: SrsSystem
+    i1: RuleInstance, i2: RuleInstance, H: _HeckeRules
 ) -> tuple[ElementaryDiagram, str]:
     """Build the curated diagram for an unordered pair, display-oriented."""
     k1, k2 = classify_rule(i1.rule), classify_rule(i2.rule)
@@ -554,7 +479,7 @@ def _display_cell(
         if j == k - 1:
             name = "bb" if i == k - 1 else "bB"
             return _bB_cell(k, i, H), name
-        return _BB_cell(k, j, i, H, sys), "BB"
+        return _BB_cell(k, j, i, H), "BB"
     if kinds == {"b", "cf"}:
         c_inst, b_inst = (i1, i2) if k1[0] == "cf" else (i2, i1)
         ck = classify_rule(c_inst.rule)
@@ -563,16 +488,16 @@ def _display_cell(
             k, j = ck[1], ck[2]
             i = bk[2]
             name = "bc" if i == j - 1 else "cB"
-            return _cB_cell(k, j, i, H, sys), name
+            return _cB_cell(k, j, i, H), name
         k, j = bk[1], bk[2]
         s = ck[2]
         if s <= j - 2:
-            return _Bc1_cell(k, j, s, H, sys), "Bc1"
+            return _Bc1_cell(k, j, s, H), "Bc1"
         if s == j - 1:
             return _Bc2_cell(k, j, H), "Bc2"
         if s == j:
             return _Bc3_cell(k, j, H), "Bc3"
-        return _Bc4_cell(k, j, s, H, sys), "Bc4"
+        return _Bc4_cell(k, j, s, H), "Bc4"
     if kinds == {"cf"}:
         pre, suf = (i1, i2) if not i1.left else (i2, i1)
         k, j = classify_rule(pre.rule)[1], classify_rule(pre.rule)[2]
@@ -598,7 +523,7 @@ def chosen_critical_ed_tagged(
     if pair.kind != "overlap":
         raise UnclassifiedPair(f"unexpected {pair.kind} pair at {pair.peak}")
     H = _hecke_rules(sys)
-    ed, name = _display_cell(pair.first, pair.second, H, sys)
+    ed, name = _display_cell(pair.first, pair.second, H)
     if ed.top == pair.first and ed.left == pair.second:
         return ed, name, False
     if ed.top == pair.second and ed.left == pair.first:
@@ -636,57 +561,23 @@ def _sides(ed: ElementaryDiagram) -> tuple[Path, Path]:
 def _tz_member(k: int, H: _HeckeRules) -> tuple[Path, Path]:
     """The hexagon-like pair relating the two braid routes on k+1 k k-1 k+1 k k+1."""
     kp, kh = k - 1, k + 1
+    b, bp, c, ci = H.b(kh, k), H.b(k, kp), H.c(kh, kp), H.c(kp, kh)
     start = (kh, k, kp, kh, k, kh)
-    side1 = _path(
-        start,
-        [
-            _ri((kh, k, kp), H.b(kh, k), ()),
-            _ri((kh,), H.b(k, kp), (kh, k)),
-            _ri((), H.c(kh, kp), (k, kp, kh, k)),
-            _ri((kp, kh, k), H.c(kp, kh), (k,)),
-            _ri((kp,), H.b(kh, k), (kp, k)),
-            _ri((kp, k, kh), H.b(k, kp), ()),
-            _ri((kp, k), H.c(kh, kp), (k, kp)),
-        ],
+    return (
+        _walk(start, [(3, b), (1, bp), (0, c), (3, ci), (1, b), (3, bp), (2, c)], H),
+        _walk(start, [(2, ci), (0, b), (2, bp), (1, c), (4, ci), (2, b), (0, bp)], H),
     )
-    side2 = _path(
-        start,
-        [
-            _ri((kh, k), H.c(kp, kh), (k, kh)),
-            _ri((), H.b(kh, k), (kp, k, kh)),
-            _ri((k, kh), H.b(k, kp), (kh,)),
-            _ri((k,), H.c(kh, kp), (k, kp, kh)),
-            _ri((k, kp, kh, k), H.c(kp, kh), ()),
-            _ri((k, kp), H.b(kh, k), (kp,)),
-            _ri((), H.b(k, kp), (kh, k, kp)),
-        ],
-    )
-    return side1, side2
 
 
 def _bc_member(s: int, t: int, H: _HeckeRules) -> tuple[Path, Path]:
     """Commutation walking through a basic braid: peak t s s-1 s."""
     sp = s - 1
-    start = (t,) + (s, sp, s)
-    side1 = _path(
-        start,
-        [
-            _ri((t,), H.b(s, sp), ()),
-            _ri((), H.c(t, sp), (s, sp)),
-            _ri((sp,), H.c(t, s), (sp,)),
-            _ri((sp, s), H.c(t, sp), ()),
-        ],
+    b, cs, csp = H.b(s, sp), H.c(t, s), H.c(t, sp)
+    start = (t, s, sp, s)
+    return (
+        _walk(start, [(1, b), (0, csp), (1, cs), (2, csp)], H),
+        _walk(start, [(0, cs), (1, csp), (2, cs), (0, b)], H),
     )
-    side2 = _path(
-        start,
-        [
-            _ri((), H.c(t, s), (sp, s)),
-            _ri((s,), H.c(t, sp), (s,)),
-            _ri((s, sp), H.c(t, s), ()),
-            _ri((), H.b(s, sp), (t,)),
-        ],
-    )
-    return side1, side2
 
 
 def cells_P(n: int) -> CellFamily:
@@ -702,9 +593,7 @@ def cells_P(n: int) -> CellFamily:
     for s in range(1, n + 1):
         for t in range(1, n + 1):
             if abs(s - t) >= 2:
-                loop = _path(
-                    (s, t), [_ri((), H.c(s, t), ()), _ri((), H.c(t, s), ())]
-                )
+                loop = _walk((s, t), [(0, H.c(s, t)), (0, H.c(t, s))], H)
                 add(f"loop({s},{t})", (loop, Path((s, t))))
     for k in range(1, n + 1):
         add(f"aa({k})", _sides(_aa_cell(k, H)))
@@ -742,17 +631,17 @@ def translate_to_basic(path: Path, target: SrsSystem) -> Path:
     for st in path.steps:
         kind = classify_rule(st.rule)
         if kind[0] == "a":
-            out.append(_ri(st.left, H.a(kind[1]), st.right))
+            out.append(RuleInstance(st.left, H.a(kind[1]), st.right))
         elif kind[0] in ("cf", "ci"):
-            out.append(_ri(st.left, H.c(kind[1], kind[2]), st.right))
+            out.append(RuleInstance(st.left, H.c(kind[1], kind[2]), st.right))
         else:
             j, i = kind[1], kind[2]
             v = st.right
             while j - i >= 2:
-                out.append(_ri(st.left + _D(j, i + 1), H.c(i, j), v))
+                out.append(RuleInstance(st.left + _D(j, i + 1), H.c(i, j), v))
                 v = (i,) + v
                 i += 1
-            out.append(_ri(st.left, H.b(j, j - 1), v))
+            out.append(RuleInstance(st.left, H.b(j, j - 1), v))
     return Path(path.start, tuple(out))
 
 

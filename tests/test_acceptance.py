@@ -77,13 +77,13 @@ def test_criterion_02_natural_squares_decreasing():
 def test_criterion_03_chosen_family_coverage():
     t0 = time.monotonic()
     counts = {}
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6, 7):
         sys = hecke_system(n, "rfull")
         pairs = enumerate_critical_pairs(sys)
         rep = check_decreasing(sys.order, ((p, chosen_critical_ed_tagged(p, sys)[0]) for p in pairs))
         assert rep.ok, rep.failures[:3]
         counts[n] = rep.checked
-    assert counts == {1: 2, 2: 10, 3: 50, 4: 146}
+    assert counts == {1: 2, 2: 10, 3: 50, 4: 146, 5: 326, 6: 618, 7: 1050}
     elapsed = _budget(t0, 60.0, "criterion 3")
     print(f"criterion 3 PASS: every critical pair classified and decreasing, "
           f"counts {counts} ({elapsed:.1f}s)")

@@ -100,7 +100,7 @@ def test_tiling_walk_and_corners():
     top = find_redexes(w, sys)[1]  # 32:c13:-
     left = find_redexes(w, sys)[0]  # -:b31:-
     t = _peak_tiling(sys, top, left)
-    assert not t.is_complete
+    assert t.open_corners()
     corners = t.open_corners()
     assert len(corners) == 1
     idx, h, v = corners[0]
@@ -125,7 +125,7 @@ def test_complete_peak_undo_square():
     top = Path(w, (find_redexes(w, sys)[1],))
     left = Path(w, (find_redexes(w, sys)[0],))
     t = complete_peak(sys, hecke_provider(sys), top, left)
-    assert t.is_complete
+    assert not t.open_corners()
     b = t.boundary()
     assert b.sink == (2, 3, 2, 1)
     assert [s.render(3) for s in b.from_start.steps] == ["32:c31:-", "-:b31:-"]
@@ -140,7 +140,7 @@ def test_complete_peak_trivial_and_degenerate():
     p = Path(w, (step,))
     # identical paths close with a single improper cell
     t = complete_peak(sys, hecke_provider(sys), p, p)
-    assert t.is_complete
+    assert not t.open_corners()
     b = t.boundary()
     assert b.sink == (1,)
     assert len(b.from_start) == 0 and len(b.from_end) == 0

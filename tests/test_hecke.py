@@ -28,7 +28,7 @@ from srw.hecke import NotCSortable
 from srw.order import is_decreasing_ed
 from srw.seminormal import canon as generic_canon
 from srw.traces import normal_form
-from srw.words import Path, Rule, RuleInstance, all_words, find_redexes
+from srw.words import Path, Rule, RuleInstance, SourceMismatch, all_words, find_redexes
 
 
 def test_system_rule_names():
@@ -114,6 +114,16 @@ def test_c_sort_path_equal_letters_keep_order():
     assert p.end == (1, 1, 3)
     with pytest.raises(NotCSortable):
         c_sort_path((1, 2, 1), (1, 1, 2), sys)
+
+
+def test_curated_step_must_match_its_word():
+    sys = hecke_system(3, "rfull")
+    b31 = sys.rule("b31")
+    assert hecke._at((2, 3, 2, 1, 3), 1, b31) == RuleInstance((2,), b31, ())
+    with pytest.raises(SourceMismatch):
+        hecke._at((2, 3, 2, 1, 3), 0, b31)
+    with pytest.raises(SourceMismatch):
+        hecke._at((3, 2, 1), 0, b31)
 
 
 def _length_vector(w, n):
@@ -230,10 +240,13 @@ def test_cells_family_sizes_and_labels():
 
 
 def test_cells_are_parallel_pairs():
-    for n in (2, 3, 4):
+    sizes = {}
+    for n in (2, 3, 4, 5, 6, 7):
         fam = cells_P(n)
         for s1, s2 in fam.members:
             assert s1.start == s2.start and s1.end == s2.end
+        sizes[n] = len(fam.members)
+    assert sizes == {2: 5, 3: 14, 4: 29, 5: 51, 6: 81, 7: 120}
 
 
 def test_zz_member_shape():

@@ -54,3 +54,37 @@ def test_tile_random_peaks_runs_to_completion():
     first = proc.stdout.splitlines()[0]
     assert first.startswith("200 peaks tiled in ")
     assert first.endswith("over rank 4 (rfull), all within fuel 10000")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tile_random_peaks.py", "--rank", "3", "--trials", "300", "--seed", "1"),
+        ("draw_tiling.py", "--rank", "3", "--word", "3231", "--all-pairs"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scripts_take_no_variant(argv):
+    """The curated cells cover rfull only, so neither script offers another
+    variant: asking for one is a usage error, not a crash."""
+    script, *rest = argv
+    proc = _run(str(ROOT / "scripts" / script), *rest, "--variant", "rdoubleprime")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --variant rdoubleprime" in proc.stderr
+
+
+def test_draw_tiling_writes_dot():
+    script = ROOT / "scripts" / "draw_tiling.py"
+    proc = _run(str(script), "--rank", "3", "--top=32:c13:-", "--left=-:b31:-")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("digraph tiling {")
+
+
+def test_draw_tiling_all_pairs():
+    script = ROOT / "scripts" / "draw_tiling.py"
+    proc = _run(str(script), "--rank", "3", "--word", "32131", "--all-pairs")
+    assert proc.returncode == 0, proc.stderr
+    head, *pairs = proc.stdout.splitlines()
+    assert head == "word 32131: 3 redexes"
+    assert len(pairs) == 3
+    assert all(" vs " in line and ": sink " in line for line in pairs)
