@@ -14,13 +14,13 @@ import argparse
 import itertools
 import sys as _sys
 
-from srw.cli import parse_path, parse_word
+from srw.cli import UsageError, parse_path, parse_word
 from srw.diagrams import complete_peak, export_dot
 from srw.hecke import hecke_provider, hecke_system
 from srw.words import Path, find_redexes
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rank", type=int, default=3)
     ap.add_argument("--top", help="comma separated step specs")
@@ -31,13 +31,23 @@ def main() -> None:
     ap.add_argument("--fuel", type=int, default=10000)
     ap.add_argument("-o", "--output", help="write DOT here instead of stdout")
     args = ap.parse_args()
+    if args.all_pairs and not args.word:
+        ap.error("--all-pairs needs --word")
+    if not args.all_pairs and not (args.top and args.left):
+        ap.error("give --top and --left, or --word with --all-pairs")
+    try:
+        draw(args)
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    return 0
 
+
+def draw(args: argparse.Namespace) -> None:
     sys = hecke_system(args.rank, "rfull")
     provider = hecke_provider(sys)
 
     if args.all_pairs:
-        if not args.word:
-            ap.error("--all-pairs needs --word")
         w = parse_word(args.word, sys)
         redexes = find_redexes(w, sys)
         print(f"word {args.word}: {len(redexes)} redexes")
@@ -49,8 +59,6 @@ def main() -> None:
                   f"sink {sys.fmt(b.sink)}, {len(t.cells)} cells")
         return
 
-    if not (args.top and args.left):
-        ap.error("give --top and --left, or --word with --all-pairs")
     top = parse_path(args.top, sys)
     left = parse_path(args.left, sys)
     t = complete_peak(sys, provider, top, left, fuel=args.fuel)
@@ -66,4 +74,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    _sys.exit(main())

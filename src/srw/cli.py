@@ -16,9 +16,11 @@ zigzags as semicolon-separated steps each prefixed with ">" (traversed
 forward) or "<" (traversed backward).
 
 `check-decreasing` runs `srw.order.check_decreasing`, the check behind
-`hecke verify`; its critical diagrams, like the tiling commands' cells,
-come from the curated Hecke family under the hecke order on the rfull
-rules, which that family covers, and from BFS joins otherwise.  Its
+the critical item of `hecke verify`, on the natural squares with
+separators up to `--contexts` and on critical diagrams.  The critical
+diagrams, like the tiling commands' cells, come from the curated Hecke
+family under the hecke order on the rfull rules, which that family
+covers, and from BFS joins otherwise.  Its
 verdict is FAIL when a natural square or a curated diagram is not
 decreasing, but only UNKNOWN when all failures are BFS joins: another
 join of the same pair may still be decreasing.  Each critical failure

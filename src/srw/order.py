@@ -16,8 +16,9 @@ r_1 .. r_m and bottom path d_1 .. d_n is *decreasing* when
 
 Transposing a diagram swaps the two conditions, so decreasingness is
 transpose-invariant.  `check_decreasing` runs the check over a family of
-labelled diagrams; it is the one place that family checks (natural
-squares, chosen critical diagrams) go through.
+labelled diagrams; it is the one place that family checks (the natural
+squares and critical diagrams of `srw check-decreasing`, the chosen
+critical diagrams of `verify_suite`) go through.
 
 `rule_rank_order` builds the simplest useful order: instances compare by
 an integer rank attached to their rule's name, with ties either declared

@@ -1,12 +1,19 @@
 """Hecke systems, curated diagrams, cell family, translation, enumeration."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srw.critical import CriticalPair, enumerate_critical_pairs
-from srw.diagrams import PathVerdict, paths_equivalent_mod_cells
+from srw.diagrams import (
+    ElementaryDiagram,
+    PathVerdict,
+    natural_squares,
+    paths_equivalent_mod_cells,
+    whisker_ed,
+)
 from srw.hecke import (
     CapExceeded,
     InvalidRank,
@@ -25,10 +32,20 @@ from srw.hecke import (
 )
 from srw import hecke
 from srw.hecke import NotCSortable
-from srw.order import is_decreasing_ed
+from srw.order import InstanceOrder, check_decreasing, is_decreasing_ed
 from srw.seminormal import canon as generic_canon
 from srw.traces import normal_form
-from srw.words import Path, Rule, RuleInstance, SourceMismatch, all_words, find_redexes
+from srw.words import (
+    Path,
+    Rule,
+    RuleInstance,
+    SourceMismatch,
+    SrsSystem,
+    all_words,
+    find_redexes,
+)
+
+from oracles import natural_square
 
 
 def test_system_rule_names():
@@ -404,3 +421,144 @@ def test_mirror_commutation_cell_derivable_from_base():
         translate_to_basic(s1, rdp), translate_to_basic(s2, rdp), fam, bound=50000
     )
     assert v is PathVerdict.EQUIVALENT
+
+
+# --- natural squares once per rule pair --------------------------------------
+
+
+def _stats_delta(rule, left, right, base_left, base_right):
+    key = hecke._instance_key
+    a = key(RuleInstance(left, rule, right))[1]
+    b = key(RuleInstance(base_left, rule, base_right))[1]
+    assert len(a) == len(b)
+    return tuple(p - q for p, q in zip(a, b))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_instance_key_is_additive(data):
+    """The lemma behind `_verify_naturals`: the head is fixed by the rule,
+    and inserting letters x into either context shifts the stats by a
+    vector that depends on the rule, x and the side only."""
+    n = data.draw(st.integers(2, 7))
+    rule = data.draw(st.sampled_from(hecke_system(n, "rfull").rules))
+    words = st.lists(st.integers(1, n), max_size=6).map(tuple)
+    a, b, x = data.draw(words), data.draw(words), data.draw(words)
+    assert hecke._instance_key(RuleInstance(a, rule, b))[0] == (
+        hecke._instance_key(RuleInstance((), rule, ()))[0]
+    )
+    k = data.draw(st.integers(0, len(a)))
+    assert _stats_delta(rule, a[:k] + x + a[k:], b, a, b) == _stats_delta(rule, x, (), (), ())
+    k = data.draw(st.integers(0, len(b)))
+    assert _stats_delta(rule, a, b[:k] + x + b[k:], a, b) == _stats_delta(rule, (), x, (), ())
+
+
+def _keyed(sys, key):
+    return SrsSystem(sys.n, sys.rules, order=InstanceOrder("test", key))
+
+
+def _inverted_heads(inst):
+    head, stats = hecke._instance_key(inst)
+    return tuple(-h for h in head), stats
+
+
+def _tied_heads(inst):
+    return (), hecke._instance_key(inst)[1]
+
+
+def _symbolic(order, ed):
+    sides = hecke._natural_sides(order, ed)
+    if "fail" in sides:
+        return "FAIL"
+    return "UNKNOWN" if "tie" in sides else "PASS"
+
+
+@pytest.mark.parametrize(
+    "n,max_mid,key",
+    [(n, 3, None) for n in (1, 2, 3, 4)]
+    + [(5, 2, None)]
+    + [(n, 2, _inverted_heads) for n in (3, 4)],
+)
+def test_symbolic_naturals_match_enumeration(n, max_mid, key):
+    """Per rule pair, the verdict from the w = () square agrees with
+    `check_decreasing` over the pair's enumerated squares: PASS means all
+    are decreasing, FAIL that none is."""
+    sys = hecke_system(n, "rfull")
+    if key is not None:
+        sys = _keyed(sys, key)
+    symbolic = {
+        (r1.name, r2.name): _symbolic(sys.order, ed)
+        for (r1, _, r2), ed in natural_squares(sys, 0)
+    }
+    by_pair = {}
+    for (r1, w, r2), ed in natural_squares(sys, max_mid):
+        by_pair.setdefault((r1.name, r2.name), []).append((w, ed))
+    assert by_pair.keys() == symbolic.keys()
+    for pair, squares in by_pair.items():
+        rep = check_decreasing(sys.order, squares)
+        want = {"PASS": 0, "FAIL": rep.checked}[symbolic[pair]]
+        assert len(rep.failures) == want, (pair, symbolic[pair])
+    verdicts = set(symbolic.values())
+    assert verdicts == ({"PASS"} if key is None else {"PASS", "FAIL"})
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_whiskered_natural_squares_follow_the_pair_verdict(n):
+    """Seeded squares x · r1 · w · r2 · y with long separators and whiskers:
+    all decreasing under the Hecke order, and under inverted heads
+    decreasing exactly when the pair's symbolic verdict is PASS."""
+    rng = random.Random(n)
+    sys = hecke_system(n, "rfull")
+    inverted = _keyed(sys, _inverted_heads).order
+    verdict = {
+        (r1, r2): _symbolic(inverted, ed) for (r1, _, r2), ed in natural_squares(sys, 0)
+    }
+
+    def word(k):
+        return tuple(rng.randint(1, n) for _ in range(rng.randint(0, k)))
+
+    for _ in range(300):
+        r1, r2 = rng.choice(sys.rules), rng.choice(sys.rules)
+        ed = whisker_ed(ElementaryDiagram(*natural_square(r1, word(8), r2)), word(5), word(5))
+        assert is_decreasing_ed(sys.order, ed)[0]
+        assert is_decreasing_ed(inverted, ed)[0] == (verdict[r1, r2] == "PASS")
+
+
+def test_verify_naturals_fail_names_a_failing_square():
+    sys = _keyed(hecke_system(4, "rfull"), _inverted_heads)
+    item = hecke._verify_naturals(sys)
+    assert item.status == "FAIL"
+    label, why = item.detail.split(": ", 1)
+    r1, w, r2 = label.split("|")
+    assert w == "-" and why.endswith(", and so for every separator")
+    square = [
+        ((a, v, b), ed)
+        for (a, v, b), ed in natural_squares(sys, 0)
+        if (a.name, b.name) == (r1, r2)
+    ]
+    rep = check_decreasing(sys.order, square)
+    assert [reason for _, reason in rep.failures] == [why.split(", and so")[0]]
+
+
+def test_verify_naturals_tied_heads_are_unknown():
+    """With every head equal, the sides the heads decide become ties, and
+    the item names each of them."""
+    sys = hecke_system(4, "rfull")
+    by_head = [
+        f"{r1.name}|{r2.name}"
+        for (r1, _, r2), ed in natural_squares(sys, 0)
+        for side in hecke._natural_sides(sys.order, ed)
+        if side == "head"
+    ]
+    item = hecke._verify_naturals(_keyed(sys, _tied_heads))
+    assert item.status == "UNKNOWN"
+    assert item.detail.startswith(f"{len(by_head)} sides tie on the head: {','.join(by_head)};")
+
+
+def test_verify_naturals_covers_every_separator():
+    item = hecke._verify_naturals(hecke_system(4, "rfull"))
+    assert item.status == "PASS"
+    assert item.detail == (
+        "256 rule pairs decreasing for every separator and whisker "
+        "(492 sides by the context margin, 20 by the head)"
+    )

@@ -88,3 +88,21 @@ def test_draw_tiling_all_pairs():
     assert head == "word 32131: 3 redexes"
     assert len(pairs) == 3
     assert all(" vs " in line and ": sink " in line for line in pairs)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--top=-", "--left=-:b31:-"), "error: an empty path needs a start word"),
+        (("--word", "3x", "--all-pairs"), "error: not a word over 1..3: '3x'"),
+        (("--top=32:c13:-", "--left=-:a1:1"), "error: peak paths must share their start word"),
+    ],
+    ids=["empty-top", "bad-word", "source-mismatch"],
+)
+def test_draw_tiling_bad_input_is_a_usage_error(argv, message):
+    """Bad steps or words print one error line and exit 2, as the srw CLI does."""
+    script = ROOT / "scripts" / "draw_tiling.py"
+    proc = _run(str(script), "--rank", "3", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
