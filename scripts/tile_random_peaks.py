@@ -13,9 +13,10 @@ Usage:
 import argparse
 import collections
 import random
+import sys as _sys
 import time
 
-from srw.diagrams import complete_peak
+from srw.diagrams import FuelExhausted, complete_peak
 from srw.hecke import hecke_provider, hecke_system
 from srw.words import Path, find_redexes
 
@@ -32,13 +33,26 @@ def random_path(rng: random.Random, w, sys, max_steps: int) -> Path:
     return Path(steps[0].source, tuple(steps)) if steps else None
 
 
-def main() -> None:
+def at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rank", type=int, default=3)
+    ap.add_argument("--rank", type=at_least(1), default=3)
     ap.add_argument("--trials", type=int, default=1000)
-    ap.add_argument("--max-len", type=int, default=8, help="word length cap")
-    ap.add_argument("--max-steps", type=int, default=3, help="steps per side")
-    ap.add_argument("--fuel", type=int, default=10000)
+    # A word needs two letters to hold a redex, so a cap of 1 never ends.
+    ap.add_argument("--max-len", type=at_least(2), default=8, help="word length cap")
+    ap.add_argument("--max-steps", type=at_least(1), default=3, help="steps per side")
+    ap.add_argument("--fuel", type=at_least(0), default=10000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -57,7 +71,11 @@ def main() -> None:
         left = random_path(rng, w, sys, args.max_steps)
         if top is None or left is None:
             continue
-        t = complete_peak(sys, provider, top, left, fuel=args.fuel)
+        try:
+            t = complete_peak(sys, provider, top, left, fuel=args.fuel)
+        except FuelExhausted as exc:
+            print(f"error: {exc}", file=_sys.stderr)
+            return 1
         for cell in t.cells:
             tags[cell.tag] += 1
             families[cell.origin] += 1
@@ -74,7 +92,8 @@ def main() -> None:
     print("top cell origins:")
     for origin, k in families.most_common(10):
         print(f"  {origin:28s} {k}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    _sys.exit(main())

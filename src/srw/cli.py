@@ -15,15 +15,16 @@ written LEFT:RULE:RIGHT, paths as comma-separated steps (or "-"), and
 zigzags as semicolon-separated steps each prefixed with ">" (traversed
 forward) or "<" (traversed backward).
 
-`check-decreasing` runs `srw.order.check_decreasing`, the check behind
-the critical item of `hecke verify`, on the natural squares with
-separators up to `--contexts` and on critical diagrams.  The critical
+`check-decreasing` runs the two checks behind `hecke verify`:
+`srw.order.check_naturals` on one natural square per ordered rule pair,
+which decides the squares for every separator and whisker, and
+`srw.order.check_decreasing` on critical diagrams.  The critical
 diagrams, like the tiling commands' cells, come from the curated Hecke
 family under the hecke order on the rfull rules, which that family
-covers, and from BFS joins otherwise.  Its
-verdict is FAIL when a natural square or a curated diagram is not
-decreasing, but only UNKNOWN when all failures are BFS joins: another
-join of the same pair may still be decreasing.  Each critical failure
+covers, and from BFS joins otherwise.  Its verdict is FAIL when a natural
+square or a curated diagram is not decreasing, but only UNKNOWN when all
+failures are BFS joins (another join of the same pair may still be
+decreasing) or natural squares whose heads tie.  Each critical failure
 line and the `--json` output name the chooser.  `hecke verify --json`
 gives each item's seconds.
 
@@ -64,7 +65,7 @@ from .hecke import (
     hecke_system,
     verify_suite,
 )
-from .order import check_decreasing, rule_rank_order
+from .order import check_decreasing, check_naturals, rule_rank_order
 from .seminormal import Inexact, NotOneClass, canon, words_equal
 from .words import (
     BACKWARD,
@@ -389,20 +390,23 @@ def cmd_check_decreasing(args: argparse.Namespace) -> int:
             got = choose(pair)
             yield pair, None if got is None else got[0]
 
-    naturals = check_decreasing(sys.order, natural_squares(sys, args.contexts))
+    naturals = check_naturals(sys.order, natural_squares(sys))
     criticals = check_decreasing(sys.order, critical_diagrams())
     failures = [
-        f"natural {r1.name}|{sys.fmt(w)}|{r2.name}: {why}"
-        for (r1, w, r2), why in naturals.failures
+        f"natural {r1.name}|-|{r2.name}: {why}" for (r1, r2), why in naturals.failures
     ] + [
         f"critical {pair.render(sys.n)}: {why} ({chooser} chooser)"
         for pair, why in criticals.failures
     ]
+    ties = [
+        f"natural {r1.name}|-|{r2.name}: {side} side undecided, the heads tie"
+        for (r1, r2), side in naturals.ties
+    ]
     # One BFS join that is not decreasing leaves other joins of the pair
     # untried, so it decides nothing; a failing natural square does.
-    if not failures:
+    if not failures and not ties:
         verdict = "PASS"
-    elif naturals.failures or chooser == "curated":
+    elif naturals.failures or (criticals.failures and chooser == "curated"):
         verdict = "FAIL"
     else:
         verdict = "UNKNOWN"
@@ -410,18 +414,18 @@ def cmd_check_decreasing(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(
             {
-                "ok": not failures,
+                "ok": verdict == "PASS",
                 "verdict": verdict,
                 "chooser": chooser,
                 "checked": checked,
-                "failures": failures,
+                "failures": failures + ties,
             }
         )
     else:
-        for f in failures:
+        for f in failures + ties:
             print(f)
         print(f"{verdict}: {checked} diagrams checked, {len(failures)} not decreasing")
-    return 0 if not failures else 1
+    return 0 if verdict == "PASS" else 1
 
 
 def _print_completion(
@@ -605,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the order makes natural and critical diagrams decreasing",
     )
     p.add_argument("system")
-    p.add_argument("--contexts", type=_budget(), default=2)
     p.add_argument("--json", action="store_true")
 
     p = add("complete-peak", cmd_complete_peak, help="tile a peak of two reductions")

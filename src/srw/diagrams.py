@@ -3,8 +3,9 @@
 An elementary diagram is a rectangle of reductions: a top step and a
 left step from a common word, and two convergence paths (right and
 bottom, possibly empty) from their targets to a common word.
-`natural_squares` lists the squares that commute two non-overlapping
-redexes, up to a separator length; whiskering extends a diagram by outer
+`natural_squares` lists the square that commutes two adjacent redexes,
+one per ordered rule pair, from which `srw.order.check_naturals` decides
+the squares for every separator; whiskering extends a diagram by outer
 context, transposition swaps the two sides.
 
 A `Tiling` fills the area under a zigzag with elementary diagrams.  The
@@ -64,7 +65,6 @@ from .words import (
     SrsSystem,
     Word,
     Zigzag,
-    all_words,
     word_to_str,
 )
 
@@ -115,19 +115,16 @@ class ElementaryDiagram:
             raise SourceMismatch("right and bottom must converge")
 
 
-def natural_squares(
-    sys: SrsSystem, max_mid: int
-) -> Iterator[tuple[tuple[Rule, Word, Rule], ElementaryDiagram]]:
-    """Every natural square r1 · w · r2 of the system with |w| <= max_mid,
-    labelled (r1, w, r2): top applies r1 with w·lhs(r2) on its right, left
-    applies r2 with lhs(r1)·w on its left.  Transposes are left out:
-    decreasingness is transpose-invariant."""
+def natural_squares(sys: SrsSystem) -> Iterator[tuple[tuple[Rule, Rule], ElementaryDiagram]]:
+    """The natural square r1 · r2 of each ordered rule pair, labelled
+    (r1, r2): top applies r1 with lhs(r2) on its right, left applies r2
+    with lhs(r1) on its left.  Transposes are left out: decreasingness is
+    transpose-invariant."""
     for r1 in sys.rules:
         for r2 in sys.rules:
-            for w in all_words(sys.n, max_mid):
-                h = RuleInstance((), r1, w + r2.lhs)
-                v = RuleInstance(r1.lhs + w, r2, ())
-                yield (r1, w, r2), _natural_cell(h, v)[0]
+            h = RuleInstance((), r1, r2.lhs)
+            v = RuleInstance(r1.lhs, r2, ())
+            yield (r1, r2), _natural_cell(h, v)[0]
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:

@@ -39,23 +39,10 @@ commutations is given by the word it reaches).
 `verify_suite` machine-checks the whole setup in five items, each with
 its status, detail and seconds, and folds the statuses into one verdict:
 FAIL over UNKNOWN over PASS.  The chosen critical diagrams go through
-`srw.order.check_decreasing`, the same check that `srw check-decreasing`
-runs.  The natural squares are checked once per ordered rule pair, which
-covers every separator and every outer whisker, by this lemma:
-
-  `_instance_key` is (head, stats) with the head fixed by the rule and
-  stats a rule constant plus one term per context letter, the term
-  depending only on the rule, the letter and the side it sits on.
-
-The natural square x · r1 · w · r2 · y has top u = r1 and left l = r2
-steps, right step r' = r2 and bottom step d = r1 after them, and it is
-decreasing iff (u >= d or l > d) and (l >= r' or u > r').  u and d differ
-only in lhs(r2) against rhs(r2) in their right context, l and r' only in
-lhs(r1) against rhs(r1) in their left one, and lexicographic order on
-equal-length integer vectors survives adding one vector to both sides.
-So u against d (l against r') compares the same way for every x, w and
-y, and when it does not hold the heads decide the other comparison, or
-tie and leave the side undecided.
+`srw.order.check_decreasing` and the natural squares through
+`srw.order.check_naturals`, the checks that `srw check-decreasing` runs.
+`_instance_key` is additive in that module's sense, so one square per
+ordered rule pair covers every separator and every outer whisker.
 """
 
 from __future__ import annotations
@@ -74,7 +61,7 @@ from .diagrams import (
     standard_provider,
     transpose_ed,
 )
-from .order import InstanceOrder, check_decreasing, is_decreasing_ed
+from .order import InstanceOrder, check_decreasing, check_naturals
 from .seminormal import attractors
 from .traces import factor_in_class, normal_form
 from .words import (
@@ -198,8 +185,8 @@ def _instance_key(inst: RuleInstance) -> tuple:
     letter that depends only on the rule, the letter and its side.  Per
     kind: the source length for idempotence; letters >= s on the left
     and <= t on the right for c_{st}; nothing for an inverse commutation;
-    the letter counts of left + D + right for a braid.  `_verify_naturals`
-    relies on this to check each pair of rules once.
+    the letter counts of left + D + right for a braid.  So
+    `srw.order.check_naturals` checks each pair of rules once.
     """
     kind = classify_rule(inst.rule)
     u, v = inst.left, inst.right
@@ -768,64 +755,23 @@ class VerifyReport:
         return self.verdict == "PASS"
 
 
-def _natural_side(same: tuple, other: tuple, step: tuple) -> str:
-    """How one side of a natural square is decided for every separator
-    and whisker, from the keys of the w = () square: it needs same >= step
-    or other > step.  "margin" or "head" when it holds everywhere, "fail"
-    when it fails everywhere, "tie" when the heads leave it open."""
-    if same >= step:
-        return "margin"
-    if other[0] != step[0]:
-        return "head" if other[0] > step[0] else "fail"
-    return "tie"
-
-
-def _natural_sides(order: InstanceOrder, ed: ElementaryDiagram) -> tuple[str, str]:
-    """The bottom and the right side of a natural square, each decided by
-    `_natural_side` under an order whose key is additive (see
-    `_instance_key`)."""
-    key = order.key
-    u, l = key(ed.top), key(ed.left)
-    r, d = key(ed.right.steps[0]), key(ed.bottom.steps[0])
-    return _natural_side(u, l, d), _natural_side(l, u, r)
-
-
 def _verify_naturals(sys: SrsSystem) -> VerifyItem:
     """Every natural square r1 · w · r2, for every separator w and outer
     whisker, from one w = () square per ordered rule pair (transposes by
     symmetry)."""
     name = "natural-diagrams-decreasing"
-    decided = {"margin": 0, "head": 0}
-    ties: list[str] = []
-    for (r1, w, r2), ed in natural_squares(sys, 0):
-        sides = _natural_sides(sys.order, ed)
-        if "fail" in sides:
-            why = is_decreasing_ed(sys.order, ed)[1].reason
-            return VerifyItem(
-                name,
-                "FAIL",
-                f"{r1.name}|{sys.fmt(w)}|{r2.name}: {why}, and so for every separator",
-            )
-        for side in sides:
-            if side == "tie":
-                ties.append(f"{r1.name}|{r2.name}")
-            else:
-                decided[side] += 1
-    scope = (
-        f"{decided['margin']} sides by the context margin, {decided['head']} by the head"
-    )
-    if ties:
+    rep = check_naturals(sys.order, natural_squares(sys))
+    if rep.failures:
+        (r1, r2), why = rep.failures[0]
+        return VerifyItem(name, "FAIL", f"{r1.name}|-|{r2.name}: {why}")
+    scope = f"{rep.margin} sides by the context margin, {rep.head} by the head"
+    if rep.ties:
+        ties = ",".join(f"{r1.name}|{r2.name}" for (r1, r2), _ in rep.ties)
         return VerifyItem(
-            name,
-            "UNKNOWN",
-            f"{len(ties)} sides tie on the head: {','.join(ties)}; {scope}",
+            name, "UNKNOWN", f"{len(rep.ties)} sides tie on the head: {ties}; {scope}"
         )
-    return VerifyItem(
-        name,
-        "PASS",
-        f"{len(sys.rules) ** 2} rule pairs decreasing for every separator and whisker "
-        f"({scope})",
-    )
+    detail = f"{rep.checked} rule pairs decreasing for every separator and whisker ({scope})"
+    return VerifyItem(name, "PASS", detail)
 
 
 def _verify_criticals(sys: SrsSystem) -> VerifyItem:

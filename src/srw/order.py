@@ -16,9 +16,25 @@ r_1 .. r_m and bottom path d_1 .. d_n is *decreasing* when
 
 Transposing a diagram swaps the two conditions, so decreasingness is
 transpose-invariant.  `check_decreasing` runs the check over a family of
-labelled diagrams; it is the one place that family checks (the natural
-squares and critical diagrams of `srw check-decreasing`, the chosen
-critical diagrams of `verify_suite`) go through.
+labelled diagrams: the critical diagrams of `srw check-decreasing` and the
+chosen critical diagrams of `verify_suite` go through it.
+
+`check_naturals` is the one natural-square check of both.  It decides the
+natural squares x · r1 · w · r2 · y for every separator w and whisker
+x, y from the w = () square of each ordered rule pair, when the order's
+key is additive: its first entry, the head, is fixed by the rule, and the
+rest is a rule constant plus one term per context letter that depends
+only on the rule, the letter and its side.  (`hecke_order`'s key and both
+`rule_rank_order` keys are.)  The square has top u = r1, left l = r2,
+right r' = r2 and bottom d = r1, and is decreasing iff (u >= d or l > d)
+and (l >= r' or u > r').  u and d differ only in lhs(r2) against rhs(r2)
+in their right context, l and r' only in lhs(r1) against rhs(r1) in
+their left one, and lexicographic order on equal-length integer vectors
+survives adding one vector to both sides.  So u against d (l against r')
+compares the same way for every w, x and y ("margin"), and otherwise a
+greater head of the other rule decides the side everywhere ("head").  A
+pair with a side left open fails when its w = () square is not
+decreasing, which refutes it, and is undecided otherwise.
 
 `rule_rank_order` builds the simplest useful order: instances compare by
 an integer rank attached to their rule's name, with ties either declared
@@ -42,6 +58,7 @@ __all__ = [
     "is_decreasing_ed",
     "DecreasingReport",
     "check_decreasing",
+    "check_naturals",
 ]
 
 
@@ -64,7 +81,8 @@ def rule_rank_order(ranks: Mapping[str, int], tie: str = "equivalent") -> Instan
 
     Rules missing from `ranks` get rank 0.  Equal ranks are Equivalent
     under tie="equivalent", or compared by total source length under
-    tie="length".
+    tie="length".  Either key is additive: the rank is the head, and the
+    source length gains one per context letter.
     """
     if tie == "equivalent":
         def key(a: RuleInstance) -> tuple:
@@ -106,44 +124,32 @@ def _side_split(
     after the split must be dominated by `other` or `anchor`.
     """
     gt, sim = order.greater, order.equivalent
-    best_block = ""
+    first_block = ""
     for j in range(len(steps) + 1):
-        ok = True
         if j > 0 and not sim(anchor, steps[j - 1]):
             continue
         for k, st in enumerate(steps, start=1):
-            if k == j:
-                continue
-            if k < j:
-                if not gt(other, st):
-                    ok = False
-                    block = f"step {k} not dominated by the opposite side"
-                    break
-            else:
-                if not (gt(other, st) or gt(anchor, st)):
-                    ok = False
-                    block = f"step {k} not dominated by either side"
-                    break
-        if ok:
+            if k < j and not gt(other, st):
+                block = f"step {k} not dominated by the opposite side"
+                break
+            if k > j and not (gt(other, st) or gt(anchor, st)):
+                block = f"step {k} not dominated by either side"
+                break
+        else:
             return j, ""
-        if not best_block:
-            best_block = block
-    if not best_block:
-        best_block = "no step is equivalent to the parallel side"
-    return None, best_block
+        first_block = first_block or block
+    # j = 0 is always tried, so a failure has set first_block.
+    return None, first_block
 
 
 def is_decreasing_ed(
     order: InstanceOrder, ed: "ElementaryDiagram"
 ) -> tuple[bool, DecreasingWitness]:
     """Check the two decreasingness conditions for an elementary diagram."""
-    u = ed.top
-    l = ed.left
+    u, l = ed.top, ed.left
     j, why_j = _side_split(order, anchor=u, other=l, steps=tuple(ed.bottom.steps))
     if j is None:
-        return False, DecreasingWitness(
-            ok=False, reason=f"bottom path: {why_j}"
-        )
+        return False, DecreasingWitness(ok=False, reason=f"bottom path: {why_j}")
     s, why_s = _side_split(order, anchor=l, other=u, steps=tuple(ed.right.steps))
     if s is None:
         return False, DecreasingWitness(ok=False, reason=f"right path: {why_s}")
@@ -153,14 +159,20 @@ def is_decreasing_ed(
 @dataclass(frozen=True)
 class DecreasingReport:
     """The number of diagrams checked and (label, reason) for each one
-    that is not decreasing, in input order."""
+    that is not decreasing, in input order.  `check_naturals` also counts
+    the square sides that the margin and the head decide, and gives
+    (label, side) for each side it leaves open: that side's heads tie,
+    since a lower head would fail its w = () square."""
 
     checked: int
     failures: tuple[tuple[Any, str], ...]
+    margin: int = 0
+    head: int = 0
+    ties: tuple[tuple[Any, str], ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.ties
 
 
 def check_decreasing(
@@ -183,3 +195,36 @@ def check_decreasing(
         if not ok:
             failures.append((label, wit.reason))
     return DecreasingReport(checked=checked, failures=tuple(failures))
+
+
+def check_naturals(
+    order: InstanceOrder,
+    labelled: Iterable[tuple[Any, "ElementaryDiagram"]],
+) -> DecreasingReport:
+    """Decide every natural square of each labelled rule pair from its
+    w = () square, under an order whose key is additive (see the module
+    docstring).  Only a pair with an open side costs a decreasingness
+    check."""
+    key = order.key
+    checked = margin = head = 0
+    ties: list[tuple[Any, str]] = []
+    failures: list[tuple[Any, str]] = []
+    for label, ed in labelled:
+        checked += 1
+        u, l = key(ed.top), key(ed.left)
+        r, d = key(ed.right.steps[0]), key(ed.bottom.steps[0])
+        sides = []
+        for side, same, other, step in (("bottom", u, l, d), ("right", l, u, r)):
+            if same >= step:
+                margin += 1
+            elif other[0] > step[0]:
+                head += 1
+            else:
+                sides.append((label, side))
+        if sides:
+            ok, wit = is_decreasing_ed(order, ed)
+            if ok:
+                ties += sides
+            else:
+                failures.append((label, wit.reason))
+    return DecreasingReport(checked, tuple(failures), margin, head, tuple(ties))

@@ -23,7 +23,9 @@ paths that the search should join.
 
 `natural_square` is the bare formula of a natural square, the reference
 for the in-place builder behind `srw.diagrams.natural_squares` and the
-tiler's natural cells.
+tiler's natural cells.  `natural_squares_upto` enumerates those squares
+up to a separator length: the reference for `srw.order.check_naturals`,
+which decides them all from the squares without a separator.
 
 `monomial_counterexamples` is no reference implementation but a sampler
 that two test modules share: it puts the order under test to random
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from srw.words import Path, Rule, RuleInstance, SrsSystem, Word
 
@@ -188,8 +191,17 @@ def tiny_system() -> SrsSystem:
     )
 
 
-def natural_square(r1: Rule, w: Word, r2: Rule) -> tuple[RuleInstance, RuleInstance, Path, Path]:
-    """(top, left, right, bottom) of the square commuting r1 and r2 across w.
+class Square(NamedTuple):
+    """An elementary diagram's four sides, as `srw.order`'s checks read them."""
+
+    top: RuleInstance
+    left: RuleInstance
+    right: Path
+    bottom: Path
+
+
+def natural_square(r1: Rule, w: Word, r2: Rule) -> Square:
+    """The square commuting r1 and r2 across w.
 
     Top applies r1 with the word w·lhs(r2) on its right; left applies r2
     with lhs(r1)·w on its left; either order reaches rhs(r1)·w·rhs(r2).
@@ -198,7 +210,17 @@ def natural_square(r1: Rule, w: Word, r2: Rule) -> tuple[RuleInstance, RuleInsta
     left = RuleInstance(r1.lhs + w, r2, ())
     right = Path(top.target, (RuleInstance(r1.rhs + w, r2, ()),))
     bottom = Path(left.target, (RuleInstance((), r1, w + r2.rhs),))
-    return top, left, right, bottom
+    return Square(top, left, right, bottom)
+
+
+def natural_squares_upto(sys: SrsSystem, max_mid: int):
+    """Every natural square r1 · w · r2 with |w| <= max_mid, labelled
+    (r1, w, r2); transposes are left out."""
+    separators = all_words(sys.n, max_mid)
+    for r1 in sys.rules:
+        for r2 in sys.rules:
+            for w in separators:
+                yield (r1, w, r2), natural_square(r1, w, r2)
 
 
 def monomial_counterexamples(

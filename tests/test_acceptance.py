@@ -13,7 +13,7 @@ import pytest
 
 from srw.cli import main
 from srw.critical import enumerate_critical_pairs
-from srw.diagrams import FuelExhausted, complete_peak, complete_zigzag, natural_squares
+from srw.diagrams import FuelExhausted, complete_peak, complete_zigzag
 from srw.hecke import (
     _instance_key,
     _verify_attractor_loops,
@@ -28,7 +28,12 @@ from srw.order import check_decreasing
 from srw.seminormal import attractor, canon, words_equal
 from srw.words import BACKWARD, FORWARD, Path, RuleInstance, Zigzag, find_redexes
 
-from oracles import all_words, congruence_closure, monomial_counterexamples
+from oracles import (
+    all_words,
+    congruence_closure,
+    monomial_counterexamples,
+    natural_squares_upto,
+)
 
 ALLOWED_TAGS = {"improper", "natural", "transposed", "whiskered", "critical"}
 
@@ -65,7 +70,7 @@ def test_criterion_02_natural_squares_decreasing():
     total = 0
     for n in (1, 2, 3, 4):
         sys = hecke_system(n, "rfull")
-        rep = check_decreasing(sys.order, natural_squares(sys, 3))
+        rep = check_decreasing(sys.order, natural_squares_upto(sys, 3))
         assert rep.ok, rep.failures[:3]
         total += rep.checked
     assert total == 4 + 135 + 2560 + 21760

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from srw import cli, hecke
 from srw.cli import build_parser, main, system_from_doc, system_to_doc
 from srw.hecke import hecke_system
+from srw.order import InstanceOrder
 
 
 @pytest.fixture
@@ -153,13 +155,43 @@ def test_confluence_cut_search_is_unknown(tmp_path, capsys):
 
 
 def test_check_decreasing(h3full, capsys):
-    code, out, _ = run(capsys, ["check-decreasing", h3full, "--contexts", "1"])
+    # 64 rule pairs, each deciding its natural squares for every separator,
+    # and 50 critical diagrams.
+    code, out, _ = run(capsys, ["check-decreasing", h3full])
     assert code == 0
-    assert out.endswith("PASS: 306 diagrams checked, 0 not decreasing\n")
-    code, out, _ = run(capsys, ["check-decreasing", h3full, "--contexts", "1", "--json"])
+    assert out.endswith("PASS: 114 diagrams checked, 0 not decreasing\n")
+    code, out, _ = run(capsys, ["check-decreasing", h3full, "--json"])
     doc = json.loads(out)
     assert code == 0
-    assert (doc["verdict"], doc["chooser"], doc["checked"]) == ("PASS", "curated", 306)
+    assert (doc["verdict"], doc["chooser"], doc["checked"]) == ("PASS", "curated", 114)
+
+
+def test_check_decreasing_has_no_contexts_option(h3full, capsys):
+    code, out, err = run(capsys, ["check-decreasing", h3full, "--contexts", "1"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --contexts 1" in err
+
+
+def test_check_decreasing_names_tied_natural_sides(monkeypatch, tmp_path, capsys):
+    """Under a Hecke key whose heads all tie, the w = () squares stay
+    decreasing but 20 sides are undecided for longer separators: UNKNOWN,
+    with one line per side."""
+    def flat_heads(inst):
+        head, stats = hecke._instance_key(inst)
+        return (), head + stats
+
+    monkeypatch.setattr(cli, "hecke_order", lambda: InstanceOrder("hecke", flat_heads))
+    path = tmp_path / "h4.json"
+    assert main(["hecke", "gen", "4", "--variant", "rfull", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["check-decreasing", str(path)])
+    *lines, last = out.splitlines()
+    assert code == 1 and last == "UNKNOWN: 402 diagrams checked, 0 not decreasing"
+    assert len(lines) == 20
+    assert all(
+        line.startswith("natural ") and line.endswith(" side undecided, the heads tie")
+        for line in lines
+    )
 
 
 def _gen3(tmp_path, variant):
@@ -168,18 +200,18 @@ def _gen3(tmp_path, variant):
     return str(path)
 
 
-@pytest.mark.parametrize("variant, checked", [("rprime", 168), ("rdoubleprime", 230)])
+@pytest.mark.parametrize("variant, checked", [("rprime", 60), ("rdoubleprime", 83)])
 def test_check_decreasing_outside_curated_family(variant, checked, tmp_path, capsys):
     # The curated diagrams cover rfull only; the other variants are checked
     # with BFS joins, whose diagrams at the 3231 overlap are not decreasing.
     # Another join might be, so the verdict is UNKNOWN, not FAIL.
     path = _gen3(tmp_path, variant)
-    code, out, _ = run(capsys, ["check-decreasing", path, "--contexts", "1"])
+    code, out, _ = run(capsys, ["check-decreasing", path])
     assert code == 1
     assert out.count("critical overlap 3231: ") == 2
     assert out.count(" (bfs chooser)\n") == 2
     assert out.endswith(f"UNKNOWN: {checked} diagrams checked, 2 not decreasing\n")
-    code, out, _ = run(capsys, ["check-decreasing", path, "--contexts", "1", "--json"])
+    code, out, _ = run(capsys, ["check-decreasing", path, "--json"])
     doc = json.loads(out)
     assert code == 1
     assert (doc["verdict"], doc["chooser"], doc["ok"]) == ("UNKNOWN", "bfs", False)
@@ -267,7 +299,6 @@ def test_hecke_enumerate_output(capsys):
         ["reach", "{sys}", "1", "--max", "-1"],
         ["reach", "{sys}", "1", "--max", "0"],
         ["confluence", "{sys}", "--bound", "-1"],
-        ["check-decreasing", "{sys}", "--contexts", "-1"],
         ["complete-peak", "{sys}", "--top=32:c13:-", "--left=-:b31:-", "--fuel", "-1"],
         ["complete-zigzag", "{sys}", "--zigzag=>-:a1:13", "--fuel", "-2"],
         ["hecke", "enumerate", "2", "--cap", "-1"],
@@ -354,12 +385,12 @@ def test_rule_rank_order_document(tmp_path, capsys):
         "step 1 not dominated by either side (bfs chooser)\n"
         "critical overlap 211: -:swp:1 | 2:dbl:-: right path: "
         "step 1 not dominated by either side (bfs chooser)\n"
-        "UNKNOWN: 16 diagrams checked, 2 not decreasing\n"
+        "UNKNOWN: 8 diagrams checked, 2 not decreasing\n"
     )
     for tie in ("length", "equivalent"):
         doc["order"]["tie"] = tie
         path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, ["check-decreasing", str(path), "--contexts", "1"])
+        code, out, _ = run(capsys, ["check-decreasing", str(path)])
         assert (code, out) == (1, want)
     doc["order"] = {"kind": "mystery"}
     path.write_text(json.dumps(doc))

@@ -80,11 +80,7 @@ def test_diagram_shapes():
 
 def test_natural_whisker_transpose():
     sys = _h3()
-    ed = next(
-        ed
-        for (r1, w, r2), ed in natural_squares(sys, 1)
-        if (r1.name, w, r2.name) == ("a1", (3,), "c31")
-    )
+    ed = ElementaryDiagram(*natural_square(sys.rule("a1"), (3,), sys.rule("c31")))
     assert ed.top.source == ed.left.source == (1, 1, 3, 3, 1)
     assert ed.right.end == ed.bottom.end == (1, 3, 1, 3)
     w = whisker_ed(ed, (2,), (2,))
@@ -167,10 +163,10 @@ def _no_critical_cells(pair):
 
 def test_natural_cells_in_place_equal_the_three_stage_build():
     sys = hecke_system(4, "rfull")
-    squares = list(natural_squares(sys, 2))
-    for (r1, w, r2), ed in squares:
-        assert (ed.top, ed.left, ed.right, ed.bottom) == natural_square(r1, w, r2)
-    assert len(squares) == 16 * 16 * 21
+    squares = list(natural_squares(sys))
+    for (r1, r2), ed in squares:
+        assert (ed.top, ed.left, ed.right, ed.bottom) == natural_square(r1, (), r2)
+    assert len(squares) == 16 * 16
     provide = standard_provider(sys, chooser=_no_critical_cells)
     checked = {"natural": 0, "transposed": 0}
     for w in all_words(4, 6):

@@ -32,7 +32,7 @@ from srw.hecke import (
 )
 from srw import hecke
 from srw.hecke import NotCSortable
-from srw.order import InstanceOrder, check_decreasing, is_decreasing_ed
+from srw.order import InstanceOrder, check_decreasing, check_naturals, is_decreasing_ed
 from srw.seminormal import canon as generic_canon
 from srw.traces import normal_form
 from srw.words import (
@@ -45,7 +45,7 @@ from srw.words import (
     find_redexes,
 )
 
-from oracles import natural_square
+from oracles import natural_square, natural_squares_upto
 
 
 def test_system_rule_names():
@@ -466,11 +466,15 @@ def _tied_heads(inst):
     return (), hecke._instance_key(inst)[1]
 
 
+def _flat_heads(inst):
+    """The Hecke order with every head tied: the head moves into the stats."""
+    head, stats = hecke._instance_key(inst)
+    return (), head + stats
+
+
 def _symbolic(order, ed):
-    sides = hecke._natural_sides(order, ed)
-    if "fail" in sides:
-        return "FAIL"
-    return "UNKNOWN" if "tie" in sides else "PASS"
+    rep = check_naturals(order, [(None, ed)])
+    return "FAIL" if rep.failures else "UNKNOWN" if rep.ties else "PASS"
 
 
 @pytest.mark.parametrize(
@@ -482,16 +486,16 @@ def _symbolic(order, ed):
 def test_symbolic_naturals_match_enumeration(n, max_mid, key):
     """Per rule pair, the verdict from the w = () square agrees with
     `check_decreasing` over the pair's enumerated squares: PASS means all
-    are decreasing, FAIL that none is."""
+    are decreasing, and FAIL here that none is, since a lower head fails
+    a side for every separator."""
     sys = hecke_system(n, "rfull")
     if key is not None:
         sys = _keyed(sys, key)
     symbolic = {
-        (r1.name, r2.name): _symbolic(sys.order, ed)
-        for (r1, _, r2), ed in natural_squares(sys, 0)
+        (r1.name, r2.name): _symbolic(sys.order, ed) for (r1, r2), ed in natural_squares(sys)
     }
     by_pair = {}
-    for (r1, w, r2), ed in natural_squares(sys, max_mid):
+    for (r1, w, r2), ed in natural_squares_upto(sys, max_mid):
         by_pair.setdefault((r1.name, r2.name), []).append((w, ed))
     assert by_pair.keys() == symbolic.keys()
     for pair, squares in by_pair.items():
@@ -510,9 +514,7 @@ def test_whiskered_natural_squares_follow_the_pair_verdict(n):
     rng = random.Random(n)
     sys = hecke_system(n, "rfull")
     inverted = _keyed(sys, _inverted_heads).order
-    verdict = {
-        (r1, r2): _symbolic(inverted, ed) for (r1, _, r2), ed in natural_squares(sys, 0)
-    }
+    verdict = {(r1, r2): _symbolic(inverted, ed) for (r1, r2), ed in natural_squares(sys)}
 
     def word(k):
         return tuple(rng.randint(1, n) for _ in range(rng.randint(0, k)))
@@ -524,35 +526,63 @@ def test_whiskered_natural_squares_follow_the_pair_verdict(n):
         assert is_decreasing_ed(inverted, ed)[0] == (verdict[r1, r2] == "PASS")
 
 
+def _square_named(sys, label):
+    """The w = () square that a failure detail r1|-|r2 names, and its reason."""
+    names, why = label.split(": ", 1)
+    r1, w, r2 = names.split("|")
+    assert w == "-"
+    return [((a, b), ed) for (a, b), ed in natural_squares(sys) if (a.name, b.name) == (r1, r2)], why
+
+
 def test_verify_naturals_fail_names_a_failing_square():
     sys = _keyed(hecke_system(4, "rfull"), _inverted_heads)
     item = hecke._verify_naturals(sys)
     assert item.status == "FAIL"
-    label, why = item.detail.split(": ", 1)
-    r1, w, r2 = label.split("|")
-    assert w == "-" and why.endswith(", and so for every separator")
-    square = [
-        ((a, v, b), ed)
-        for (a, v, b), ed in natural_squares(sys, 0)
-        if (a.name, b.name) == (r1, r2)
-    ]
+    square, why = _square_named(sys, item.detail)
     rep = check_decreasing(sys.order, square)
-    assert [reason for _, reason in rep.failures] == [why.split(", and so")[0]]
+    assert [reason for _, reason in rep.failures] == [why]
+
+
+def _margin_failures(sys):
+    """(r1|r2, whether the other step's key is greater) for each side of a
+    w = () natural square whose same-rule comparison fails."""
+    key = sys.order.key
+    return [
+        (f"{r1.name}|{r2.name}", key(other) > key(step))
+        for (r1, r2), ed in natural_squares(sys)
+        for same, other, step in (
+            (ed.top, ed.left, ed.bottom.steps[0]),
+            (ed.left, ed.top, ed.right.steps[0]),
+        )
+        if not key(same) >= key(step)
+    ]
 
 
 def test_verify_naturals_tied_heads_are_unknown():
-    """With every head equal, the sides the heads decide become ties, and
-    the item names each of them."""
+    """With every head tied and the order otherwise unchanged, each w = ()
+    square stays decreasing, so the 20 sides the heads decided become
+    ties, and the item names each of them."""
     sys = hecke_system(4, "rfull")
-    by_head = [
-        f"{r1.name}|{r2.name}"
-        for (r1, _, r2), ed in natural_squares(sys, 0)
-        for side in hecke._natural_sides(sys.order, ed)
-        if side == "head"
-    ]
-    item = hecke._verify_naturals(_keyed(sys, _tied_heads))
+    sides = _margin_failures(sys)
+    assert len(sides) == 20 and all(held for _, held in sides)
+    by_head = ",".join(label for label, _ in sides)
+    item = hecke._verify_naturals(_keyed(sys, _flat_heads))
     assert item.status == "UNKNOWN"
-    assert item.detail.startswith(f"{len(by_head)} sides tie on the head: {','.join(by_head)};")
+    assert item.detail.startswith(f"20 sides tie on the head: {by_head};")
+
+
+def test_verify_naturals_without_heads_fail():
+    """Dropping the heads altogether fails each of those 20 sides on its
+    w = () square, so the item is FAIL and names a square that
+    `check_decreasing` rejects."""
+    sys = hecke_system(4, "rfull")
+    tied = _keyed(sys, _tied_heads)
+    assert _margin_failures(tied) == [(label, False) for label, _ in _margin_failures(sys)]
+    item = hecke._verify_naturals(tied)
+    assert item.status == "FAIL"
+    square, why = _square_named(tied, item.detail)
+    rep = check_decreasing(tied.order, square)
+    assert [reason for _, reason in rep.failures] == [why]
 
 
 def test_verify_naturals_covers_every_separator():

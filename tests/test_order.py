@@ -2,18 +2,22 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from srw.critical import enumerate_critical_pairs
 from srw.diagrams import ElementaryDiagram, natural_squares, transpose_ed
 from srw.hecke import chosen_critical_ed_tagged, hecke_system
 from srw.order import (
     InstanceOrder,
     check_decreasing,
+    check_naturals,
     is_decreasing_ed,
     rule_rank_order,
 )
-from srw.words import Path, RuleInstance
+from srw.words import Path, Rule, RuleInstance, SrsSystem
 
-from oracles import monomial_counterexamples, tiny_system
+from oracles import monomial_counterexamples, natural_squares_upto, tiny_system
 
 
 def test_rule_rank_order():
@@ -149,8 +153,8 @@ def test_not_decreasing_reports_reason():
 def test_natural_square_decreasing_under_hecke_order():
     sys = hecke_system(3, "rfull")
     squares = {
-        w: ed
-        for (r1, w, r2), ed in natural_squares(sys, 3)
+        w: ElementaryDiagram(*ed)
+        for (r1, w, r2), ed in natural_squares_upto(sys, 3)
         if (r1.name, r2.name) == ("a1", "c31")
     }
     for w in [(), (1,), (2, 2), (3, 1, 2)]:
@@ -166,7 +170,7 @@ def test_decreasing_is_transpose_invariant():
     # A rule-rank order by position in the rule list also exercises the
     # failing side: under it some of the diagrams are not decreasing.
     sys = hecke_system(3, "rfull")
-    diagrams = [ed for _, ed in natural_squares(sys, 2)]
+    diagrams = [ed for _, ed in natural_squares_upto(sys, 2)]
     diagrams += [chosen_critical_ed_tagged(p, sys)[0] for p in enumerate_critical_pairs(sys)]
     assert len(diagrams) == 832 + 50
     by_position = rule_rank_order({r.name: i for i, r in enumerate(sys.rules)})
@@ -192,13 +196,82 @@ def test_check_decreasing_counts_and_labels_failures():
         right=Path(top.target, (swp,)),
         bottom=Path(top.target, (swp,)),
     )
-    good = next(ed for (r1, _, r2), ed in natural_squares(sys, 0) if r1.name == r2.name == "dbl")
+    good = next(ed for (r1, r2), ed in natural_squares(sys) if r1.name == r2.name == "dbl")
     rep = check_decreasing(ord_, [("good", good), ("bad", bad), ("none", None)])
     assert rep.checked == 3 and not rep.ok
     assert [label for label, _ in rep.failures] == ["bad", "none"]
     assert rep.failures[0][1] == is_decreasing_ed(ord_, bad)[1].reason
     assert rep.failures[1][1] == "no joining square"
     assert check_decreasing(ord_, []).ok
+
+
+# --- natural squares under a rule-rank order ----------------------------------
+
+
+@st.composite
+def _ranked_systems(draw, tie):
+    """Small systems, erasing and lengthening rules among them, under a
+    rule-rank order with two ranks, so that ranks often tie."""
+    n = draw(st.integers(1, 3))
+    letters = st.integers(1, n)
+    sides = draw(
+        st.lists(
+            st.tuples(
+                st.lists(letters, min_size=1, max_size=3), st.lists(letters, max_size=3)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rules = tuple(Rule(f"r{k}", tuple(lhs), tuple(rhs)) for k, (lhs, rhs) in enumerate(sides))
+    ranks = {r.name: draw(st.integers(0, 1)) for r in rules}
+    return SrsSystem(n, rules, order=rule_rank_order(ranks, tie))
+
+
+@pytest.mark.parametrize("tie", ["equivalent", "length"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rule_rank_key_is_additive(tie, data):
+    """What `check_naturals` needs of an order: the head is fixed by the
+    rule, and inserting letters x into either context shifts the rest of
+    the key by a vector that depends on the rule, x and the side only."""
+    sys = data.draw(_ranked_systems(tie))
+    rule = data.draw(st.sampled_from(sys.rules))
+    words = st.lists(st.integers(1, sys.n), max_size=6).map(tuple)
+    a, b, x = data.draw(words), data.draw(words), data.draw(words)
+
+    def key(left, right):
+        return sys.order.key(RuleInstance(left, rule, right))
+
+    def delta(left, right, base_left, base_right):
+        stats, base = key(left, right)[1:], key(base_left, base_right)[1:]
+        assert len(stats) == len(base)
+        return tuple(p - q for p, q in zip(stats, base))
+
+    assert key(a, b)[0] == key((), ())[0]
+    k = data.draw(st.integers(0, len(a)))
+    assert delta(a[:k] + x + a[k:], b, a, b) == delta(x, (), (), ())
+    k = data.draw(st.integers(0, len(b)))
+    assert delta(a, b[:k] + x + b[k:], a, b) == delta((), x, (), ())
+
+
+@pytest.mark.parametrize("tie", ["equivalent", "length"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_naturals_fails_what_enumeration_fails(tie, data):
+    """Per rule pair, the verdict from the w = () square against
+    `check_decreasing` over the pair's squares with |w| <= 2: a pair fails
+    exactly when some enumerated square is not decreasing.  A rule-rank
+    order leaves no pair undecided."""
+    sys = data.draw(_ranked_systems(tie))
+    rep = check_naturals(sys.order, natural_squares(sys))
+    assert rep.checked == len(sys.rules) ** 2 and not rep.ties
+    failed = {label for label, _ in rep.failures}
+    by_pair = {}
+    for (r1, w, r2), ed in natural_squares_upto(sys, 2):
+        by_pair.setdefault((r1, r2), []).append((w, ed))
+    for pair, squares in by_pair.items():
+        assert (pair in failed) == (not check_decreasing(sys.order, squares).ok), pair
 
 
 def test_monomial_sample_hecke_order_clean():

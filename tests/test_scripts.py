@@ -28,14 +28,14 @@ def _private_srw_imports(source: str) -> list[str]:
     return found
 
 
-def _run(*argv: str) -> subprocess.CompletedProcess:
+def _run(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run a script with `src` on its import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -54,6 +54,33 @@ def test_tile_random_peaks_runs_to_completion():
     first = proc.stdout.splitlines()[0]
     assert first.startswith("200 peaks tiled in ")
     assert first.endswith("over rank 4 (rfull), all within fuel 10000")
+
+
+@pytest.mark.parametrize(
+    "flag,value,least",
+    [
+        ("--rank", "0", 1),
+        ("--max-len", "0", 2),
+        # No length-1 word holds a redex, so this cap once looped forever:
+        # the short timeout turns a hang back into a failure.
+        ("--max-len", "1", 2),
+        ("--max-steps", "0", 1),
+    ],
+)
+def test_tile_random_peaks_rejects_small_values(flag, value, least):
+    script = ROOT / "scripts" / "tile_random_peaks.py"
+    proc = _run(str(script), "--trials", "5", flag, value, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"argument {flag}: must be at least {least}, got {value}" in proc.stderr
+
+
+def test_tile_random_peaks_out_of_fuel_is_one_error_line():
+    """Fuel exhaustion exits 1 with one error line, as `srw complete-peak` does."""
+    script = ROOT / "scripts" / "tile_random_peaks.py"
+    proc = _run(str(script), "--trials", "5", "--fuel", "0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "fuel" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
