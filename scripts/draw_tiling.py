@@ -15,20 +15,21 @@ import itertools
 import sys as _sys
 
 from srw.cli import UsageError, parse_path, parse_word
-from srw.diagrams import complete_peak, export_dot
+from srw.diagrams import FuelExhausted, complete_peak, export_dot
 from srw.hecke import hecke_provider, hecke_system
 from srw.words import Path, find_redexes
+from tile_random_peaks import at_least
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rank", type=int, default=3)
+    ap.add_argument("--rank", type=at_least(1), default=3)
     ap.add_argument("--top", help="comma separated step specs")
     ap.add_argument("--left", help="comma separated step specs")
     ap.add_argument("--word", help="peak word; use with --all-pairs")
     ap.add_argument("--all-pairs", action="store_true",
                     help="tile every redex pair of --word, print summaries")
-    ap.add_argument("--fuel", type=int, default=10000)
+    ap.add_argument("--fuel", type=at_least(0), default=10000)
     ap.add_argument("-o", "--output", help="write DOT here instead of stdout")
     args = ap.parse_args()
     if args.all_pairs and not args.word:
@@ -40,6 +41,9 @@ def main() -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except FuelExhausted as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
     return 0
 
 

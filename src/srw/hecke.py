@@ -36,6 +36,16 @@ Each curated diagram and member is written as a peak word plus, step by
 step, the position where a rule rewrites the current word (a run of
 commutations is given by the word it reaches).
 
+The coherence search runs over a mixed alphabet: the rdoubleprime rules
+plus rfull's long braids b(j, i), j - i >= 2.  `definitions` holds one
+member per long braid: the step against its one-level peel, c(i, j) past
+the foot then b(j, i+1).  A class has only its widest braids peeled one
+level.  This is a Tietze transformation (Gaussent, Guiraud and Malbos,
+Compositio 151, 2015, section 2): `translate_to_basic` maps both sides of
+each definition to one rdoubleprime path, fixes `cells_P` and commutes
+with whiskers and disjoint swaps, so a derivation found over the mixed
+alphabet translates to one modulo `cells_P`.
+
 `verify_suite` machine-checks the whole setup in five items, each with
 its status, detail and seconds, and folds the statuses into one verdict:
 FAIL over UNKNOWN over PASS.  The chosen critical diagrams go through
@@ -88,6 +98,7 @@ __all__ = [
     "chosen_chooser",
     "hecke_provider",
     "cells_P",
+    "definitions",
     "translate_to_basic",
     "enumerate_monoid",
     "VerifyItem",
@@ -241,6 +252,10 @@ class _HeckeRules:
     def c(self, s: int, t: int) -> Rule:
         key = ("cf", s, t) if s > t else ("ci", s, t)
         return self._by_kind[key]
+
+    def of(self, rule: Rule) -> Rule:
+        """This system's rule of the same shape as `rule`."""
+        return self._by_kind[classify_rule(rule)]
 
 
 @lru_cache(maxsize=16)
@@ -630,30 +645,56 @@ def cells_P(n: int) -> CellFamily:
     return CellFamily(name=f"P({n})", members=tuple(members), labels=tuple(labels))
 
 
-def translate_to_basic(path: Path, target: SrsSystem) -> Path:
-    """Rewrite an rfull path into the rdoubleprime presentation.
+def _width(rule: Rule) -> int:
+    """The letters j - i + 1 that a braid b(j, i) spans; 0 for other rules."""
+    kind = classify_rule(rule)
+    return kind[1] - kind[2] + 1 if kind[0] == "b" else 0
 
-    Idempotence and commutation steps carry over; a long braid step
-    peels its skipped letters off with inverse commutations and finishes
-    with the basic braid rule.
-    """
-    H = _hecke_rules(target)
+
+def _mixed_rules(rdp: SrsSystem) -> _HeckeRules:
+    """The coherence search's alphabet: `rdp`'s rules plus rfull's long
+    braids b(j, i), j - i >= 2.  rfull's b(j, j-1) is read as rdp's b(j)."""
+    wide = tuple(r for r in hecke_system(rdp.n, "rfull").rules if _width(r) >= 3)
+    return _hecke_rules(SrsSystem(rdp.n, rdp.rules + wide))
+
+
+def _peel(path: Path, M: _HeckeRules, width: int) -> Path:
+    """`path` over M's rules, each braid b(j, i) that spans `width` >= 3
+    letters peeled one level by its definition: c(i, j) past the foot,
+    then b(j, i+1) with i moved into the right context."""
     out: list[RuleInstance] = []
     for st in path.steps:
-        kind = classify_rule(st.rule)
-        if kind[0] == "a":
-            out.append(RuleInstance(st.left, H.a(kind[1]), st.right))
-        elif kind[0] in ("cf", "ci"):
-            out.append(RuleInstance(st.left, H.c(kind[1], kind[2]), st.right))
+        if width > 2 and _width(st.rule) == width:
+            j, i = classify_rule(st.rule)[1:]
+            out.append(RuleInstance(st.left + _D(j, i + 1), M.c(i, j), st.right))
+            out.append(RuleInstance(st.left, M.b(j, i + 1), (i,) + st.right))
         else:
-            j, i = kind[1], kind[2]
-            v = st.right
-            while j - i >= 2:
-                out.append(RuleInstance(st.left + _D(j, i + 1), H.c(i, j), v))
-                v = (i,) + v
-                i += 1
-            out.append(RuleInstance(st.left, H.b(j, j - 1), v))
+            out.append(RuleInstance(st.left, M.of(st.rule), st.right))
     return Path(path.start, tuple(out))
+
+
+def definitions(n: int) -> CellFamily:
+    """One member per long braid b(j, i), j - i >= 2, in (j, i) order: on
+    the peak D(j, i)·j, the step b(j, i) against its one-level peel."""
+    M = _mixed_rules(hecke_system(n, "rdoubleprime"))
+    members: list[tuple[Path, Path]] = []
+    labels: list[str] = []
+    for j in range(3, n + 1):
+        for i in range(1, j - 1):
+            step = _walk(_D(j, i) + (j,), [(0, M.b(j, i))], M)
+            members.append((step, _peel(step, M, j - i + 1)))
+            labels.append(f"def({j},{i})")
+    return CellFamily(name=f"D({n})", members=tuple(members), labels=tuple(labels))
+
+
+def translate_to_basic(path: Path, target: SrsSystem) -> Path:
+    """Rewrite an rfull path into the rdoubleprime presentation `target`:
+    peel the widest braids one level, then the next width, until no long
+    braid is left.  So each `definitions` member translates to one path."""
+    M = _mixed_rules(target)
+    for width in range(target.n, 1, -1):
+        path = _peel(path, M, width)
+    return path
 
 
 # --- enumeration ------------------------------------------------------------
@@ -914,8 +955,8 @@ def _coherence_sort_key(name: str, pair: CriticalPair) -> tuple:
 
 
 def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
-    rdp = hecke_system(sys.n, "rdoubleprime")
-    base = cells_P(sys.n)
+    M = _mixed_rules(hecke_system(sys.n, "rdoubleprime"))
+    base, defs = cells_P(sys.n), definitions(sys.n)
     pairs = enumerate_critical_pairs(sys)
     # One curated diagram per unordered pair: the first orientation met.
     chosen: dict[frozenset, tuple[str, CriticalPair, ElementaryDiagram]] = {}
@@ -927,22 +968,20 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     todo = sorted(
         chosen.values(), key=lambda it: _coherence_sort_key(it[0], it[1])
     )
-    members = list(base.members)
-    labels = list(base.labels)
+    members = list(base.members + defs.members)
+    labels = list(base.labels + defs.labels)
     unknown: list[str] = []
     equivalent = 0
     for name, pair, ed in todo:
-        s1, s2 = _sides(ed)
-        t1 = translate_to_basic(s1, rdp)
-        t2 = translate_to_basic(s2, rdp)
-        family = CellFamily(
-            name=base.name, members=tuple(members), labels=tuple(labels)
-        )
-        verdict = paths_equivalent_mod_cells(t1, t2, family, bound=bound)
+        sides = tuple(_peel(side, M, 0) for side in _sides(ed))  # width 0: none peeled
+        widest = max(_width(st.rule) for side in sides for st in side.steps)
+        family = CellFamily(name=base.name, members=tuple(members), labels=tuple(labels))
+        p, q = (_peel(side, M, widest) for side in sides)
+        verdict = paths_equivalent_mod_cells(p, q, family, bound=bound)
         label = f"{name}@{sys.fmt(pair.peak)}"
         if verdict is PathVerdict.EQUIVALENT:
             equivalent += 1
-            members.append((t1, t2))
+            members.append(sides)
             labels.append(label)
         else:
             unknown.append(label)

@@ -268,6 +268,15 @@ def test_criterion_10_coherence():
     print(f"criterion 10 PASS: {item.detail} ({elapsed:.1f}s)")
 
 
+def test_criterion_10_coherence_rank5():
+    t0 = time.monotonic()
+    item = _verify_coherence(hecke_system(5, "rfull"), 100000)
+    assert item.status == "PASS", item.detail
+    assert item.detail.startswith("163/163")
+    elapsed = _budget(t0, 30.0, "criterion 10 at rank 5")
+    print(f"criterion 10 PASS at rank 5: {item.detail} ({elapsed:.1f}s)")
+
+
 def test_criterion_11_order_sanity():
     t0 = time.monotonic()
     sys = hecke_system(4, "rfull")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from srw.critical import CriticalPair, enumerate_critical_pairs
 from srw.diagrams import (
+    CellFamily,
     ElementaryDiagram,
     PathVerdict,
     natural_squares,
@@ -24,6 +25,7 @@ from srw.hecke import (
     cells_P,
     chosen_critical_ed_tagged,
     classify_rule,
+    definitions,
     enumerate_monoid,
     hecke_canon,
     hecke_system,
@@ -290,6 +292,31 @@ def test_translate_wide_braid():
     t = translate_to_basic(Path(b41.lhs, (RuleInstance((), b41, ()),)), rdp)
     assert t.start == b41.lhs and t.end == b41.rhs
     assert [s.rule.name for s in t.steps] == ["c14", "c24", "b4"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_translation_identifies_definitions_and_fixes_cells(n):
+    """The Tietze argument behind the mixed-alphabet coherence search: full
+    translation maps both paths of each definition member to one
+    rdoubleprime path and leaves every `cells_P` member as it is, so an
+    equivalence modulo both families is one modulo `cells_P`."""
+    rdp = hecke_system(n, "rdoubleprime")
+    defs = definitions(n)
+    assert len(defs.members) == (n - 1) * (n - 2) // 2
+    for (one, peeled), label in zip(defs.members, defs.labels):
+        assert len(one) == 1 and len(peeled) == 2, label
+        assert translate_to_basic(one, rdp) == translate_to_basic(peeled, rdp), label
+    for pair in cells_P(n).members:
+        assert tuple(translate_to_basic(p, rdp) for p in pair) == pair
+
+
+def test_coherence_rank4_needs_the_definitions(monkeypatch):
+    """Without the definition members the rank-4 search loses classes."""
+    sys = hecke_system(4, "rfull")
+    assert hecke._verify_coherence(sys, 100000).detail.startswith("73/73 ")
+    monkeypatch.setattr(hecke, "definitions", lambda n: CellFamily(name="none", members=()))
+    item = hecke._verify_coherence(sys, 100000)
+    assert item.status == "UNKNOWN" and item.detail.startswith("71/73 "), item.detail
 
 
 @given(st.integers(0, 10**6))

@@ -133,3 +133,20 @@ def test_draw_tiling_bad_input_is_a_usage_error(argv, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_draw_tiling_out_of_fuel_is_one_error_line():
+    """Fuel exhaustion exits 1 with one error line, as `srw complete-peak` does."""
+    script = ROOT / "scripts" / "draw_tiling.py"
+    proc = _run(str(script), "--top=32:c13:-", "--left=-:b31:-", "--fuel", "0", timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "fuel" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag,value,least", [("--fuel", "-1", 0), ("--rank", "0", 1)])
+def test_draw_tiling_rejects_small_values(flag, value, least):
+    script = ROOT / "scripts" / "draw_tiling.py"
+    proc = _run(str(script), "--top=32:c13:-", "--left=-:b31:-", flag, value, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"argument {flag}: must be at least {least}, got {value}" in proc.stderr
