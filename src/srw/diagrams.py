@@ -35,22 +35,27 @@ adjacent steps with disjoint redexes.  The verdict is
 one-sided: Equivalent means a chain of substitutions was found, Unknown
 means none was found within the search budget.
 
-The search numbers the R distinct rules of p, q and the family once per
-call and codes each step as one int, `len(step.left) * R + rule number`,
-so a state is a tuple of ints, cheap to hash, whose words are computed
-once when it is expanded.  Whiskering by x letters on the left adds x * R
-to every code: a member path occurs where the gaps between adjacent codes
+A family numbers the R distinct rules of its members on its first search
+and codes each step as one int, `len(step.left) * R + rule number`, so a
+state is a tuple of ints, cheap to hash, whose words are computed once
+when it is expanded.  Whiskering by x letters on the left adds x * R to
+every code: a member path occurs where the gaps between adjacent codes
 agree and its base word sits at the offset that shift names.  So moves
-are indexed by their first rule and first gap, loop insertions by their
-base word.  The neighbours come out in the order a full scan would find
-them (move, step index, offset, then swaps), because the budget cuts the
-search after a fixed number of new states: another order could change
-an Unknown at a given bound into Equivalent or back.
+are keyed by their first rule and (first gap,), loop insertions by their
+base word (a word holds no tuple, so keys never clash), and each move
+memoises its whiskered copies.  `CellFamily.extended` codes only the new
+member and shares the parent's moves.  A member, p or q with a rule the
+numbering lacks gets a new numbering, and the codes built under the old
+one stay as they were.  Renumbering is a bijection on states that keeps
+the order in which neighbours come out: the order a full scan would find
+them (move, step index, offset, then swaps).  That order matters, because
+the budget cuts the search after a fixed number of new states: another
+order could change an Unknown at a given bound into Equivalent or back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
@@ -478,24 +483,86 @@ class NotParallel(ValueError):
 @dataclass(frozen=True)
 class CellFamily:
     """Named parallel path pairs; the path search takes them together with
-    all commuting squares of disjoint redexes."""
+    all commuting squares of disjoint redexes.
+
+    The search codes the members on its first call and keeps that table
+    with the family.  `extended(pair, label)` is the family with one more
+    member; it checks and codes only that member and reuses the parent's
+    coded moves, so a family grown a member at a time is coded once.  The
+    parent is unchanged, so one family can be extended twice."""
 
     name: str
     members: tuple[tuple[Path, Path], ...]
     labels: tuple[str, ...] = ()
+    _table: _Table | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for a, b in self.members:
-            if a.start != b.start or a.end != b.end:
-                raise NotParallel(
-                    f"family {self.name}: member paths are not parallel"
-                )
+        for pair in self.members:
+            self._check(pair)
         if self.labels and len(self.labels) != len(self.members):
             raise ValueError("labels must match members")
+
+    def _check(self, pair: tuple[Path, Path]) -> None:
+        if pair[0].start != pair[1].start or pair[0].end != pair[1].end:
+            raise NotParallel(f"family {self.name}: member paths are not parallel")
+
+    def extended(self, pair: tuple[Path, Path], label: str = "") -> CellFamily:
+        self._check(pair)
+        labels = self.labels + (label,) if len(self.labels) == len(self.members) else ()
+        child = object.__new__(CellFamily)  # frozen: fill in the checked fields
+        child.__dict__.update(name=self.name, members=self.members + (pair,), labels=labels)
+        child.__dict__["_table"] = self._coded().plus(pair)
+        return child
+
+    def _coded(self) -> _Table:
+        if self._table is None:
+            object.__setattr__(self, "_table", _Table.of(self.members))
+        return self._table
 
 
 # A path's steps from a known start word, each coded as one int.
 _Codes = tuple[int, ...]
+
+
+def _gaps(c: _Codes) -> _Codes:
+    return tuple(y - x for x, y in zip(c, c[1:]))
+
+
+class _Table(NamedTuple):
+    """Members coded over one rule numbering, two moves each: (base, frm,
+    to, frm's gaps, key, whiskered), listed in `by_key` under their key."""
+
+    index: dict[Rule, int]
+    moves: tuple[tuple, ...]
+    by_key: dict[tuple, tuple[int, ...]]
+
+    @classmethod
+    def of(cls, members, paths: tuple[Path, ...] = ()) -> _Table:
+        index: dict[Rule, int] = {}
+        for path in (*(m for pair in members for m in pair), *paths):
+            for st in path.steps:
+                index.setdefault(st.rule, len(index))
+        table = cls(index, (), {})
+        for pair in members:
+            table = table.plus(pair)
+        return table
+
+    def code(self, path: Path) -> _Codes:
+        return tuple(len(st.left) * len(self.index) + self.index[st.rule] for st in path.steps)
+
+    def plus(self, pair: tuple[Path, Path]) -> _Table | None:
+        """A new table with pair's two moves after these, sharing them; None
+        if pair has a rule that the numbering lacks."""
+        if any(st.rule not in self.index for m in pair for st in m.steps):
+            return None
+        moves, by_key = list(self.moves), dict(self.by_key)
+        ca, cb = self.code(pair[0]), self.code(pair[1])
+        for frm, to in ((ca, cb), (cb, ca)):
+            g = _gaps(frm)
+            key = (frm[0] % len(self.index), g[:1]) if frm else pair[0].start
+            by_key[key] = by_key.get(key, ()) + (len(moves),)
+            moves.append((pair[0].start, frm, to, g, key, {}))
+        return _Table(self.index, tuple(moves), by_key)
 
 
 def _replacements(
@@ -506,7 +573,7 @@ def _replacements(
     frm's first rule, and gap to its second step, occur.  A whisker adds
     one shift to every code, so frm occurs at i iff the gaps between
     adjacent codes agree there and `base` sits at the offset shift names."""
-    base, frm, to, frm_gaps, _ = move
+    base, frm, to, frm_gaps, _, whiskered = move
     k = len(frm)
     for i in at:
         if i + k > len(steps):
@@ -515,15 +582,20 @@ def _replacements(
         if shift >= 0 and gaps[i : i + k - 1] == frm_gaps:
             x = shift // R
             if words[i][x : x + len(base)] == base:
-                yield steps[:i] + tuple(c + shift for c in to) + steps[i + k :]
+                if shift not in whiskered:
+                    whiskered[shift] = tuple(c + shift for c in to)
+                yield steps[:i] + whiskered[shift] + steps[i + k :]
 
 
-def _insertions(steps: _Codes, places: list[tuple[int, int]], to: _Codes, R: int) -> Iterator[_Codes]:
-    """Insert a whiskered copy of `to`, a coded loop, at each (step index,
-    word offset) of `places`, where its base word occurs."""
+def _insertions(steps: _Codes, places: list[tuple[int, int]], move: tuple, R: int) -> Iterator[_Codes]:
+    """Insert a whiskered copy of a move's `to`, a coded loop, at each (step
+    index, word offset) of `places`, where its base word occurs."""
+    to, whiskered = move[2], move[5]
     for i, x in places:
         shift = x * R
-        yield steps[:i] + tuple(c + shift for c in to) + steps[i:]
+        if shift not in whiskered:
+            whiskered[shift] = tuple(c + shift for c in to)
+        yield steps[:i] + whiskered[shift] + steps[i:]
 
 
 def _natural_swaps(steps: _Codes, lhs: list[Word], rhs: list[Word], R: int) -> Iterator[_Codes]:
@@ -554,32 +626,13 @@ def paths_equivalent_mod_cells(
         raise NotParallel("paths must share start and end words")
     if p.steps == q.steps:
         return PathVerdict.EQUIVALENT
-    index: dict[Rule, int] = {}
-    for path in (*(m for pair in family.members for m in pair), p, q):
-        for st in path.steps:
-            index.setdefault(st.rule, len(index))
+    table = family._coded()
+    if any(st.rule not in table.index for path in (p, q) for st in path.steps):
+        table = _Table.of(family.members, (p, q))  # renumbered for this call only
+    index, moves, by_key = table
     R = len(index)
+    bases = {move[0] for move in moves if not move[1]}
     lhs, rhs = [r.lhs for r in index], [r.rhs for r in index]
-
-    def code(path: Path) -> _Codes:
-        return tuple(len(st.left) * R + index[st.rule] for st in path.steps)
-
-    def gaps(c: _Codes) -> _Codes:
-        return tuple(y - x for x, y in zip(c, c[1:]))
-
-    # Each move (base, frm, to, frm's gaps, key) is indexed by its key:
-    # frm's first rule and (first gap,) for a replacement, the base word
-    # for a loop insertion (a word has no tuple in it, so keys never clash).
-    moves: list[tuple] = []
-    by_key: dict[tuple, list[int]] = {}
-    for a, b in family.members:
-        ca, cb = code(a), code(b)
-        for frm, to in ((ca, cb), (cb, ca)):
-            g = gaps(frm)
-            key = (frm[0] % R, g[:1]) if frm else a.start
-            by_key.setdefault(key, []).append(len(moves))
-            moves.append((a.start, frm, to, g, key))
-    bases = {base for base, frm, *_ in moves if not frm}
     found: dict[Word, list[tuple[Word, int]]] = {}  # word -> (loop base, offset) in it
 
     def neighbours(steps: _Codes) -> Iterator[_Codes]:
@@ -587,7 +640,7 @@ def paths_equivalent_mod_cells(
         for c in steps:
             a, r = divmod(c, R)
             words.append(words[-1][:a] + rhs[r] + words[-1][a + len(lhs[r]) :])
-        state_gaps = gaps(steps)
+        state_gaps = _gaps(steps)
         at: dict[tuple, list[int]] = {}
         for i, c in enumerate(steps):
             at.setdefault((c % R, ()), []).append(i)
@@ -604,14 +657,14 @@ def paths_equivalent_mod_cells(
         # In move order, then step index and offset, as a full scan would
         # find them: the verdict at a given budget depends on that order.
         for j in sorted(j for key in (*at, *places) for j in by_key.get(key, ())):
-            _, frm, to, _, key = move = moves[j]
-            if frm:
-                yield from _replacements(steps, words, state_gaps, at[key], move, R)
+            move = moves[j]
+            if move[1]:
+                yield from _replacements(steps, words, state_gaps, at[move[4]], move, R)
             else:
-                yield from _insertions(steps, places[key], to, R)
+                yield from _insertions(steps, places[move[4]], move, R)
         yield from _natural_swaps(steps, lhs, rhs, R)
 
-    frontiers = [[code(p)], [code(q)]]
+    frontiers = [[table.code(p)], [table.code(q)]]
     seen = tuple(set(f) for f in frontiers)
     budget = bound
     while frontiers[0] and frontiers[1] and budget > 0:

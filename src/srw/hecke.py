@@ -968,21 +968,18 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     todo = sorted(
         chosen.values(), key=lambda it: _coherence_sort_key(it[0], it[1])
     )
-    members = list(base.members + defs.members)
-    labels = list(base.labels + defs.labels)
+    family = CellFamily(base.name, base.members + defs.members, base.labels + defs.labels)
     unknown: list[str] = []
     equivalent = 0
     for name, pair, ed in todo:
         sides = tuple(_peel(side, M, 0) for side in _sides(ed))  # width 0: none peeled
         widest = max(_width(st.rule) for side in sides for st in side.steps)
-        family = CellFamily(name=base.name, members=tuple(members), labels=tuple(labels))
         p, q = (_peel(side, M, widest) for side in sides)
         verdict = paths_equivalent_mod_cells(p, q, family, bound=bound)
         label = f"{name}@{sys.fmt(pair.peak)}"
         if verdict is PathVerdict.EQUIVALENT:
             equivalent += 1
-            members.append(sides)
-            labels.append(label)
+            family = family.extended(sides, label)
         else:
             unknown.append(label)
     status = "PASS" if not unknown else "UNKNOWN"

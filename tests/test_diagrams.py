@@ -395,6 +395,69 @@ def test_path_search_matches_scan_reference_rank3_coherence(monkeypatch):
         _assert_matches_scan(p, q, members)
 
 
+def _assert_same_verdicts(p: Path, q: Path, family: CellFamily, max_bound: int = 100) -> None:
+    """`family` and a family built at once from its members agree at every
+    bound: the order of neighbours does not depend on how it was coded."""
+    fresh = CellFamily(name=family.name, members=family.members, labels=family.labels)
+    for bound in range(1, max_bound + 1):
+        got = paths_equivalent_mod_cells(p, q, family, bound)
+        assert got is paths_equivalent_mod_cells(p, q, fresh, bound), (p, q, bound)
+
+
+@pytest.mark.parametrize("n, classes", [(3, 25), (4, 73)])
+def test_grown_coherence_family_matches_a_fresh_one(monkeypatch, n, classes):
+    searches = []
+
+    def record(p, q, family, bound):
+        searches.append((p, q, family))
+        return paths_equivalent_mod_cells(p, q, family, bound)
+
+    monkeypatch.setattr(hecke, "paths_equivalent_mod_cells", record)
+    item = hecke._verify_coherence(hecke_system(n, "rfull"), bound=100000)
+    assert item.status == "PASS" and len(searches) == classes
+    sizes = [len(family.members) for _, _, family in searches]
+    assert sizes == list(range(sizes[0], sizes[0] + classes))  # grown one member a class
+    for p, q, family in searches:
+        _assert_same_verdicts(p, q, family)
+
+
+def test_extending_one_family_twice_keeps_the_children_apart():
+    base = cells_P(3)
+    m = dict(zip(base.labels, base.members))
+    kept = [label for label in base.labels if label not in ("loop(1,3)", "zz(2)")]
+    parent = CellFamily(name="P", members=tuple(m[x] for x in kept), labels=tuple(kept))
+    paths_equivalent_mod_cells(*m["ac(1,3)"], parent, 10)  # code the parent first
+    loop = parent.extended(m["loop(1,3)"], "loop(1,3)")
+    zz = parent.extended(m["zz(2)"], "zz(2)")
+    assert loop.labels[-1] == "loop(1,3)" and zz.labels[-1] == "zz(2)"
+    assert len(parent.members) == len(kept) and parent.labels == tuple(kept)
+    # Each child finds its own member and not its sibling's, in either order.
+    for family, mine, theirs in ((zz, "zz(2)", "loop(1,3)"), (loop, "loop(1,3)", "zz(2)")):
+        assert paths_equivalent_mod_cells(*m[mine], family, 100) is PathVerdict.EQUIVALENT
+        assert paths_equivalent_mod_cells(*m[theirs], family, 100) is PathVerdict.UNKNOWN
+        assert paths_equivalent_mod_cells(*m[theirs], parent, 100) is PathVerdict.UNKNOWN
+        _assert_same_verdicts(*m["loop(1,3)"], family, max_bound=60)
+        _assert_same_verdicts(*m["zz(2)"], family, max_bound=60)
+
+
+def test_extending_by_a_rule_the_family_lacks():
+    # def(3,1) is the only member with the long braid b31, which cells_P(3)
+    # does not number: the child and the searches over it renumber.
+    base = cells_P(3)
+    m = dict(zip(base.labels, base.members))
+    (d31,) = hecke.definitions(3).members
+    paths_equivalent_mod_cells(*m["ac(1,3)"], base, 10)
+    child = base.extended(d31, "def(3,1)")
+    grandchild = child.extended(m["loop(1,3)"], "again")
+    for family in (base, child, grandchild):
+        _assert_same_verdicts(*d31, family, max_bound=40)
+        _assert_same_verdicts(*m["loop(1,3)"], family, max_bound=40)
+    assert paths_equivalent_mod_cells(*d31, base, 100) is PathVerdict.UNKNOWN
+    assert paths_equivalent_mod_cells(*d31, child, 100) is PathVerdict.EQUIVALENT
+    with pytest.raises(NotParallel):
+        child.extended((d31[0], m["loop(1,3)"][1]), "bad")
+
+
 def _loop_rules(m: int) -> tuple[Rule, ...]:
     """A lengthening and two shortening rules on a letter m that the drawn
     rules never touch, so that loops exist; `twin` rewrites like `drop`
