@@ -100,11 +100,16 @@ def system_to_doc(sys: SrsSystem) -> dict[str, Any]:
     return doc
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: JSON's true and false load as Python ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def system_from_doc(doc: Any) -> SrsSystem:
     if not isinstance(doc, dict):
         raise UsageError("system document must be a JSON object")
     n = doc.get("generators", doc.get("n"))
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise UsageError("field 'generators' must be a positive integer")
     raw_rules = doc.get("rules")
     if not isinstance(raw_rules, list) or not raw_rules:
@@ -119,7 +124,7 @@ def system_from_doc(doc: Any) -> SrsSystem:
             raise UsageError(f"malformed rule entry {r!r}") from exc
         if not isinstance(name, str) or not name:
             raise UsageError(f"rule name must be a non-empty string, got {name!r}")
-        if not all(isinstance(g, int) for g in lhs + rhs):
+        if not all(_is_int(g) for g in lhs + rhs):
             raise UsageError(f"rule {name}: sides must be lists of integers")
         try:
             rules.append(Rule(name=name, lhs=lhs, rhs=rhs))
@@ -138,9 +143,11 @@ def system_from_doc(doc: Any) -> SrsSystem:
             if not isinstance(ranks, dict):
                 raise UsageError("rule-rank order needs a 'ranks' object")
             names = {r.name for r in rules}
-            for name in ranks:
+            for name, rank in ranks.items():
                 if name not in names:
                     raise UsageError(f"rank for unknown rule {name!r}")
+                if not _is_int(rank):
+                    raise UsageError(f"rank of rule {name} must be an integer, got {rank!r}")
             tie = odoc.get("tie", "equivalent")
             if tie not in ("equivalent", "length"):
                 raise UsageError(f"unknown tie policy {tie!r}")

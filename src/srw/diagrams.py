@@ -487,9 +487,9 @@ class CellFamily:
 
     The search codes the members on its first call and keeps that table
     with the family.  `extended(pair, label)` is the family with one more
-    member; it checks and codes only that member and reuses the parent's
-    coded moves, so a family grown a member at a time is coded once.  The
-    parent is unchanged, so one family can be extended twice."""
+    member; it codes only that member and reuses the parent's coded moves,
+    so a family grown a member at a time is coded once.  The parent is
+    unchanged, so one family can be extended twice."""
 
     name: str
     members: tuple[tuple[Path, Path], ...]
@@ -497,21 +497,16 @@ class CellFamily:
     _table: _Table | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for pair in self.members:
-            self._check(pair)
+        for p, q in self.members:
+            if p.start != q.start or p.end != q.end:
+                raise NotParallel(f"family {self.name}: member paths are not parallel")
         if self.labels and len(self.labels) != len(self.members):
             raise ValueError("labels must match members")
 
-    def _check(self, pair: tuple[Path, Path]) -> None:
-        if pair[0].start != pair[1].start or pair[0].end != pair[1].end:
-            raise NotParallel(f"family {self.name}: member paths are not parallel")
-
     def extended(self, pair: tuple[Path, Path], label: str = "") -> CellFamily:
-        self._check(pair)
         labels = self.labels + (label,) if len(self.labels) == len(self.members) else ()
-        child = object.__new__(CellFamily)  # frozen: fill in the checked fields
-        child.__dict__.update(name=self.name, members=self.members + (pair,), labels=labels)
-        child.__dict__["_table"] = self._coded().plus(pair)
+        child = CellFamily(self.name, self.members + (pair,), labels)
+        object.__setattr__(child, "_table", self._coded().plus(pair))
         return child
 
     def _coded(self) -> _Table:

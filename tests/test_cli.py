@@ -398,6 +398,44 @@ def test_rule_rank_order_document(tmp_path, capsys):
     assert code == 2 and "mystery" in err
 
 
+_TWO_RULES = [
+    {"name": "a1", "lhs": [1, 1], "rhs": [1]},
+    {"name": "b", "lhs": [2, 1], "rhs": [1, 2]},
+]
+
+
+@pytest.mark.parametrize(
+    "doc, why",
+    [
+        (
+            {"generators": True, "rules": [{"name": "a1", "lhs": [True, True], "rhs": [1]}]},
+            "field 'generators' must be a positive integer",
+        ),
+        (
+            {"generators": 2, "rules": [{"name": "a1", "lhs": [1, True], "rhs": [1]}]},
+            "rule a1: sides must be lists of integers",
+        ),
+        (
+            {"generators": 2, "rules": _TWO_RULES,
+             "order": {"kind": "rule-rank", "ranks": {"a1": "x", "b": 1}}},
+            "rank of rule a1 must be an integer, got 'x'",
+        ),
+        (
+            {"generators": 2, "rules": _TWO_RULES,
+             "order": {"kind": "rule-rank", "ranks": {"a1": 0, "b": True}}},
+            "rank of rule b must be an integer, got True",
+        ),
+    ],
+    ids=["boolean-generators", "boolean-letter", "string-rank", "boolean-rank"],
+)
+@pytest.mark.parametrize("command", ["validate", "check-decreasing"])
+def test_non_integer_document_fields_exit_two(doc, why, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out, err) == (2, "", f"error: {why}\n")
+
+
 def test_usage_errors_exit_two(h3full, capsys):
     assert main(["redexes", h3full, "19"]) == 2  # letter out of range
     assert main(["redexes", h3full, "abc"]) == 2

@@ -35,7 +35,7 @@ from srw.hecke import (
 from srw import hecke
 from srw.hecke import NotCSortable
 from srw.order import InstanceOrder, check_decreasing, check_naturals, is_decreasing_ed
-from srw.seminormal import canon as generic_canon
+from srw.seminormal import attractor, canon as generic_canon
 from srw.traces import normal_form
 from srw.words import (
     Path,
@@ -478,6 +478,77 @@ def test_instance_key_is_additive(data):
     assert _stats_delta(rule, a[:k] + x + a[k:], b, a, b) == _stats_delta(rule, x, (), (), ())
     k = data.draw(st.integers(0, len(b)))
     assert _stats_delta(rule, a, b[:k] + x + b[k:], a, b) == _stats_delta(rule, (), x, (), ())
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_forward_commutation_removes_one_inversion(data):
+    """The lemma behind `_verify_c_subsystem`: in any context a forward
+    commutation removes exactly one inversion, as it does alone."""
+    n = data.draw(st.integers(3, 7))  # rank 2 has no forward commutation
+    forward = [r for r in hecke_system(n, "rfull").rules if classify_rule(r)[0] == "cf"]
+    rule = data.draw(st.sampled_from(forward))
+    words = st.lists(st.integers(1, n), max_size=8).map(tuple)
+    a, b = data.draw(words), data.draw(words)
+
+    def inversions(w):
+        return sum(1 for p in range(len(w)) for q in range(p + 1, len(w)) if w[p] > w[q])
+
+    assert inversions(a + rule.lhs + b) - inversions(a + rule.rhs + b) == 1
+    assert hecke._inversions(rule.lhs) - hecke._inversions(rule.rhs) == 1
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rfull_steps_keep_or_lower_the_measure_in_every_context(data):
+    """The lemma behind `_verify_attractor_loops`: `_measure` adds up over
+    concatenation, so a step compares with its source as its rule's two
+    sides do: equal for a two-letter swap, lower for any other rule."""
+    n = data.draw(st.integers(2, 7))
+    rule = data.draw(st.sampled_from(hecke_system(n, "rfull").rules))
+    words = st.lists(st.integers(1, n), max_size=8).map(tuple)
+    a, b = data.draw(words), data.draw(words)
+
+    def m(w):
+        return hecke._measure(w, n)
+
+    def plus(*vs):
+        return tuple(map(sum, zip(*vs)))
+
+    source, target = a + rule.lhs + b, a + rule.rhs + b
+    assert m(source) == plus(m(a), m(rule.lhs), m(b))
+    assert m(target) == plus(m(a), m(rule.rhs), m(b))
+    verdict = _sign(m(rule.rhs), m(rule.lhs))
+    assert _sign(m(target), m(source)) == verdict
+    assert verdict == (0 if rule.rhs == rule.lhs[::-1] else -1), rule
+
+
+def test_attractor_loops_unknown_names_the_rule_the_measure_cannot_order():
+    up = Rule("up", (1, 2), (2, 2))
+    item = hecke._verify_attractor_loops(SrsSystem(2, (Rule("a1", (1, 1), (1,)), up)))
+    assert item.status == "UNKNOWN"
+    assert item.detail.startswith("rules up neither swap two letters nor lower"), item.detail
+    # Where the claim is false, the item stays UNKNOWN too: 1 and 2 form one
+    # attractor class whose loop steps are not swaps.
+    loop = SrsSystem(2, (Rule("down", (2,), (1,)), Rule("rise", (1,), (2,))))
+    assert attractor((1,), loop).members == {(1,), (2,)}
+    item = hecke._verify_attractor_loops(loop)
+    assert item.status == "UNKNOWN" and item.detail.startswith("rules rise "), item.detail
+
+
+def test_verify_attractor_loops_tells_swaps_from_the_words():
+    # An interchange of adjacent letters has no Hecke shape; a rule whose
+    # sides are one letter twice is no swap.
+    swap = Rule("s", (2, 1), (1, 2))
+    item = hecke._verify_attractor_loops(SrsSystem(2, (Rule("a1", (1, 1), (1,)), swap)))
+    assert item.status == "PASS", item.detail
+    assert item.detail.startswith("1 interchanges keep the measure"), item.detail
+    still = Rule("still", (1, 1), (1, 1))
+    assert hecke._verify_attractor_loops(SrsSystem(1, (still,))).status == "UNKNOWN"
 
 
 def _keyed(sys, key):
