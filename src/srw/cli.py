@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rprime", "rdoubleprime", "rfull"],
         default="rdoubleprime",
     )
-    p.add_argument("--cap", type=_budget(), default=5)
+    p.add_argument("--cap", type=_budget(), default=6)
     p.add_argument("--json", action="store_true")
 
     p = addh("verify", cmd_hecke_verify, help="run the machine checks for rank n")

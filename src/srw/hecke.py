@@ -86,7 +86,7 @@ from .diagrams import (
     transpose_ed,
 )
 from .order import InstanceOrder, check_decreasing, check_naturals
-from .traces import factor_in_class, normal_form
+from .traces import class_factors, normal_form
 from .words import Path, Rule, RuleInstance, SourceMismatch, SrsSystem, Word, explore
 
 __all__ = [
@@ -710,9 +710,10 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
     otherwise any such step strictly lowers `_measure`, which commutations
     keep (see the module docstring).  So the loop takes the normal form,
     looks for a descent's left-hand side as a factor of some class member
-    (rules in name order, without listing the class) and rewrites it,
-    until no descent is left; the result is the final class's normal
-    form.  `_memo` maps the normal forms met along the way to the result.
+    (rules in name order, each against the class's trace order, built once
+    by `class_factors`, without listing the class) and rewrites it, until
+    no descent is left; the result is the final class's normal form.
+    `_memo` maps the normal forms met along the way to the result.
     Cross-checked against the generic sink-class attractor in the tests.
 
     Raises ValueError when some commutation lacks its inverse (rprime
@@ -734,8 +735,9 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
             result = memo[key]
             break
         chain.append(key)
+        factor = class_factors(key, H.independent)
         for rule in H.descent_rules:
-            hit = factor_in_class(key, rule.lhs, H.independent)
+            hit = factor(rule.lhs)
             if hit is not None:
                 cur = hit[0] + rule.rhs + hit[1]
                 break
@@ -748,7 +750,7 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
 
 
 def enumerate_monoid(
-    n: int, variant: str = "rdoubleprime", cap: int = 5
+    n: int, variant: str = "rdoubleprime", cap: int = 6
 ) -> list[Word]:
     """All monoid elements as canonical words, shortlex sorted.
 

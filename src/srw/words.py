@@ -35,17 +35,15 @@ and `reach` is exact, otherwise it needs a bound and may be truncated.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "Word",
     "word_from_str",
     "word_to_str",
-    "all_words",
     "Rule",
     "RuleInstance",
     "Path",
@@ -91,12 +89,6 @@ def word_from_str(s: str, n: int) -> Word:
         if not 1 <= g <= n:
             raise ValueError(f"generator {g} out of range 1..{n} in {s!r}")
     return w
-
-
-def all_words(n: int, max_len: int) -> Iterator[Word]:
-    """Every word over 1..n of length at most max_len, shorter words first."""
-    for length in range(max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
 
 
 @dataclass(frozen=True)

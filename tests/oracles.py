@@ -27,6 +27,9 @@ tiler's natural cells.  `natural_squares_upto` enumerates those squares
 up to a separator length: the reference for `srw.order.check_naturals`,
 which decides them all from the squares without a separator.
 
+`demazure_product` is the 0-Hecke action on permutations, the reference
+for the element count and the reducedness of `srw.hecke.enumerate_monoid`.
+
 `monomial_counterexamples` is no reference implementation but a sampler
 that two test modules share: it puts the order under test to random
 instances and their whiskered copies.
@@ -114,6 +117,22 @@ def commutation_class(w: Word, n: int) -> set[Word]:
         if new <= closure:
             return closure
         closure |= new
+
+
+def demazure_product(w: Word, n: int) -> tuple[int, ...]:
+    """The permutation of 1..n+1, in one-line notation, that the 0-Hecke
+    monoid of the symmetric group assigns to the rank-n word w: letter i
+    swaps the entries at positions i and i+1 when that adds an inversion,
+    and leaves the permutation alone otherwise."""
+    perm = list(range(1, n + 2))
+    for i in w:
+        if perm[i - 1] < perm[i]:
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
+
+
+def inversions(perm: tuple[int, ...]) -> int:
+    return sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def all_words(n: int, max_len: int) -> list[Word]:

@@ -35,11 +35,10 @@ from srw.words import (
     SourceMismatch,
     SrsSystem,
     Zigzag,
-    all_words,
     find_redexes,
 )
 
-from oracles import natural_square, scan_neighbours, scan_path_search, tiny_system
+from oracles import all_words, natural_square, scan_neighbours, scan_path_search, tiny_system
 from test_words import systems_with_words
 
 

@@ -43,11 +43,16 @@ from srw.words import (
     RuleInstance,
     SourceMismatch,
     SrsSystem,
-    all_words,
     find_redexes,
 )
 
-from oracles import natural_square, natural_squares_upto
+from oracles import (
+    all_words,
+    demazure_product,
+    inversions,
+    natural_square,
+    natural_squares_upto,
+)
 
 
 def test_system_rule_names():
@@ -369,8 +374,17 @@ def test_unpaired_commutations_rejected_at_once():
 
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
-        enumerate_monoid(6)
+        enumerate_monoid(7)
     assert len(enumerate_monoid(5, cap=5)) == 720
+
+
+def test_enumerate_matches_demazure_products():
+    """One canonical word per permutation of 1..6, each a reduced word of
+    its Demazure product: its length is the permutation's inversions."""
+    words = enumerate_monoid(5)
+    products = [demazure_product(w, 5) for w in words]
+    assert len(words) == len(set(products)) == 720
+    assert all(len(w) == inversions(p) for w, p in zip(words, products))
 
 
 @given(st.lists(st.integers(1, 3), max_size=6))

@@ -16,9 +16,9 @@ from srw.seminormal import (
     canon,
     words_equal,
 )
-from srw.words import Rule, SrsSystem, all_words, find_redexes
+from srw.words import Rule, SrsSystem, find_redexes
 
-from oracles import attractor_classes, congruence_closure, fixpoint_reach
+from oracles import all_words, attractor_classes, congruence_closure, fixpoint_reach
 
 
 def _h3():

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from srw.hecke import classify_rule, hecke_system
 from srw.traces import factor_in_class, normal_form
-from srw.words import all_words
 
-from oracles import commutation_class
+from oracles import all_words, commutation_class
 
 
 def _independent(n):
@@ -60,6 +59,22 @@ def test_factor_in_class_matches_oracle_rank4(variant):
                     assert got[0] + lhs + got[1] in cls, (w, lhs, got)
                     hits += 1
     assert hits > 0
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_factor_in_class_matches_oracle_rank6(data):
+    """Any lhs of 1 to 4 letters, independent ones too, against a random
+    rank-6 word; half the time lhs is spelled from the word's letters."""
+    w = tuple(data.draw(st.lists(st.integers(1, 6), max_size=9)))
+    pick = st.sampled_from(w) if w and data.draw(st.booleans()) else st.integers(1, 6)
+    lhs = tuple(data.draw(st.lists(pick, min_size=1, max_size=4)))
+    cls = commutation_class(w, 6)
+    has = any(x[i : i + len(lhs)] == lhs for x in cls for i in range(len(x)))
+    got = factor_in_class(w, lhs, _independent(6))
+    assert (got is not None) == has
+    if got is not None:
+        assert got[0] + lhs + got[1] in cls
 
 
 def test_factor_in_class_examples():
