@@ -17,12 +17,24 @@ Tarjan's algorithm condenses it; as a component is finished after every
 component it reaches, the same pass gives it the sink components it
 reaches: itself if no edge leaves it, else the union over its edges.
 A word is semi-normal iff it lies in its own attractor.
+
+`attractors` keeps one memo per system: each word of each graph it
+condensed, with the sink classes that word reaches.  Each entry is exact,
+as `_descendant_graph` never returns a truncated graph.  An unbounded
+exploration makes a recorded word a leaf without successors, whose
+one-word component takes the recorded sinks: its whole closure lay in an
+earlier complete graph.  A sink class recorded in part still answers
+right: an unrecorded member has an edge to a recorded one, a leaf, so its
+component is no sink and the union over its edges is the recorded class.
+Bounded queries only write the memo, so their answers and `Inexact`
+messages never depend on earlier queries.  The memo holds at most
+MEMO_WORDS words over all systems; a graph that would overflow it clears
+it first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .words import SrsSystem, Word, explore, successors
@@ -53,11 +65,12 @@ class AttractorClass:
 
 
 def _descendant_graph(
-    starts: Iterable[Word], sys: SrsSystem, max_words: int | None
+    starts: Iterable[Word], sys: SrsSystem, max_words: int | None, known: dict
 ) -> dict[Word, list[Word]]:
-    """Each word reachable from some start, with its successors; a word
-    past the first `max_words` (the first start always fits) is `Inexact`,
-    and the error names the start being explored."""
+    """Each word reachable from some start, with its successors (none for
+    a word in `known`); a word past the first `max_words` (the first start
+    always fits) is `Inexact`, and the error names the start being
+    explored."""
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: descendant graphs need a bound"
@@ -72,7 +85,7 @@ def _descendant_graph(
             raise Inexact(
                 f"descendant graph of {sys.fmt(start)} truncated at {max_words} {words}"
             )
-        adj[v] = successors(v, sys)
+        adj[v] = [] if v in known else successors(v, sys)
         return adj[v]
 
     for start in starts:  # `step` names the start it is exploring from
@@ -81,10 +94,11 @@ def _descendant_graph(
 
 
 def _condense(
-    adj: dict[Word, list[Word]],
+    adj: dict[Word, list[Word]], known: dict[Word, frozenset[AttractorClass]]
 ) -> tuple[dict[Word, int], list[frozenset[AttractorClass]]]:
     """Tarjan's components, iteratively: each word's component id, and
-    for each component the sink components it reaches."""
+    for each component the sink components it reaches (a word in `known`
+    is a leaf that reaches its recorded sinks)."""
     comp: dict[Word, int] = {}
     sinks: list[frozenset[AttractorClass]] = []
     index: dict[Word, int] = {}
@@ -125,10 +139,33 @@ def _condense(
                         if c != cid and sinks[c] is not reached:
                             reached = sinks[c] if reached is None else reached | sinks[c]
                 if reached is None:
+                    reached = known.get(v)
+                if reached is None:
                     cls = frozenset(members)
                     reached = frozenset((AttractorClass(cls, min(cls)),))
                 sinks.append(reached)
     return comp, sinks
+
+
+# Words the memo holds over all systems.  A word_problem pass of the
+# benchmark records about 29,000 (29,201, 28,404 and 29,032 at seeds 1,
+# 9020 and 777), so the bound leaves a pass room to spare.
+MEMO_WORDS = 65536
+_MEMO: dict[SrsSystem, dict[Word, frozenset[AttractorClass]]] = {}
+
+
+def _record(memo: dict, adj: dict, comp: dict, sinks: list) -> None:
+    """Record each word of a condensed graph in `memo`, `_MEMO`'s part for
+    its system; a graph larger than MEMO_WORDS is not kept."""
+    fresh = [w for w in adj if w not in memo]
+    if sum(map(len, _MEMO.values())) + len(fresh) > MEMO_WORDS:
+        if len(adj) > MEMO_WORDS:
+            return
+        for m in _MEMO.values():
+            m.clear()
+        fresh = adj
+    for w in fresh:
+        memo[w] = sinks[comp[w]]
 
 
 def attractors(
@@ -136,9 +173,15 @@ def attractors(
 ) -> dict[Word, AttractorClass]:
     """The unique sink class of each start, all read off one shared graph
     of at most `max_words` words.  Raises NotOneClass when reduction can
-    settle into two classes below some start (it is not confluent there)."""
+    settle into two classes below some start (it is not confluent there).
+    Only an unbounded call reads the memo; every call that finishes its
+    graph records it, NotOneClass or not."""
     starts = tuple(starts)
-    comp, sinks = _condense(_descendant_graph(starts, sys, max_words))
+    memo = _MEMO.setdefault(sys, {})
+    known = memo if max_words is None else {}
+    adj = _descendant_graph(starts, sys, max_words, known)
+    comp, sinks = _condense(adj, known)
+    _record(memo, adj, comp, sinks)
     out: dict[Word, AttractorClass] = {}
     for w in starts:
         reached = sinks[comp[w]]
@@ -150,21 +193,10 @@ def attractors(
     return out
 
 
-# Entries kept by `attractor`'s cache, least recently used dropped first.
-# One `srw equal` query adds at most two; a word_problem pass of the
-# benchmark adds about 1,700, so the bound costs it no hits.
-ATTRACTOR_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=ATTRACTOR_CACHE_SIZE)
-def _attractor_cached(w: Word, sys: SrsSystem, max_words: int | None) -> AttractorClass:
-    return attractors((w,), sys, max_words)[w]
-
-
 def attractor(w: Word, sys: SrsSystem, max_words: int | None = None) -> AttractorClass:
     """The unique sink class of w's descendant graph: `attractors` of the
-    one start w, cached (the ATTRACTOR_CACHE_SIZE most recently used)."""
-    return _attractor_cached(w, sys, max_words)
+    one start w."""
+    return attractors((w,), sys, max_words)[w]
 
 
 def canon(w: Word, sys: SrsSystem, max_words: int | None = None) -> Word:

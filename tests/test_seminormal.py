@@ -5,14 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srw import seminormal
 from srw.hecke import classify_rule, hecke_system
 from srw.seminormal import (
-    ATTRACTOR_CACHE_SIZE,
+    MEMO_WORDS,
     Inexact,
     NotOneClass,
     attractor,
     attractors,
-    _attractor_cached,
     canon,
     words_equal,
 )
@@ -79,22 +79,110 @@ def test_inexact_on_truncated_graph():
         attractor((1,), grow, max_words=5)
 
 
-def test_attractor_cache_is_bounded():
-    # Each bound is its own cache key, so one cheap word fills the cache.
-    sys = _h3()
-    over = ATTRACTOR_CACHE_SIZE + 50
-    _attractor_cached.cache_clear()
+def _memo_words() -> int:
+    return sum(map(len, seminormal._MEMO.values()))
+
+
+def test_memo_is_bounded(monkeypatch):
+    # A small bound, so that a few queries overflow it many times over.
+    bound = 200
+    monkeypatch.setattr(seminormal, "MEMO_WORDS", bound)
+    monkeypatch.setattr(seminormal, "_MEMO", {})
+    sys = hecke_system(4, "rfull")
+    oracle: dict = {}
+    passed: set = set()
+    held = []
+    for w in itertools.islice(itertools.product((4, 3, 2, 1), repeat=6), 0, None, 97):
+        found = attractor(w, sys)
+        held.append(_memo_words())
+        assert held[-1] <= bound
+        assert attractor_classes(w, sys, oracle) == {found.members}, w
+        passed |= fixpoint_reach(w, sys)
+    assert len(passed) > 3 * bound
+    assert any(b < a for a, b in zip(held, held[1:]))  # it overflowed
+    # Bounded queries of a word the memo knows: each bound that fits gives
+    # the unbounded answer, and one that does not still truncates.
+    assert MEMO_WORDS >= 32768  # a word_problem pass records about 29,000 words
+    h3 = _h3()
+    for cap in (1, 2, 5, MEMO_WORDS + 50):
+        assert attractor((1,), h3, cap) == attractor((1,), h3)
+    word = (3, 2, 1, 3, 2, 1, 3, 2)
+    assert canon(word, h3) == canon(word, h3, 1000)
+    with pytest.raises(Inexact, match="^descendant graph of 32132132 truncated at 10 words$"):
+        canon(word, h3, 10)
+
+
+_STREAM_SYSTEMS = {
+    "h3": hecke_system(3, "rfull"),
+    "h4": hecke_system(4, "rfull"),
+    "p3": hecke_system(3, "rprime"),
+}
+# Starts that settle into two classes on rprime, or that outgrow small bounds.
+_FIXED_STARTS = [(3, 2, 3, 1), (1, 3, 2, 3, 1), (3, 2, 1, 3, 2, 1, 3, 2), (2, 1, 2, 3, 2)]
+
+
+@st.composite
+def _calls(draw):
+    name = draw(st.sampled_from(sorted(_STREAM_SYSTEMS)))
+    n = _STREAM_SYSTEMS[name].n
+    # Fixed starts come up often, so that one start is asked both with and
+    # without a bound in one stream.
+    fixed = st.sampled_from([w for w in _FIXED_STARTS if max(w) <= n])
+    words = st.one_of(fixed, fixed, st.lists(st.integers(1, n), max_size=7).map(tuple))
+    kind = draw(st.sampled_from(["canon", "words_equal", "attractors", "evict"]))
+    return kind, name, draw(st.lists(words, min_size=2, max_size=4)), draw(
+        st.one_of(st.none(), st.integers(1, 40))
+    )
+
+
+def _outcome(kind, name, ws, bound):
+    sys = _STREAM_SYSTEMS[name]
     try:
-        for bound in range(1, over + 1):
-            attractor((1,), sys, bound)
-        info = _attractor_cached.cache_info()
-        assert (info.misses, info.currsize) == (over, ATTRACTOR_CACHE_SIZE)
-        attractor((1,), sys, over)  # the most recent entry is kept
-        attractor((1,), sys, 1)  # the oldest was dropped
-        info = _attractor_cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, over + 1, ATTRACTOR_CACHE_SIZE)
+        if kind == "canon":
+            return canon(ws[0], sys, bound)
+        if kind == "words_equal":
+            return words_equal(ws[0], ws[1], sys, bound)
+        return list(attractors(ws, sys, bound).items())
+    except (Inexact, NotOneClass) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(_calls(), min_size=1, max_size=12), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_memo_stream_matches_empty_memo(calls, rnd):
+    kept = seminormal._MEMO
+    seminormal._MEMO = {}
+    try:
+        for kind, name, ws, bound in calls:
+            if kind == "evict":  # drop a random part of every recorded class
+                for memo in seminormal._MEMO.values():
+                    for w in rnd.sample(sorted(memo), len(memo) // 2):
+                        del memo[w]
+                continue
+            got = _outcome(kind, name, ws, bound)
+            stream = seminormal._MEMO
+            seminormal._MEMO = {}
+            try:
+                assert got == _outcome(kind, name, ws, bound), (kind, name, ws, bound)
+            finally:
+                seminormal._MEMO = stream
     finally:
-        _attractor_cached.cache_clear()
+        seminormal._MEMO = kept
+
+
+def test_partly_recorded_sink_class(monkeypatch):
+    monkeypatch.setattr(seminormal, "_MEMO", {})
+    sys = _h3()
+    whole = attractor((1, 1, 3, 1), sys)
+    assert whole.members == frozenset({(1, 3), (3, 1)})
+    memo = seminormal._MEMO[sys]
+    for w in list(memo):  # keep one member of the class, as an eviction might
+        if w != (1, 3):
+            del memo[w]
+    # 31 is explored again, and its only step leads to the leaf 13.
+    assert attractor((3, 1), sys) == whole
+    assert attractor((1, 1, 3, 1), sys) == whole
+    assert memo[(3, 1)] == memo[(1, 3)] == frozenset({whole})
 
 
 @pytest.mark.parametrize(
