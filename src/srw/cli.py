@@ -56,12 +56,11 @@ from .diagrams import (
     complete_zigzag,
     export_dot,
     natural_squares,
-    standard_provider,
 )
 from .hecke import (
-    chosen_chooser,
     enumerate_monoid,
     hecke_order,
+    hecke_provider,
     hecke_system,
     verify_suite,
 )
@@ -230,12 +229,8 @@ def _critical_chooser(sys: SrsSystem):
     """("curated", the curated Hecke diagrams) under the hecke order on rfull,
     the rules they cover; ("bfs", BFS joins) otherwise."""
     if sys.order is not None and sys.order.name == "hecke" and _is_rfull(sys):
-        return "curated", chosen_chooser(sys)
+        return "curated", hecke_provider(sys)
     return "bfs", bfs_join_chooser(sys)
-
-
-def _provider_for(sys: SrsSystem):
-    return standard_provider(sys, chooser=_critical_chooser(sys)[1])
 
 
 def _emit_json(doc: Any) -> None:
@@ -473,7 +468,7 @@ def cmd_complete_peak(args: argparse.Namespace) -> int:
         left = Path(top.start)
     if top.start != left.start:
         raise UsageError("--top and --left must start at the same word")
-    t = complete_peak(sys, _provider_for(sys), top, left, fuel=args.fuel)
+    t = complete_peak(sys, _critical_chooser(sys)[1], top, left, fuel=args.fuel)
     b = t.boundary()
     _print_completion("peak", b.sink, b.from_start, b.from_end, t, sys, args)
     return 0
@@ -482,7 +477,7 @@ def cmd_complete_peak(args: argparse.Namespace) -> int:
 def cmd_complete_zigzag(args: argparse.Namespace) -> int:
     sys = load_system(args.system)
     z = parse_zigzag(args.zigzag, sys)
-    comp = complete_zigzag(sys, _provider_for(sys), z, fuel=args.fuel)
+    comp = complete_zigzag(sys, _critical_chooser(sys)[1], z, fuel=args.fuel)
     _print_completion(
         "zigzag", comp.common, comp.from_start, comp.from_end, comp.tiling, sys, args
     )

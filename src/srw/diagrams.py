@@ -8,24 +8,29 @@ one per ordered rule pair, from which `srw.order.check_naturals` decides
 the squares for every separator; whiskering extends a diagram by outer
 context, transposition swaps the two sides.
 
-A `Tiling` fills the area under a zigzag with elementary diagrams.  The
-untiled boundary (the frontier) is walked from the zigzag's start to its
-end: backward legs are horizontal edges, forward legs vertical edges.
-An open corner is a horizontal edge immediately followed by a vertical
-one: a word with two diverging steps and nothing glued beneath.
-Adjoining a diagram whose top and left match those steps replaces the
-two edges by the diagram's right and bottom sides.  When no corner
-remains the frontier has the shape V*H*: a path from the walk's start
-down to a common sink, then a path from the walk's end to the same sink.
-Completing a peak (a two-sided zigzag: reversed top path, then left
-path) yields the right and bottom boundary of the classical confluence
-diagram; completing an arbitrary zigzag yields a common reduct with
-reduction paths from both endpoints.  `complete_tiling` always glues at
-the first open corner, and after each cell resumes its scan one place
-before that corner: gluing rewrites only that corner's two entries, so no
-earlier corner can appear.  The standard provider builds a natural cell
-in place, as one diagram from the corner's two steps; `natural_squares`
-builds each of its squares the same way.
+A `Tiling` fills the area under a zigzag with elementary diagrams.  Its
+frontier walks from the zigzag's start to its end, backward legs as
+horizontal edges and forward legs as vertical ones.  An open corner is a
+horizontal edge followed by a vertical one; gluing a cell there replaces
+them by its right and bottom sides, until the frontier runs from both
+ends to a common sink.  `complete_tiling` glues at the first open corner
+and resumes its scan one place before it.
+
+The tiler codes a step at word offset a as a * R + its rule's number (one
+numbering for the process; R doubles when it outgrows it, and older codes
+are recoded).  A node holds its word once; the frontier, edges and cells
+hold codes.  A repeated step closes with an improper cell, disjoint redexes
+with their natural square (its right side is the vertical step, its bottom
+side the horizontal one, each moved by the other's length change if the
+other lies left of it), overlapping ones with the critical-pair chooser's
+cell.  The chooser takes the bare `CriticalPair` and returns (diagram,
+transposed), the pair's first step on top and its second on the left, or
+None.  It must depend on the pair alone: while it lives the tiler asks it
+once per bare pair and R and shifts the coded sides into place, x letters
+of left context adding x * R to every code.  Objects are built and
+validated only at the API: the `Zigzag`, the chooser's diagram, the
+boundary `Path`s, the decoded `Tiling.cells`, `open_corners`, `nodes` and
+`edges`, `adjoin_at_corner`, `export_dot` and the exceptions' messages.
 
 A `CellFamily` is a set of parallel path pairs; `paths_equivalent_mod_cells`
 searches for a rewrite of one path into another by replacing whiskered
@@ -55,9 +60,10 @@ order could change an Unknown at a given bound into Equivalent or back.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .critical import CriticalPair, join_pair
 from .words import (
@@ -89,7 +95,6 @@ __all__ = [
     "complete_zigzag",
     "ZigzagCompletion",
     "bfs_join_chooser",
-    "standard_provider",
     "CellFamily",
     "PathVerdict",
     "NotParallel",
@@ -127,9 +132,10 @@ def natural_squares(sys: SrsSystem) -> Iterator[tuple[tuple[Rule, Rule], Element
     transpose-invariant."""
     for r1 in sys.rules:
         for r2 in sys.rules:
-            h = RuleInstance((), r1, r2.lhs)
-            v = RuleInstance(r1.lhs, r2, ())
-            yield (r1, r2), _natural_cell(h, v)[0]
+            ((h, v),) = _CODER.codes([RuleInstance((), r1, r2.lhs), RuleInstance(r1.lhs, r2, ())])
+            R = _CODER.R
+            right, bottom, _ = _natural(h, v, R)
+            yield (r1, r2), _diagram(r1.lhs + r2.lhs, h, v, (right,), (bottom,), R)
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:
@@ -158,7 +164,7 @@ class FuelExhausted(RuntimeError):
 
 
 class NoCellForCorner(RuntimeError):
-    """The cell provider had no diagram for a corner's step pair."""
+    """The critical-pair chooser had no diagram for a corner's step pair."""
 
 
 @dataclass(frozen=True)
@@ -186,157 +192,272 @@ class Boundary:
     from_end: Path  # from the frontier walk's end word
 
 
-class Tiling:
-    """A partially tiled region under a zigzag.
+class _Coder:
+    """Every rule the tiler has met, numbered in order of first sight; R is
+    a power of two above every number (see the module docstring)."""
 
-    The frontier is kept as the walk from the zigzag's start to its end:
-    its backward legs become horizontal entries, traversed backward, and
-    its forward legs vertical entries, traversed forward.  Cells are glued
-    at the first open corner; the scan for the next one resumes one place
-    before the last, since gluing leaves every earlier entry as it was.
-    Node identifiers exist for rendering; the reduction content lives in
-    the step instances themselves.
-    """
+    def __init__(self, R: int = 64) -> None:
+        self.index: dict[Rule, int] = {}
+        self.rules: list[Rule] = []
+        self.R = R
+
+    def codes(self, *paths) -> tuple[_Codes, ...]:
+        """Each sequence of steps coded, after numbering its rules, which
+        may double R."""
+        for st in (st for steps in paths for st in steps):
+            if st.rule not in self.index:
+                self.index[st.rule] = len(self.rules)
+                self.rules.append(st.rule)
+                if len(self.rules) > self.R:
+                    self.R *= 2
+        R, index = self.R, self.index
+        return tuple(tuple(len(st.left) * R + index[st.rule] for st in steps) for steps in paths)
+
+
+_CODER = _Coder()
+
+# Per chooser, for each bare pair (R, first code, second code), which also
+# fixes its peak: the chooser's right and bottom codes and its transposed
+# flag, or None where it had no cell.
+_CHOSEN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _apply(c: int, w: Word, R: int) -> Word:
+    a, r = divmod(c, R)
+    rule = _CODER.rules[r]
+    return w[:a] + rule.rhs + w[a + len(rule.lhs) :]
+
+
+def _step(c: int, w: Word, R: int) -> RuleInstance:
+    a, r = divmod(c, R)
+    rule = _CODER.rules[r]
+    return RuleInstance(w[:a], rule, w[a + len(rule.lhs) :])
+
+
+def _path(w: Word, codes: _Codes, R: int) -> Path:
+    steps: list[RuleInstance] = []
+    for c in codes:
+        steps.append(_step(c, steps[-1].target if steps else w, R))
+    return Path(w, tuple(steps))
+
+
+def _diagram(w: Word, h: int, v: int, right: _Codes, bottom: _Codes, R: int) -> ElementaryDiagram:
+    """The coded cell at word w as a validated diagram."""
+    top, left = _step(h, w, R), _step(v, w, R)
+    return ElementaryDiagram(top, left, _path(top.target, right, R), _path(left.target, bottom, R))
+
+
+def _natural(h: int, v: int, R: int) -> tuple[int, int, str] | None:
+    """The right and bottom step and the tag of the square of two coded
+    co-initial steps with disjoint redexes; None if they overlap."""
+    (ah, rh), (av, rv) = divmod(h, R), divmod(v, R)
+    first, second = _CODER.rules[rh], _CODER.rules[rv]
+    if ah + len(first.lhs) <= av:
+        return v + (len(first.rhs) - len(first.lhs)) * R, h, "natural"
+    if av + len(second.lhs) <= ah:
+        return v, h + (len(second.rhs) - len(second.lhs)) * R, "transposed"
+    return None
+
+
+def _critical(t: Tiling, chooser, w: Word, h: int, v: int):
+    """Right and bottom codes, tag and origin of the chooser's cell for the
+    overlapping steps h and v at w, shifted into place."""
+    C, R = _CODER, t._R
+    try:
+        memo = _CHOSEN.setdefault(chooser, {})
+    except TypeError:  # the chooser takes no weak reference: a memo for this corner
+        memo = {}
+    ah, rh = divmod(h, R)
+    av, rv = divmod(v, R)
+    bh, bv = ah + len(C.rules[rh].lhs), av + len(C.rules[rv].lhs)
+    lo, hi = min(ah, av), max(bh, bv)
+    shift = lo * R
+    key = (R, h - shift, v - shift)
+    if key not in memo:
+        pair = CriticalPair(
+            "inclusion" if (ah < av and bv < bh) or (av < ah and bh < bv) else "overlap",
+            RuleInstance(w[lo:ah], C.rules[rh], w[bh:hi]),
+            RuleInstance(w[lo:av], C.rules[rv], w[bv:hi]),
+            w[lo:hi],
+        )
+        got = chooser(pair)
+        if got is not None:
+            ed, transposed = got
+            if ed.top != pair.first or ed.left != pair.second:
+                raise CornerMismatch("critical cell does not fit its corner")
+            got = C.codes(ed.right.steps, ed.bottom.steps) + (transposed,)
+            if C.R != R:  # R doubled: recode the tiling, then look again
+                t._restride()
+                return _critical(t, chooser, w, h // R * C.R + h % R, v // R * C.R + v % R)
+        memo[key] = got
+    if memo[key] is None:
+        raise NoCellForCorner(
+            f"no cell for corner ({_step(h, w, R).render(t.n)}, {_step(v, w, R).render(t.n)})"
+        )
+    right, bottom, transposed = memo[key]
+    tag = "transposed" if transposed else "whiskered" if lo or hi < len(w) else "critical"
+    origin = f"critical({C.rules[rh].name},{C.rules[rv].name})"
+    return tuple(c + shift for c in right), tuple(c + shift for c in bottom), tag, origin
+
+
+class Tiling:
+    """A partially tiled region under a zigzag, as coded steps between
+    numbered nodes; the public readers decode them."""
 
     def __init__(self, n: int, zig: Zigzag):
         self.n = n
-        self.nodes: dict[int, Word] = {}
-        self.edges: list[_Edge] = []
-        self.cells: list[CellRecord] = []
-        self._frontier: list[_Edge] = []
         self.walk_start = zig.start
-        cur = self._new_node(zig.start)
-        for direction, step in zig.legs:
-            if direction == FORWARD:
-                nxt = self._new_node(step.target)
-                e = _Edge("V", step, cur, nxt)
-            else:
-                nxt = self._new_node(step.source)
-                e = _Edge("H", step, nxt, cur)
-            cur = nxt
-            self.edges.append(e)
-            self._frontier.append(e)
-        self.walk_end = self.nodes[cur]
+        (codes,) = _CODER.codes([st for _, st in zig.legs])
+        self._R = _CODER.R
+        words = self._words = [zig.start]
+        self._edges: list[tuple] = []  # (kind, code or None, src node, dst node)
+        self._cells: list[tuple] = []  # (node, top, left, right, bottom, tag, origin)
+        for (direction, st), c in zip(zig.legs, codes):
+            cur, forward = len(words) - 1, direction == FORWARD
+            words.append(st.target if forward else st.source)
+            self._edges.append(("V", c, cur, cur + 1) if forward else ("H", c, cur + 1, cur))
+        self._frontier = list(self._edges)
+        self.walk_end = words[-1]
 
-    def _new_node(self, w: Word) -> int:
-        i = len(self.nodes)
-        self.nodes[i] = w
-        return i
+    @property
+    def nodes(self) -> dict[int, Word]:
+        return dict(enumerate(self._words))
+
+    @property
+    def edges(self) -> list[_Edge]:
+        return [_Edge(e[0], None if e[1] is None else self._decode(e), *e[2:]) for e in self._edges]
+
+    @property
+    def cells(self) -> list[CellRecord]:
+        words, R = self._words, self._R
+        return [
+            CellRecord(_diagram(words[x], h, v, right, bottom, R), tag, origin)
+            for x, h, v, right, bottom, tag, origin in self._cells
+        ]
+
+    def _decode(self, entry: tuple) -> RuleInstance:
+        return _step(entry[1], self._words[entry[2]], self._R)
+
+    def _restride(self) -> None:
+        """Recode under the coder's current R."""
+        old, R = self._R, _CODER.R
+        if old == R:
+            return
+
+        def re(c):
+            return c if c is None else c // old * R + c % old
+
+        self._edges = [(k, re(c), s, d) for k, c, s, d in self._edges]
+        self._frontier = [(k, re(c), s, d) for k, c, s, d in self._frontier]
+        self._cells = [
+            (x, re(h), re(v), tuple(map(re, right)), tuple(map(re, bottom)), tag, origin)
+            for x, h, v, right, bottom, tag, origin in self._cells
+        ]
+        self._R = R
 
     def _first_corner(self, start: int) -> int | None:
         """The frontier position of the first open corner at or after `start`."""
         f = self._frontier
         for i in range(start, len(f) - 1):
-            if f[i].kind == "H" and f[i + 1].kind == "V":
+            if f[i][0] == "H" and f[i + 1][0] == "V":
                 return i
         return None
 
+    def _corners(self) -> list[int]:
+        f = self._frontier
+        return [i for i in range(len(f) - 1) if f[i][0] == "H" and f[i + 1][0] == "V"]
+
     def open_corners(self) -> list[tuple[int, RuleInstance, RuleInstance]]:
         """Positions where a horizontal step meets a diverging vertical one."""
-        out = []
-        i = self._first_corner(0)
-        while i is not None:
-            out.append((i, self._frontier[i].step, self._frontier[i + 1].step))
-            i = self._first_corner(i + 1)
-        return out
+        f = self._frontier
+        return [(i, self._decode(f[i]), self._decode(f[i + 1])) for i in self._corners()]
 
     def adjoin_at_corner(self, index: int, ed: ElementaryDiagram, tag: str, origin: str = "") -> None:
         """Glue `ed` at the open corner starting at frontier position `index`."""
         f = self._frontier
-        if not (
-            0 <= index < len(f) - 1 and f[index].kind == "H" and f[index + 1].kind == "V"
-        ):
+        if index not in self._corners():
             raise CornerMismatch(f"no open corner at frontier position {index}")
-        h, v = f[index], f[index + 1]
-        if ed.top != h.step or ed.left != v.step:
-            raise CornerMismatch(
-                "diagram's top/left do not match the corner's steps"
-            )
-        y, z = h.dst, v.dst
-        ventries: list[_Edge] = []
-        hchain: list[_Edge] = []
-        rsteps, bsteps = ed.right.steps, ed.bottom.steps
-        cur = y
-        for i, st in enumerate(rsteps):
-            last = i == len(rsteps) - 1
-            dst = z if (last and not bsteps) else self._new_node(st.target)
-            ventries.append(_Edge("V", st, cur, dst))
-            cur = dst
-        sink_node = cur if rsteps else y
-        cur = z
-        for i, st in enumerate(bsteps):
-            last = i == len(bsteps) - 1
-            dst = sink_node if last else self._new_node(st.target)
-            hchain.append(_Edge("H", st, cur, dst))
-            cur = dst
-        if not rsteps and not bsteps:
-            self.edges.append(_Edge("H", None, y, z))
-        new_entries = ventries + list(reversed(hchain))
-        self.edges.extend(ventries)
-        self.edges.extend(hchain)
-        self._frontier[index : index + 2] = new_entries
-        self.cells.append(CellRecord(ed=ed, tag=tag, origin=origin))
+        if ed.top != self._decode(f[index]) or ed.left != self._decode(f[index + 1]):
+            raise CornerMismatch("diagram's top/left do not match the corner's steps")
+        right, bottom = _CODER.codes(ed.right.steps, ed.bottom.steps)
+        self._restride()
+        self._glue(index, right, bottom, tag, origin)
+
+    def _glue(self, index: int, right: _Codes, bottom: _Codes, tag: str, origin: str) -> None:
+        """Replace the open corner at `index` by the coded right side from
+        its top's target and bottom side from its left's target; the
+        bottom side ends where the right side does."""
+        f, words, R = self._frontier, self._words, self._R
+        (_, h, x, y), (_, v, _, z) = f[index], f[index + 1]
+
+        def chain(kind: str, cur: int, codes: _Codes, end: int | None):
+            """Edges along codes from node cur, the last to end (if not None)."""
+            out, w = [], words[cur]
+            for i, c in enumerate(codes):
+                if end is not None and i == len(codes) - 1:
+                    dst = end
+                else:
+                    w = _apply(c, w, R)
+                    words.append(w)
+                    dst = len(words) - 1
+                out.append((kind, c, cur, dst))
+                cur = dst
+            return out, cur
+
+        ventries, sink = chain("V", y, right, None if bottom else z)
+        hchain, _ = chain("H", z, bottom, sink)
+        if not right and not bottom:
+            self._edges.append(("H", None, y, z))
+        self._edges += ventries + hchain
+        f[index : index + 2] = ventries + hchain[::-1]
+        self._cells.append((x, h, v, right, bottom, tag, origin))
 
     def boundary(self) -> Boundary:
         """The convergence paths of a complete tiling."""
-        corners = self.open_corners()
+        corners = self._corners()
         if corners:
             raise ValueError(f"tiling still has {len(corners)} open corner(s)")
-        vsteps = [e.step for e in self._frontier if e.kind == "V"]
-        hsteps = [e.step for e in self._frontier if e.kind == "H"]
-        from_start = Path(self.walk_start, tuple(vsteps))
-        from_end = Path(self.walk_end, tuple(reversed(hsteps)))
+        f = self._frontier
+        from_start = Path(self.walk_start, tuple(self._decode(e) for e in f if e[0] == "V"))
+        from_end = Path(self.walk_end, tuple(self._decode(e) for e in reversed(f) if e[0] == "H"))
         if from_start.end != from_end.end:
             raise SourceMismatch("boundary paths fail to converge")
-        return Boundary(
-            sink=from_start.end, from_start=from_start, from_end=from_end
-        )
+        return Boundary(sink=from_start.end, from_start=from_start, from_end=from_end)
 
 
-CellProvider = Callable[
-    [RuleInstance, RuleInstance], tuple[ElementaryDiagram, str, str] | None
-]
-
-
-def complete_tiling(t: Tiling, provider: CellProvider, fuel: int = 10000) -> Tiling:
-    """Adjoin provider cells at the first open corner until none remain."""
+def complete_tiling(t: Tiling, chooser, fuel: int = 10000) -> Tiling:
+    """Glue a cell at the first open corner until none remain: an improper
+    cell for a repeated step, the natural square for disjoint redexes, and
+    the chooser's critical cell, whiskered into place, for overlapping
+    ones (see the module docstring)."""
+    t._restride()
     index = t._first_corner(0)
     while index is not None:
         if fuel <= 0:
-            raise FuelExhausted(
-                f"{len(t.open_corners())} open corner(s) remain with no fuel left"
-            )
-        h, v = t._frontier[index].step, t._frontier[index + 1].step
-        got = provider(h, v)
-        if got is None:
-            raise NoCellForCorner(
-                f"no cell for corner ({h.render(t.n)}, {v.render(t.n)})"
-            )
-        ed, tag, origin = got
-        t.adjoin_at_corner(index, ed, tag, origin)
+            raise FuelExhausted(f"{len(t._corners())} open corner(s) remain with no fuel left")
+        (_, h, x, _), (_, v, _, _) = t._frontier[index], t._frontier[index + 1]
+        R = t._R
+        if h == v:
+            cell = (), (), "improper", "repeated-step"
+        elif (nat := _natural(h, v, R)) is not None:
+            names = _CODER.rules[h % R].name, _CODER.rules[v % R].name
+            cell = (nat[0],), (nat[1],), nat[2], "natural({},{})".format(*names)
+        else:
+            cell = _critical(t, chooser, t._words[x], h, v)
+        t._glue(index, *cell)
         fuel -= 1
         # Gluing rewrites only positions index and index + 1, and no corner lies before index.
         index = t._first_corner(max(index - 1, 0))
     return t
 
 
-def complete_peak(
-    sys: SrsSystem,
-    provider: CellProvider,
-    top: Path,
-    left: Path,
-    fuel: int = 10000,
-) -> Tiling:
+def complete_peak(sys: SrsSystem, chooser, top: Path, left: Path, fuel: int = 10000) -> Tiling:
     """Tile the peak formed by two co-initial paths: the zigzag that walks
     the top path backward, then the left path forward."""
     if top.start != left.start:
         raise SourceMismatch("peak paths must share their start word")
-    zig = Zigzag(
-        top.end,
-        tuple((BACKWARD, s) for s in reversed(top.steps))
-        + tuple((FORWARD, s) for s in left.steps),
-    )
-    return complete_tiling(Tiling(sys.n, zig), provider, fuel)
+    legs = [(BACKWARD, s) for s in reversed(top.steps)] + [(FORWARD, s) for s in left.steps]
+    return complete_tiling(Tiling(sys.n, Zigzag(top.end, tuple(legs))), chooser, fuel)
 
 
 @dataclass(frozen=True)
@@ -347,78 +468,15 @@ class ZigzagCompletion:
     tiling: Tiling
 
 
-def complete_zigzag(
-    sys: SrsSystem,
-    provider: CellProvider,
-    zig: Zigzag,
-    fuel: int = 10000,
-) -> ZigzagCompletion:
+def complete_zigzag(sys: SrsSystem, chooser, zig: Zigzag, fuel: int = 10000) -> ZigzagCompletion:
     """Tile a zigzag down to a common reduct of its two endpoints."""
-    t = complete_tiling(Tiling(sys.n, zig), provider, fuel)
+    t = complete_tiling(Tiling(sys.n, zig), chooser, fuel)
     b = t.boundary()
-    return ZigzagCompletion(
-        common=b.sink, from_start=b.from_start, from_end=b.from_end, tiling=t
-    )
-
-
-# --- cell providers -------------------------------------------------------
-
-
-def _relative_pair(h: RuleInstance, v: RuleInstance):
-    """Strip the common outer context of two overlapping co-initial steps.
-
-    Returns (bare critical pair, left context, right context) with h's
-    stripped copy first.
-    """
-    w = h.source
-    ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
-    av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
-    lo, hi = min(ah, av), max(bh, bv)
-    u_ctx, v_ctx = w[:lo], w[hi:]
-    h_rel = RuleInstance(h.left[lo:], h.rule, h.right[: len(h.right) - len(v_ctx)])
-    v_rel = RuleInstance(v.left[lo:], v.rule, v.right[: len(v.right) - len(v_ctx)])
-    strictly_inside = (ah < av and bv < bh) or (av < ah and bh < bv)
-    kind = "inclusion" if strictly_inside else "overlap"
-    pair = CriticalPair(kind=kind, first=h_rel, second=v_rel, peak=w[lo:hi])
-    return pair, u_ctx, v_ctx
-
-
-def _natural_cell(
-    h: RuleInstance, v: RuleInstance
-) -> tuple[ElementaryDiagram, str, str] | None:
-    """The commuting square of two disjoint co-initial redexes, built in
-    context: the right side applies v's rule after h, the bottom side h's
-    rule after v.  Tagged natural, or transposed when v's redex lies to
-    the left of h's."""
-    ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
-    av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
-    if bh <= av:
-        mid = v.left[bh:]
-        right = RuleInstance(h.left + h.rule.rhs + mid, v.rule, v.right)
-        bottom = RuleInstance(h.left, h.rule, mid + v.rule.rhs + v.right)
-        tag = "natural"
-    elif bv <= ah:
-        mid = h.left[bv:]
-        right = RuleInstance(v.left, v.rule, mid + h.rule.rhs + h.right)
-        bottom = RuleInstance(v.left + v.rule.rhs + mid, h.rule, h.right)
-        tag = "transposed"
-    else:
-        return None
-    ed = ElementaryDiagram(
-        top=h, left=v, right=Path(h.target, (right,)), bottom=Path(v.target, (bottom,))
-    )
-    return ed, tag, f"natural({h.rule.name},{v.rule.name})"
-
-
-def _degenerate_cell(h: RuleInstance) -> tuple[ElementaryDiagram, str, str]:
-    ed = ElementaryDiagram(
-        top=h, left=h, right=Path(h.target), bottom=Path(h.target)
-    )
-    return ed, "improper", "repeated-step"
+    return ZigzagCompletion(common=b.sink, from_start=b.from_start, from_end=b.from_end, tiling=t)
 
 
 def bfs_join_chooser(sys: SrsSystem):
-    """Critical-cell chooser that joins pairs by breadth-first search.
+    """Critical-pair chooser that joins pairs by breadth-first search.
 
     The pair's first component becomes the top step and the second the
     left step; the join's paths become the right and bottom sides.
@@ -434,38 +492,6 @@ def bfs_join_chooser(sys: SrsSystem):
         return ed, False
 
     return choose
-
-
-def standard_provider(sys: SrsSystem, chooser) -> CellProvider:
-    """Cells for every corner: repeated steps close improperly, disjoint
-    redexes commute naturally, overlapping redexes defer to a critical-pair
-    chooser and are whiskered back into context."""
-
-    def provide(h: RuleInstance, v: RuleInstance):
-        if h.source != v.source:
-            raise CornerMismatch("corner steps must share their source")
-        if h == v:
-            return _degenerate_cell(h)
-        nat = _natural_cell(h, v)
-        if nat is not None:
-            return nat
-        pair, u_ctx, v_ctx = _relative_pair(h, v)
-        got = chooser(pair)
-        if got is None:
-            return None
-        ed, transposed = got
-        ed = whisker_ed(ed, u_ctx, v_ctx)
-        if ed.top != h or ed.left != v:
-            raise CornerMismatch("critical cell does not fit its corner")
-        if transposed:
-            tag = "transposed"
-        elif u_ctx or v_ctx:
-            tag = "whiskered"
-        else:
-            tag = "critical"
-        return ed, tag, f"critical({pair.first.rule.name},{pair.second.rule.name})"
-
-    return provide
 
 
 # --- path equivalence modulo a cell family --------------------------------
@@ -694,14 +720,14 @@ def export_dot(t: Tiling) -> str:
     row of the diagram on one level so the drawing reads top-to-bottom,
     left-to-right like the underlying rectangle.
     """
-    n = t.n
-    indeg: dict[int, list[_Edge]] = {i: [] for i in t.nodes}
-    for e in t.edges:
+    n, nodes, edges = t.n, t.nodes, t.edges
+    indeg: dict[int, list[_Edge]] = {i: [] for i in nodes}
+    for e in edges:
         indeg[e.dst].append(e)
     row: dict[int, int] = {}
     col: dict[int, int] = {}
     expanding: set[int] = set()
-    for start in t.nodes:
+    for start in nodes:
         stack = [start]
         while stack:
             v = stack[-1]
@@ -732,9 +758,9 @@ def export_dot(t: Tiling) -> str:
             row[v], col[v] = best_r, best_c
             stack.pop()
     lines = ["digraph tiling {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
-    for v in sorted(t.nodes):
-        lines.append(f'  n{v} [label="{word_to_str(t.nodes[v], n)}"];')
-    for e in t.edges:
+    for v in sorted(nodes):
+        lines.append(f'  n{v} [label="{word_to_str(nodes[v], n)}"];')
+    for e in edges:
         if e.step is None:
             lines.append(f"  n{e.src} -> n{e.dst} [style=dashed];")
         else:
@@ -742,7 +768,7 @@ def export_dot(t: Tiling) -> str:
                 f'  n{e.src} -> n{e.dst} [label="{e.step.render(n)}"];'
             )
     by_row: dict[int, list[int]] = {}
-    for v in sorted(t.nodes):
+    for v in sorted(nodes):
         by_row.setdefault(row[v], []).append(v)
     for r in sorted(by_row):
         members = "; ".join(f"n{v}" for v in by_row[r])

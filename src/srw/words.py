@@ -104,7 +104,7 @@ class Rule:
             raise ValueError(f"rule {self.name}: empty left-hand side")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     """A rule in context: rewrites left·lhs·right to left·rhs·right."""
 

@@ -22,8 +22,11 @@ neighbours in that order; the random-system test also walks it to build
 paths that the search should join.
 
 `natural_square` is the bare formula of a natural square, the reference
-for the in-place builder behind `srw.diagrams.natural_squares` and the
-tiler's natural cells.  `natural_squares_upto` enumerates those squares
+for the coded squares behind `srw.diagrams.natural_squares` and the
+tiler's natural cells.  `rescan_tiling` is the reference tiler: it keeps
+the frontier as zigzag legs of `RuleInstance` steps, rescans it after
+every cell, builds natural cells from `natural_square` and whiskers the
+chooser's bare cells itself, and calls no tiling code of `srw.diagrams`.  `natural_squares_upto` enumerates those squares
 up to a separator length: the reference for `srw.order.check_naturals`,
 which decides them all from the squares without a separator.
 
@@ -41,7 +44,8 @@ import itertools
 import random
 from typing import NamedTuple
 
-from srw.words import Path, Rule, RuleInstance, SrsSystem, Word
+from srw.critical import CriticalPair
+from srw.words import BACKWARD, FORWARD, Path, Rule, RuleInstance, SrsSystem, Word, Zigzag
 
 
 def naive_redexes(w: Word, sys: SrsSystem) -> set[RuleInstance]:
@@ -240,6 +244,73 @@ def natural_squares_upto(sys: SrsSystem, max_mid: int):
         for r2 in sys.rules:
             for w in separators:
                 yield (r1, w, r2), natural_square(r1, w, r2)
+
+
+def _whisker_square(sq: Square, u: Word, v: Word) -> Square:
+    return Square(sq.top.whisker(u, v), sq.left.whisker(u, v), sq.right.whisker(u, v), sq.bottom.whisker(u, v))
+
+
+def _oracle_cell(h: RuleInstance, v: RuleInstance, chooser) -> tuple:
+    """(right, bottom, tag, origin) of the cell closing the corner (h, v),
+    built from whole objects: the bare natural square or the chooser's
+    bare cell, whiskered back into the corner's word."""
+    w = h.source
+    ah, bh = len(h.left), len(h.left) + len(h.rule.lhs)
+    av, bv = len(v.left), len(v.left) + len(v.rule.lhs)
+    names = f"({h.rule.name},{v.rule.name})"
+    if h == v:
+        return Path(h.target), Path(h.target), "improper", "repeated-step"
+    if bh <= av:
+        sq = _whisker_square(natural_square(h.rule, w[bh:av], v.rule), h.left, v.right)
+        return sq.right, sq.bottom, "natural", "natural" + names
+    if bv <= ah:
+        sq = _whisker_square(natural_square(v.rule, w[bv:ah], h.rule), v.left, h.right)
+        return sq.bottom, sq.right, "transposed", "natural" + names
+    lo, hi = min(ah, av), max(bh, bv)
+    inside = (ah < av and bv < bh) or (av < ah and bh < bv)
+    pair = CriticalPair(
+        "inclusion" if inside else "overlap",
+        RuleInstance(w[lo:ah], h.rule, w[bh:hi]),
+        RuleInstance(w[lo:av], v.rule, w[bv:hi]),
+        w[lo:hi],
+    )
+    ed, transposed = chooser(pair)
+    sq = _whisker_square(Square(ed.top, ed.left, ed.right, ed.bottom), w[:lo], w[hi:])
+    assert (sq.top, sq.left) == (h, v)
+    tag = "transposed" if transposed else "whiskered" if lo or hi < len(w) else "critical"
+    return sq.right, sq.bottom, tag, "critical" + names
+
+
+def rescan_tiling(zig: Zigzag, chooser, fuel: int) -> tuple[list[tuple], tuple | str]:
+    """Reference tiler over objects: after every cell, rescan the whole
+    frontier for its first open corner, a backward leg followed by a
+    forward one.  Returns the cells, as (top, left, right, bottom, tag,
+    origin), and either the boundary (sink, path from the start, path
+    from the end) or, when the fuel runs out, the tiler's message."""
+    frontier = list(zig.legs)
+    cells = []
+    while True:
+        corners = [
+            i
+            for i in range(len(frontier) - 1)
+            if frontier[i][0] == BACKWARD and frontier[i + 1][0] == FORWARD
+        ]
+        if not corners:
+            break
+        if fuel <= 0:
+            return cells, f"{len(corners)} open corner(s) remain with no fuel left"
+        i = corners[0]
+        h, v = frontier[i][1], frontier[i + 1][1]
+        right, bottom, tag, origin = _oracle_cell(h, v, chooser)
+        cells.append((h, v, right, bottom, tag, origin))
+        frontier[i : i + 2] = [(FORWARD, s) for s in right.steps] + [
+            (BACKWARD, s) for s in reversed(bottom.steps)
+        ]
+        fuel -= 1
+    from_start = Path(zig.start, tuple(s for d, s in frontier if d == FORWARD))
+    from_end = Path(zig.end, tuple(s for d, s in reversed(frontier) if d == BACKWARD))
+    assert from_start.end == from_end.end
+    return cells, (from_start.end, from_start, from_end)
 
 
 def monomial_counterexamples(

@@ -441,3 +441,25 @@ def test_usage_errors_exit_two(h3full, capsys):
     assert main(["redexes", h3full, "abc"]) == 2
     assert main([]) == 2
     assert main(["unknown-command"]) == 2
+
+
+def test_completion_output_matches_the_golden_capture(tmp_path, capsys):
+    """`complete-peak` and `complete-zigzag`, as text, `--json` and `--dot`,
+    byte for byte as captured in `golden_completions.json`: seeded peaks
+    and zigzags over rfull at ranks 3-5 (curated chooser) and over rank-3
+    rdoubleprime (BFS chooser), each with one run out of fuel."""
+    import pathlib
+
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_completions.json").read_text())
+    systems = {}
+    for case in golden["cases"]:
+        key = (case["rank"], case["variant"])
+        if key not in systems:
+            systems[key] = str(tmp_path / f"{case['variant']}{case['rank']}.json")
+            main(["hecke", "gen", str(case["rank"]), "--variant", case["variant"], "-o", systems[key]])
+        argv = [a.replace("{system}", systems[key]) for a in case["argv"]]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err.replace(systems[key], "{system}")) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), argv
+    assert len(golden["cases"]) == 192

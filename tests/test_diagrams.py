@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from srw.diagrams import (
     CellFamily,
+    CellRecord,
     CornerMismatch,
     ElementaryDiagram,
     FuelExhausted,
+    NoCellForCorner,
     NotParallel,
     PathVerdict,
     Tiling,
@@ -18,7 +20,6 @@ from srw.diagrams import (
     export_dot,
     natural_squares,
     paths_equivalent_mod_cells,
-    standard_provider,
     transpose_ed,
     whisker_ed,
 )
@@ -38,7 +39,14 @@ from srw.words import (
     find_redexes,
 )
 
-from oracles import all_words, natural_square, scan_neighbours, scan_path_search, tiny_system
+from oracles import (
+    all_words,
+    natural_square,
+    rescan_tiling,
+    scan_neighbours,
+    scan_path_search,
+    tiny_system,
+)
 from test_words import systems_with_words
 
 
@@ -161,12 +169,13 @@ def _no_critical_cells(pair):
 
 
 def test_natural_cells_in_place_equal_the_three_stage_build():
+    """The tiler's natural and transposed cells, each the one cell of a
+    one-corner tiling, equal the bare square whiskered into place."""
     sys = hecke_system(4, "rfull")
     squares = list(natural_squares(sys))
     for (r1, r2), ed in squares:
         assert (ed.top, ed.left, ed.right, ed.bottom) == natural_square(r1, (), r2)
     assert len(squares) == 16 * 16
-    provide = standard_provider(sys, chooser=_no_critical_cells)
     checked = {"natural": 0, "transposed": 0}
     for w in all_words(4, 6):
         redexes = find_redexes(w, sys)
@@ -184,11 +193,10 @@ def test_natural_cells_in_place_equal_the_three_stage_build():
                     tag = "transposed"
                 else:
                     continue
-                ed, got_tag, origin = provide(h, v)
-                assert (ed.top, ed.left, ed.right, ed.bottom) == (
-                    built.top, built.left, built.right, built.bottom
-                )
-                assert (got_tag, origin) == (tag, f"natural({h.rule.name},{v.rule.name})")
+                t = complete_tiling(_peak_tiling(sys, h, v), _no_critical_cells, 1)
+                (cell,) = t.cells
+                assert cell.ed == built
+                assert (cell.tag, cell.origin) == (tag, f"natural({h.rule.name},{v.rule.name})")
                 checked[tag] += 1
     assert checked["natural"] == checked["transposed"] > 10000
 
@@ -201,20 +209,6 @@ def _inverse_steps(w, sys: SrsSystem) -> list[RuleInstance]:
         for i in range(len(w) - len(r.rhs) + 1)
         if w[i : i + len(r.rhs)] == r.rhs
     ]
-
-
-def _rescan_tiling(t: Tiling, provider, fuel: int) -> Tiling:
-    """Reference loop: rescan the whole frontier after every cell."""
-    while True:
-        corners = t.open_corners()
-        if not corners:
-            return t
-        if fuel <= 0:
-            raise FuelExhausted(f"{len(corners)} open corner(s) remain with no fuel left")
-        index, h, v = corners[0]
-        ed, tag, origin = provider(h, v)
-        t.adjoin_at_corner(index, ed, tag, origin)
-        fuel -= 1
 
 
 def _seeded_zigzags(rng, sys: SrsSystem, count: int) -> list[Zigzag]:
@@ -249,38 +243,142 @@ def _seeded_zigzags(rng, sys: SrsSystem, count: int) -> list[Zigzag]:
     return out
 
 
+def _cells(t: Tiling) -> list[tuple]:
+    return [(c.ed.top, c.ed.left, c.ed.right, c.ed.bottom, c.tag, c.origin) for c in t.cells]
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_resumed_corner_scan_glues_cells_in_the_rescan_order(n):
+    """The coded tiler against the object-level reference tiler: the same
+    cells in the same order, the same boundary, and at every fuel short
+    of completion the same `FuelExhausted` text after the same cells."""
     import random
 
     rng = random.Random(1100 + n)
     sys = hecke_system(n, "rfull")
-    provider = hecke_provider(sys)
+    chooser = hecke_provider(sys)
     tags = set()
     for zig in _seeded_zigzags(rng, sys, 150):
-        ref = _rescan_tiling(Tiling(n, zig), provider, 10000)
-        t = complete_tiling(Tiling(n, zig), provider, 10000)
-        assert t.cells == ref.cells
-        assert t.boundary() == ref.boundary()
+        ref_cells, ref_boundary = rescan_tiling(zig, chooser, 10000)
+        t = complete_tiling(Tiling(n, zig), chooser, 10000)
+        assert _cells(t) == ref_cells
+        b = t.boundary()
+        assert (b.sink, b.from_start, b.from_end) == ref_boundary
         tags.update(c.tag for c in t.cells)
-        for fuel in range(len(ref.cells)):
-            ref_cut, cut = Tiling(n, zig), Tiling(n, zig)
-            with pytest.raises(FuelExhausted) as ref_exc:
-                _rescan_tiling(ref_cut, provider, fuel)
+        for fuel in range(len(ref_cells)):
+            ref_cut, message = rescan_tiling(zig, chooser, fuel)
+            cut = Tiling(n, zig)
             with pytest.raises(FuelExhausted) as exc:
-                complete_tiling(cut, provider, fuel)
-            assert str(exc.value) == str(ref_exc.value)
-            assert cut.cells == ref_cut.cells
-        assert complete_tiling(Tiling(n, zig), provider, len(ref.cells)).cells == ref.cells
+                complete_tiling(cut, chooser, fuel)
+            assert str(exc.value) == message
+            assert _cells(cut) == ref_cut
+        assert _cells(complete_tiling(Tiling(n, zig), chooser, len(ref_cells))) == ref_cells
     assert {"improper", "natural", "transposed", "whiskered"} <= tags
+
+
+def test_chooser_is_asked_once_per_bare_pair():
+    """The tiler remembers each chooser's cells: over many tilings it asks
+    once per bare pair, and a tiling repeated with the same chooser asks
+    nothing."""
+    import random
+
+    sys = hecke_system(4, "rfull")
+    curated = hecke_provider(sys)
+    asked = []
+
+    def chooser(pair):
+        asked.append(pair)
+        return curated(pair)
+
+    zigs = _seeded_zigzags(random.Random(7), sys, 200)
+    first = [_cells(complete_tiling(Tiling(4, z), chooser)) for z in zigs]
+    assert len(asked) == len(set(asked)) > 20
+    before = len(asked)
+    assert [_cells(complete_tiling(Tiling(4, z), chooser)) for z in zigs] == first
+    assert len(asked) == before
+    # A chooser that takes no weak reference gets a memo per tiling.
+    assert [_cells(complete_tiling(Tiling(4, z), _Slotted(curated))) for z in zigs] == first
+
+
+class _Slotted:
+    __slots__ = ("choose",)
+
+    def __init__(self, choose):
+        self.choose = choose
+
+    def __call__(self, pair):
+        return self.choose(pair)
+
+
+def test_codes_are_restrided_when_the_numbering_outgrows_them(monkeypatch):
+    """Start the rule numbering at stride 1, so it doubles while tilings
+    are built, while the chooser's cells are coded and while a diagram is
+    adjoined; every tiling still equals the reference tiler's."""
+    import random
+
+    from srw import diagrams
+
+    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder(R=1))
+    rng = random.Random(21)
+    for n in (3, 4, 5):
+        sys = hecke_system(n, "rfull")
+        zigs = _seeded_zigzags(rng, sys, 40)
+        early = Tiling(n, zigs[0])  # coded before the later systems' rules
+        chooser = hecke_provider(sys)
+        for zig in zigs[1:]:
+            ref_cells, ref_boundary = rescan_tiling(zig, chooser, 10000)
+            t = complete_tiling(Tiling(n, zig), chooser)
+            b = t.boundary()
+            assert _cells(t) == ref_cells
+            assert (b.sink, b.from_start, b.from_end) == ref_boundary
+        assert _cells(complete_tiling(early, chooser)) == rescan_tiling(zigs[0], chooser, 10000)[0]
+    assert diagrams._CODER.R >= 16
+    # A critical cell, then a diagram adjoined by hand, whose rule c31 is
+    # new to a numbering that holds only the corner's two rules.
+    sys = _h3()
+    w = (3, 2, 1, 3)
+    top, left = find_redexes(w, sys)[1], find_redexes(w, sys)[0]
+    zig = Zigzag(top.target, ((BACKWARD, top), (FORWARD, left)))
+    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder(R=1))
+    t = complete_tiling(Tiling(3, zig), hecke_provider(sys))
+    assert (diagrams._CODER.R, _cells(t)) == (4, rescan_tiling(zig, hecke_provider(sys), 1)[0])
+    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder(R=1))
+    t = Tiling(3, zig)
+    ((_, h, v),) = t.open_corners()
+    ed = next(
+        ed
+        for pair in enumerate_critical_pairs(sys)
+        if (pair.first, pair.second) == (h, v)
+        for ed in [hecke.chosen_critical_ed_tagged(pair, sys)[0]]
+    )
+    t.adjoin_at_corner(0, ed, "critical", "by hand")
+    assert diagrams._CODER.R == 4
+    assert t.cells == [CellRecord(ed, "critical", "by hand")]
+    assert t.boundary().sink == (2, 3, 2, 1)
+
+
+def test_chooser_cells_must_fit_their_pair():
+    sys = _h3()
+    w = (3, 2, 1, 3)
+    top = Path(w, (find_redexes(w, sys)[1],))
+    left = Path(w, (find_redexes(w, sys)[0],))
+    with pytest.raises(NoCellForCorner, match=r"no cell for corner \(32:c13:-, -:b31:-\)"):
+        complete_peak(sys, lambda pair: None, top, left)
+    curated = hecke_provider(sys)
+
+    def flipped(pair):
+        ed, transposed = curated(pair)
+        return transpose_ed(ed), not transposed
+
+    with pytest.raises(CornerMismatch, match="critical cell does not fit its corner"):
+        complete_peak(sys, flipped, top, left)
 
 
 def test_bfs_chooser_provider_completes():
     sys = hecke_system(3, "rdoubleprime")
-    provider = standard_provider(sys, chooser=bfs_join_chooser(sys))
     w = (2, 1, 2, 2)
     insts = find_redexes(w, sys)
-    t = complete_peak(sys, provider, Path(w, (insts[0],)), Path(w, (insts[1],)))
+    t = complete_peak(sys, bfs_join_chooser(sys), Path(w, (insts[0],)), Path(w, (insts[1],)))
     b = t.boundary()
     assert b.from_start.end == b.from_end.end == b.sink
 

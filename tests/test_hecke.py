@@ -513,7 +513,18 @@ def test_forward_commutation_removes_one_inversion(data):
         return sum(1 for p in range(len(w)) for q in range(p + 1, len(w)) if w[p] > w[q])
 
     assert inversions(a + rule.lhs + b) - inversions(a + rule.rhs + b) == 1
-    assert hecke._inversions(rule.lhs) - hecke._inversions(rule.rhs) == 1
+    assert inversions(rule.lhs) - inversions(rule.rhs) == 1
+
+
+@pytest.mark.parametrize("variant", ["rfull", "rdoubleprime"])
+def test_every_forward_commutation_removes_exactly_one_inversion(variant):
+    """The shape fact that lets `_verify_c_subsystem` skip a termination
+    check: each "cf" rule, at ranks 3-7, removes exactly one inversion."""
+    for n in range(3, 8):
+        forward = [r for r in hecke_system(n, variant).rules if classify_rule(r)[0] == "cf"]
+        assert len(forward) == (n - 1) * (n - 2) // 2
+        for rule in forward:
+            assert inversions(rule.lhs) - inversions(rule.rhs) == 1, rule.name
 
 
 @given(st.data())
