@@ -159,15 +159,23 @@ def system_from_doc(doc: Any) -> SrsSystem:
         raise UsageError(str(exc)) from exc
 
 
+@functools.lru_cache(maxsize=8)
+def _system_from_text(text: str) -> SrsSystem:
+    return system_from_doc(json.loads(text))
+
+
 def load_system(path: str) -> SrsSystem:
+    """`system_from_doc` of the file's current text, read on every call; a
+    recent text gives back the same system object, a failing one fails again."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _system_from_text(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
-    return system_from_doc(doc)
 
 
 def parse_word(s: str, sys: SrsSystem) -> tuple[int, ...]:

@@ -203,15 +203,18 @@ class _Coder:
 
     def codes(self, *paths) -> tuple[_Codes, ...]:
         """Each sequence of steps coded, after numbering its rules, which
-        may double R."""
-        for st in (st for steps in paths for st in steps):
-            if st.rule not in self.index:
-                self.index[st.rule] = len(self.rules)
-                self.rules.append(st.rule)
-                if len(self.rules) > self.R:
-                    self.R *= 2
+        may double R.  A step whose rule is numbered costs one lookup."""
         R, index = self.R, self.index
-        return tuple(tuple(len(st.left) * R + index[st.rule] for st in steps) for steps in paths)
+        try:
+            return tuple(tuple(len(st.left) * R + index[st.rule] for st in steps) for steps in paths)
+        except KeyError:
+            for st in (st for steps in paths for st in steps):
+                if st.rule not in index:
+                    index[st.rule] = len(self.rules)
+                    self.rules.append(st.rule)
+                    if len(self.rules) > self.R:
+                        self.R *= 2
+            return self.codes(*paths)
 
 
 _CODER = _Coder()

@@ -11,17 +11,16 @@ steps of reduction paths; a path stores its start word plus the chained
 instances, and a zigzag is a path whose legs may also run backward.
 
 Each `SrsSystem` is compiled once, when it is built, into a rule table:
-the rules bucketed by the first letter of their left-hand side, each
-bucket sorted by rule name, plus a name -> rule map.  Systems that compare
-equal (same alphabet size, same rules) share one table, so building a
-system again, or keeping many equal systems alive as cache keys, costs no
-second table.
+the rules bucketed, in rule-name order, by the first two letters of their
+left-hand side (only keys that begin one get a bucket; a one-letter rule
+also joins each bucket its letter starts), plus a name -> rule map.
+Systems that compare equal (same alphabet size, same rules) share one.
 
 `find_redexes` lists every way a rule applies inside a word, ordered by
-(start position, rule name): at each position it tries only the rules
-whose left-hand side starts with the letter found there.  `successors`
-makes the same sweep but returns only the rewritten words, in the same
-order, without building a `RuleInstance` per redex.
+(start position, rule name): at each position it looks up the two letters
+there, or the one letter when they have no bucket, and compares only the
+left-hand sides longer than two letters.  `successors` makes the same
+sweep but returns only the rewritten words, without the instances.
 
 `explore` is the one breadth-first search of the package: given a start
 word and a step function listing the next words, it returns the words
@@ -93,15 +92,20 @@ def word_from_str(s: str, n: int) -> Word:
 
 @dataclass(frozen=True)
 class Rule:
-    """A rewriting rule lhs -> rhs, both words, lhs non-empty."""
+    """A rewriting rule lhs -> rhs, both words, lhs non-empty; hashed once."""
 
     name: str
     lhs: Word
     rhs: Word
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not self.lhs:
             raise ValueError(f"rule {self.name}: empty left-hand side")
+        object.__setattr__(self, "_hash", hash((self.name, self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,13 +220,18 @@ class Zigzag:
 class _RuleTable:
     """The compiled form of a system's rules (see the module docstring)."""
 
-    __slots__ = ("by_letter", "by_name", "__weakref__")
+    __slots__ = ("buckets", "by_name", "__weakref__")
 
     def __init__(self, rules: tuple[Rule, ...]):
-        by_letter: dict[int, list[tuple[Rule, Word, int]]] = {}
-        for r in sorted(rules, key=lambda r: r.name):
-            by_letter.setdefault(r.lhs[0], []).append((r, r.lhs, len(r.lhs)))
-        self.by_letter = {g: tuple(bucket) for g, bucket in by_letter.items()}
+        by_key: dict[Word, list[Rule]] = {}
+        for r in rules:
+            by_key.setdefault(r.lhs[:2], []).append(r)
+        for key, bucket in by_key.items():
+            bucket += by_key.get(key[:1], ()) if len(key) == 2 else ()
+        self.buckets = {
+            key: tuple((r, r.lhs, r.rhs, len(r.lhs)) for r in sorted(bucket, key=lambda r: r.name))
+            for key, bucket in by_key.items()
+        }
         self.by_name = {r.name: r for r in rules}
 
 
@@ -282,11 +291,11 @@ class SrsSystem:
 
 def find_redexes(w: Word, sys: SrsSystem) -> list[RuleInstance]:
     """All instances whose source is w, ordered by (position, rule name)."""
-    by_letter = sys._table.by_letter
+    get = sys._table.buckets.get
     out: list[RuleInstance] = []
-    for pos, g in enumerate(w):
-        for r, lhs, m in by_letter.get(g, ()):
-            if w[pos : pos + m] == lhs:
+    for pos in range(len(w)):
+        for r, lhs, _, m in get(w[pos : pos + 2]) or get(w[pos : pos + 1], ()):
+            if m < 3 or w[pos : pos + m] == lhs:
                 out.append(RuleInstance(w[:pos], r, w[pos + m :]))
     return out
 
@@ -294,12 +303,12 @@ def find_redexes(w: Word, sys: SrsSystem) -> list[RuleInstance]:
 def successors(w: Word, sys: SrsSystem) -> list[Word]:
     """The targets of `find_redexes(w, sys)`, in the same order, built as
     words without the instances."""
-    by_letter = sys._table.by_letter
+    get = sys._table.buckets.get
     out: list[Word] = []
-    for pos, g in enumerate(w):
-        for r, lhs, m in by_letter.get(g, ()):
-            if w[pos : pos + m] == lhs:
-                out.append(w[:pos] + r.rhs + w[pos + m :])
+    for pos in range(len(w)):
+        for _, lhs, rhs, m in get(w[pos : pos + 2]) or get(w[pos : pos + 1], ()):
+            if m < 3 or w[pos : pos + m] == lhs:
+                out.append(w[:pos] + rhs + w[pos + m :])
     return out
 
 

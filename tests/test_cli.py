@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
+import functools
 import json
 
 import pytest
@@ -56,6 +57,50 @@ def test_validate_rejects_garbage(tmp_path, capsys):
     )
     code, _, err = run(capsys, ["validate", str(bad)])
     assert code == 2
+
+
+def _rules_doc(*rules):
+    return json.dumps({
+        "generators": 2,
+        "rules": [{"name": name, "lhs": lhs, "rhs": rhs} for name, lhs, rhs in rules],
+    })
+
+
+def test_loading_an_unchanged_file_gives_the_same_system(h3full):
+    first = cli.load_system(h3full)
+    assert cli.load_system(h3full) is first
+    with open(h3full) as fh:
+        assert first == system_from_doc(json.load(fh))
+
+
+def test_a_rewritten_file_answers_from_its_new_rules(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(_rules_doc(("swp", [2, 1], [1, 2])))
+    before = cli.load_system(str(path))
+    assert run(capsys, ["equal", str(path), "12", "21"]) == (0, "equal\n", "")
+    path.write_text(_rules_doc(("dbl", [1, 1], [1])))
+    assert run(capsys, ["equal", str(path), "12", "21"]) == (1, "different\n", "")
+    assert cli.load_system(str(path)) != before
+    path.write_text(_rules_doc(("swp", [2, 1], [1, 2])))
+    assert cli.load_system(str(path)) is before
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ('{"generators": 2, "rules": [}', "error: {path} is not valid JSON: "),
+        ('{"generators": true, "rules": [{"name": "a", "lhs": [1], "rhs": []}]}',
+         "error: field 'generators' must be a positive integer\n"),
+    ],
+    ids=["invalid-json", "boolean-generators"],
+)
+def test_a_bad_document_fails_on_every_load(text, want, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    first = run(capsys, ["equal", str(path), "1", "1"])
+    assert first == run(capsys, ["equal", str(path), "1", "1"])
+    code, out, err = first
+    assert code == 2 and out == "" and err.startswith(want.format(path=path))
 
 
 def test_redexes_output(h3full, capsys):
@@ -181,6 +226,9 @@ def test_check_decreasing_names_tied_natural_sides(monkeypatch, tmp_path, capsys
         return (), head + stats
 
     monkeypatch.setattr(cli, "hecke_order", lambda: InstanceOrder("hecke", flat_heads))
+    # A load cache of its own: the same text loaded before holds the real order.
+    fresh = functools.lru_cache(maxsize=8)(cli._system_from_text.__wrapped__)
+    monkeypatch.setattr(cli, "_system_from_text", fresh)
     path = tmp_path / "h4.json"
     assert main(["hecke", "gen", "4", "--variant", "rfull", "-o", str(path)]) == 0
     capsys.readouterr()

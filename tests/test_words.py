@@ -200,6 +200,61 @@ def test_successors_are_redex_targets_rank4_rfull():
         assert successors(w, sys) == [i.target for i in find_redexes(w, sys)]
 
 
+# Declared out of name order.  The rules a and s have one letter, so they
+# join every bucket whose key starts with 2; p and q share the key 12; q
+# and t are longer than their key; at a word's last letter only a and s
+# can match.
+_MIXED_SYSTEM = SrsSystem(
+    n=3,
+    rules=(
+        Rule("t", (2, 3, 2, 1), (1,)),
+        Rule("s", (2,), (1,)),
+        Rule("q", (1, 2, 3), (3,)),
+        Rule("p", (1, 2), (2, 1)),
+        Rule("u", (3, 3), (3,)),
+        Rule("a", (2,), ()),
+    ),
+)
+
+
+def test_two_letter_keys_match_the_oracle_on_mixed_lengths():
+    sys = _MIXED_SYSTEM
+    assert [e[0].name for e in sys._table.buckets[2, 3]] == ["a", "s", "t"]
+    assert [e[0].name for e in sys._table.buckets[2,]] == ["a", "s"]
+    assert [e[0].name for e in sys._table.buckets[1, 2]] == ["p", "q"]
+    ends_in_two = 0
+    for w in all_words(3, 6):
+        insts = find_redexes(w, sys)
+        assert insts == _in_scan_order(naive_redexes(w, sys))
+        assert successors(w, sys) == [i.target for i in insts]
+        ends_in_two += bool(w) and w[-1] == 2 and insts[-1].right == ()
+    assert ends_in_two == sum(3**k for k in range(6))
+
+
+def test_rule_table_grows_with_the_rules_not_the_alphabet():
+    n = 2000
+    rules = tuple(Rule(f"d{g}", (g, g), (g,)) for g in range(1, n + 1)) + tuple(
+        Rule(f"s{g}", (g,), (g + 1,)) for g in range(1, n, 2)
+    )
+    sys = SrsSystem(n=n, rules=rules)
+    buckets = sys._table.buckets
+    assert len(buckets) == len(rules)
+    assert sum(map(len, buckets.values())) == len(rules) + n // 2
+    w = (1, 1, 2, 2, n - 1, n)
+    assert find_redexes(w, sys) == _in_scan_order(naive_redexes(w, sys))
+    assert successors(w, sys) == [i.target for i in find_redexes(w, sys)]
+
+
+def test_rule_hash_is_cached_and_follows_equality():
+    r = Rule("swp", (2, 1), (1, 2))
+    again = Rule("swp", tuple([2, 1]), tuple([1, 2]))
+    assert r == again and r is not again
+    assert hash(r) == hash(again) == r._hash == hash(("swp", (2, 1), (1, 2)))
+    assert r != dataclasses.replace(r, name="swp2") != dataclasses.replace(r, rhs=(2, 1))
+    assert len({r, again, dataclasses.replace(r, rhs=(2, 1))}) == 2
+    assert "_hash" not in repr(r) and repr(r) == "Rule(name='swp', lhs=(2, 1), rhs=(1, 2))"
+
+
 def test_equal_systems_share_one_table():
     a, b = tiny_system(), tiny_system()
     assert a == b and hash(a) == hash(b)
