@@ -16,21 +16,27 @@ them by its right and bottom sides, until the frontier runs from both
 ends to a common sink.  `complete_tiling` glues at the first open corner
 and resumes its scan one place before it.
 
-The tiler codes a step at word offset a as a * R + its rule's number (one
-numbering for the process; R doubles when it outgrows it, and older codes
-are recoded).  A node holds its word once; the frontier, edges and cells
-hold codes.  A repeated step closes with an improper cell, disjoint redexes
-with their natural square (its right side is the vertical step, its bottom
-side the horizontal one, each moved by the other's length change if the
-other lies left of it), overlapping ones with the critical-pair chooser's
-cell.  The chooser takes the bare `CriticalPair` and returns (diagram,
-transposed), the pair's first step on top and its second on the left, or
-None.  It must depend on the pair alone: while it lives the tiler asks it
-once per bare pair and R and shifts the coded sides into place, x letters
-of left context adding x * R to every code.  Objects are built and
-validated only at the API: the `Zigzag`, the chooser's diagram, the
-boundary `Path`s, the decoded `Tiling.cells`, `open_corners`, `nodes` and
-`edges`, `adjoin_at_corner`, `export_dot` and the exceptions' messages.
+The tiler and the path search code a step at word offset a as one int,
+a * _STRIDE + its rule's number, over one numbering for the process
+(`_CODER`, which numbers a rule on first sight, keeps its sides, and
+raises ValueError rather than number more rules than the stride holds).
+A code never changes once made, so tilings, the chooser memo and cell
+families share them, and whiskering by x letters on the left adds
+x * _STRIDE to every code.
+
+In a tiling a node holds its word once; the frontier, edges and cells
+hold codes.  A repeated step closes with an improper cell, disjoint
+redexes with their natural square (its right side is the vertical step,
+its bottom side the horizontal one, each moved by the other's length
+change if the other lies left of it), overlapping ones with the
+critical-pair chooser's cell.  The chooser takes the bare `CriticalPair`
+and returns (diagram, transposed), the pair's first step on top and its
+second on the left, or None.  It must depend on the pair alone: while it
+lives the tiler asks it once per bare pair and shifts the coded sides
+into place.  Objects are built and validated only at the API: the
+`Zigzag`, the chooser's diagram, the boundary `Path`s, the decoded
+`Tiling.cells`, `open_corners`, `nodes` and `edges`, `adjoin_at_corner`,
+`export_dot` and the exceptions' messages.
 
 A `CellFamily` is a set of parallel path pairs; `paths_equivalent_mod_cells`
 searches for a rewrite of one path into another by replacing whiskered
@@ -38,24 +44,18 @@ occurrences of a member path with its partner (in both directions,
 including insertion and deletion of whiskered loops) and by commuting
 adjacent steps with disjoint redexes.  The verdict is
 one-sided: Equivalent means a chain of substitutions was found, Unknown
-means none was found within the search budget.
-
-A family numbers the R distinct rules of its members on its first search
-and codes each step as one int, `len(step.left) * R + rule number`, so a
-state is a tuple of ints, cheap to hash, whose words are computed once
-when it is expanded.  Whiskering by x letters on the left adds x * R to
-every code: a member path occurs where the gaps between adjacent codes
-agree and its base word sits at the offset that shift names.  So moves
+means none was found within the search budget.  A state is a tuple of
+codes, cheap to hash, whose words are computed once when it is expanded.
+A member path occurs where the gaps between adjacent codes agree and its
+base word sits at the offset that the whisker's shift names.  So moves
 are keyed by their first rule and (first gap,), loop insertions by their
 base word (a word holds no tuple, so keys never clash), and each move
 memoises its whiskered copies.  `CellFamily.extended` codes only the new
-member and shares the parent's moves.  A member, p or q with a rule the
-numbering lacks gets a new numbering, and the codes built under the old
-one stay as they were.  Renumbering is a bijection on states that keeps
-the order in which neighbours come out: the order a full scan would find
-them (move, step index, offset, then swaps).  That order matters, because
-the budget cuts the search after a fixed number of new states: another
-order could change an Unknown at a given bound into Equivalent or back.
+member and shares the parent's moves.  Neighbours come out in the order
+a full scan would find them (move, step index, offset, then swaps),
+which no rule number enters.  That order matters, because the budget
+cuts the search after a fixed number of new states: another order could
+change an Unknown at a given bound into Equivalent or back.
 """
 
 from __future__ import annotations
@@ -133,9 +133,8 @@ def natural_squares(sys: SrsSystem) -> Iterator[tuple[tuple[Rule, Rule], Element
     for r1 in sys.rules:
         for r2 in sys.rules:
             ((h, v),) = _CODER.codes([RuleInstance((), r1, r2.lhs), RuleInstance(r1.lhs, r2, ())])
-            R = _CODER.R
-            right, bottom, _ = _natural(h, v, R)
-            yield (r1, r2), _diagram(r1.lhs + r2.lhs, h, v, (right,), (bottom,), R)
+            right, bottom, _ = _natural(h, v)
+            yield (r1, r2), _diagram(r1.lhs + r2.lhs, h, v, (right,), (bottom,))
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:
@@ -192,90 +191,97 @@ class Boundary:
     from_end: Path  # from the frontier walk's end word
 
 
-class _Coder:
-    """Every rule the tiler has met, numbered in order of first sight; R is
-    a power of two above every number (see the module docstring)."""
+# A step at word offset a codes as a * _STRIDE + its rule's number: codes
+# stay below 2**30, one machine digit, for offsets under 2**14.
+_STRIDE = 1 << 16
 
-    def __init__(self, R: int = 64) -> None:
+
+class _Coder:
+    """Every rule the process has met, numbered in order of first sight,
+    and each numbered rule's sides (see the module docstring)."""
+
+    def __init__(self) -> None:
         self.index: dict[Rule, int] = {}
         self.rules: list[Rule] = []
-        self.R = R
+        self.lhs: list[Word] = []
+        self.rhs: list[Word] = []
 
     def codes(self, *paths) -> tuple[_Codes, ...]:
-        """Each sequence of steps coded, after numbering its rules, which
-        may double R.  A step whose rule is numbered costs one lookup."""
-        R, index = self.R, self.index
+        """Each sequence of steps coded, after numbering its rules.  A step
+        whose rule is numbered costs one lookup."""
+        S, index = _STRIDE, self.index
         try:
-            return tuple(tuple(len(st.left) * R + index[st.rule] for st in steps) for steps in paths)
+            return tuple(tuple(len(st.left) * S + index[st.rule] for st in steps) for steps in paths)
         except KeyError:
             for st in (st for steps in paths for st in steps):
                 if st.rule not in index:
+                    if len(self.rules) == S:
+                        raise ValueError(f"more rules than the step code's stride {S} can number")
                     index[st.rule] = len(self.rules)
                     self.rules.append(st.rule)
-                    if len(self.rules) > self.R:
-                        self.R *= 2
+                    self.lhs.append(st.rule.lhs)
+                    self.rhs.append(st.rule.rhs)
             return self.codes(*paths)
 
 
 _CODER = _Coder()
 
-# Per chooser, for each bare pair (R, first code, second code), which also
+# Per chooser, for each bare pair (first code, second code), which also
 # fixes its peak: the chooser's right and bottom codes and its transposed
 # flag, or None where it had no cell.
 _CHOSEN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _apply(c: int, w: Word, R: int) -> Word:
-    a, r = divmod(c, R)
-    rule = _CODER.rules[r]
-    return w[:a] + rule.rhs + w[a + len(rule.lhs) :]
+def _apply(c: int, w: Word) -> Word:
+    a, r = divmod(c, _STRIDE)
+    return w[:a] + _CODER.rhs[r] + w[a + len(_CODER.lhs[r]) :]
 
 
-def _step(c: int, w: Word, R: int) -> RuleInstance:
-    a, r = divmod(c, R)
-    rule = _CODER.rules[r]
-    return RuleInstance(w[:a], rule, w[a + len(rule.lhs) :])
+def _step(c: int, w: Word) -> RuleInstance:
+    a, r = divmod(c, _STRIDE)
+    return RuleInstance(w[:a], _CODER.rules[r], w[a + len(_CODER.lhs[r]) :])
 
 
-def _path(w: Word, codes: _Codes, R: int) -> Path:
+def _path(w: Word, codes: _Codes) -> Path:
     steps: list[RuleInstance] = []
     for c in codes:
-        steps.append(_step(c, steps[-1].target if steps else w, R))
+        steps.append(_step(c, steps[-1].target if steps else w))
     return Path(w, tuple(steps))
 
 
-def _diagram(w: Word, h: int, v: int, right: _Codes, bottom: _Codes, R: int) -> ElementaryDiagram:
+def _diagram(w: Word, h: int, v: int, right: _Codes, bottom: _Codes) -> ElementaryDiagram:
     """The coded cell at word w as a validated diagram."""
-    top, left = _step(h, w, R), _step(v, w, R)
-    return ElementaryDiagram(top, left, _path(top.target, right, R), _path(left.target, bottom, R))
+    top, left = _step(h, w), _step(v, w)
+    return ElementaryDiagram(top, left, _path(top.target, right), _path(left.target, bottom))
 
 
-def _natural(h: int, v: int, R: int) -> tuple[int, int, str] | None:
+def _natural(h: int, v: int) -> tuple[int, int, str] | None:
     """The right and bottom step and the tag of the square of two coded
     co-initial steps with disjoint redexes; None if they overlap."""
-    (ah, rh), (av, rv) = divmod(h, R), divmod(v, R)
-    first, second = _CODER.rules[rh], _CODER.rules[rv]
-    if ah + len(first.lhs) <= av:
-        return v + (len(first.rhs) - len(first.lhs)) * R, h, "natural"
-    if av + len(second.lhs) <= ah:
-        return v, h + (len(second.rhs) - len(second.lhs)) * R, "transposed"
+    S, lhs, rhs = _STRIDE, _CODER.lhs, _CODER.rhs
+    (ah, rh), (av, rv) = divmod(h, S), divmod(v, S)
+    if ah + len(lhs[rh]) <= av:
+        return v + (len(rhs[rh]) - len(lhs[rh])) * S, h, "natural"
+    if av + len(lhs[rv]) <= ah:
+        return v, h + (len(rhs[rv]) - len(lhs[rv])) * S, "transposed"
     return None
 
 
-def _critical(t: Tiling, chooser, w: Word, h: int, v: int):
+def _critical(n: int, chooser, w: Word, h: int, v: int):
     """Right and bottom codes, tag and origin of the chooser's cell for the
-    overlapping steps h and v at w, shifted into place."""
-    C, R = _CODER, t._R
+    overlapping steps h and v at w, shifted into place; n names letters in
+    the error message."""
+    C, S = _CODER, _STRIDE
     try:
         memo = _CHOSEN.setdefault(chooser, {})
     except TypeError:  # the chooser takes no weak reference: a memo for this corner
         memo = {}
-    ah, rh = divmod(h, R)
-    av, rv = divmod(v, R)
-    bh, bv = ah + len(C.rules[rh].lhs), av + len(C.rules[rv].lhs)
+    ah, rh = divmod(h, S)
+    av, rv = divmod(v, S)
+    bh, bv = ah + len(C.lhs[rh]), av + len(C.lhs[rv])
     lo, hi = min(ah, av), max(bh, bv)
-    shift = lo * R
-    key = (R, h - shift, v - shift)
+    shift = lo * S
+    key = (h - shift, v - shift)
     if key not in memo:
         pair = CriticalPair(
             "inclusion" if (ah < av and bv < bh) or (av < ah and bh < bv) else "overlap",
@@ -289,13 +295,10 @@ def _critical(t: Tiling, chooser, w: Word, h: int, v: int):
             if ed.top != pair.first or ed.left != pair.second:
                 raise CornerMismatch("critical cell does not fit its corner")
             got = C.codes(ed.right.steps, ed.bottom.steps) + (transposed,)
-            if C.R != R:  # R doubled: recode the tiling, then look again
-                t._restride()
-                return _critical(t, chooser, w, h // R * C.R + h % R, v // R * C.R + v % R)
         memo[key] = got
     if memo[key] is None:
         raise NoCellForCorner(
-            f"no cell for corner ({_step(h, w, R).render(t.n)}, {_step(v, w, R).render(t.n)})"
+            f"no cell for corner ({_step(h, w).render(n)}, {_step(v, w).render(n)})"
         )
     right, bottom, transposed = memo[key]
     tag = "transposed" if transposed else "whiskered" if lo or hi < len(w) else "critical"
@@ -311,7 +314,6 @@ class Tiling:
         self.n = n
         self.walk_start = zig.start
         (codes,) = _CODER.codes([st for _, st in zig.legs])
-        self._R = _CODER.R
         words = self._words = [zig.start]
         self._edges: list[tuple] = []  # (kind, code or None, src node, dst node)
         self._cells: list[tuple] = []  # (node, top, left, right, bottom, tag, origin)
@@ -332,31 +334,14 @@ class Tiling:
 
     @property
     def cells(self) -> list[CellRecord]:
-        words, R = self._words, self._R
+        words = self._words
         return [
-            CellRecord(_diagram(words[x], h, v, right, bottom, R), tag, origin)
+            CellRecord(_diagram(words[x], h, v, right, bottom), tag, origin)
             for x, h, v, right, bottom, tag, origin in self._cells
         ]
 
     def _decode(self, entry: tuple) -> RuleInstance:
-        return _step(entry[1], self._words[entry[2]], self._R)
-
-    def _restride(self) -> None:
-        """Recode under the coder's current R."""
-        old, R = self._R, _CODER.R
-        if old == R:
-            return
-
-        def re(c):
-            return c if c is None else c // old * R + c % old
-
-        self._edges = [(k, re(c), s, d) for k, c, s, d in self._edges]
-        self._frontier = [(k, re(c), s, d) for k, c, s, d in self._frontier]
-        self._cells = [
-            (x, re(h), re(v), tuple(map(re, right)), tuple(map(re, bottom)), tag, origin)
-            for x, h, v, right, bottom, tag, origin in self._cells
-        ]
-        self._R = R
+        return _step(entry[1], self._words[entry[2]])
 
     def _first_corner(self, start: int) -> int | None:
         """The frontier position of the first open corner at or after `start`."""
@@ -383,14 +368,13 @@ class Tiling:
         if ed.top != self._decode(f[index]) or ed.left != self._decode(f[index + 1]):
             raise CornerMismatch("diagram's top/left do not match the corner's steps")
         right, bottom = _CODER.codes(ed.right.steps, ed.bottom.steps)
-        self._restride()
         self._glue(index, right, bottom, tag, origin)
 
     def _glue(self, index: int, right: _Codes, bottom: _Codes, tag: str, origin: str) -> None:
         """Replace the open corner at `index` by the coded right side from
         its top's target and bottom side from its left's target; the
         bottom side ends where the right side does."""
-        f, words, R = self._frontier, self._words, self._R
+        f, words = self._frontier, self._words
         (_, h, x, y), (_, v, _, z) = f[index], f[index + 1]
 
         def chain(kind: str, cur: int, codes: _Codes, end: int | None):
@@ -400,7 +384,7 @@ class Tiling:
                 if end is not None and i == len(codes) - 1:
                     dst = end
                 else:
-                    w = _apply(c, w, R)
+                    w = _apply(c, w)
                     words.append(w)
                     dst = len(words) - 1
                 out.append((kind, c, cur, dst))
@@ -433,20 +417,18 @@ def complete_tiling(t: Tiling, chooser, fuel: int = 10000) -> Tiling:
     cell for a repeated step, the natural square for disjoint redexes, and
     the chooser's critical cell, whiskered into place, for overlapping
     ones (see the module docstring)."""
-    t._restride()
     index = t._first_corner(0)
     while index is not None:
         if fuel <= 0:
             raise FuelExhausted(f"{len(t._corners())} open corner(s) remain with no fuel left")
         (_, h, x, _), (_, v, _, _) = t._frontier[index], t._frontier[index + 1]
-        R = t._R
         if h == v:
             cell = (), (), "improper", "repeated-step"
-        elif (nat := _natural(h, v, R)) is not None:
-            names = _CODER.rules[h % R].name, _CODER.rules[v % R].name
+        elif (nat := _natural(h, v)) is not None:
+            names = _CODER.rules[h % _STRIDE].name, _CODER.rules[v % _STRIDE].name
             cell = (nat[0],), (nat[1],), nat[2], "natural({},{})".format(*names)
         else:
-            cell = _critical(t, chooser, t._words[x], h, v)
+            cell = _critical(t.n, chooser, t._words[x], h, v)
         t._glue(index, *cell)
         fuel -= 1
         # Gluing rewrites only positions index and index + 1, and no corner lies before index.
@@ -540,7 +522,10 @@ class CellFamily:
 
     def _coded(self) -> _Table:
         if self._table is None:
-            object.__setattr__(self, "_table", _Table.of(self.members))
+            table = _Table((), {})
+            for pair in self.members:
+                table = table.plus(pair)
+            object.__setattr__(self, "_table", table)
         return self._table
 
 
@@ -553,44 +538,26 @@ def _gaps(c: _Codes) -> _Codes:
 
 
 class _Table(NamedTuple):
-    """Members coded over one rule numbering, two moves each: (base, frm,
-    to, frm's gaps, key, whiskered), listed in `by_key` under their key."""
+    """Members' moves, two each, coded by `_CODER`: (base, frm, to, frm's
+    gaps, key, whiskered), listed in `by_key` under their key."""
 
-    index: dict[Rule, int]
     moves: tuple[tuple, ...]
     by_key: dict[tuple, tuple[int, ...]]
 
-    @classmethod
-    def of(cls, members, paths: tuple[Path, ...] = ()) -> _Table:
-        index: dict[Rule, int] = {}
-        for path in (*(m for pair in members for m in pair), *paths):
-            for st in path.steps:
-                index.setdefault(st.rule, len(index))
-        table = cls(index, (), {})
-        for pair in members:
-            table = table.plus(pair)
-        return table
-
-    def code(self, path: Path) -> _Codes:
-        return tuple(len(st.left) * len(self.index) + self.index[st.rule] for st in path.steps)
-
-    def plus(self, pair: tuple[Path, Path]) -> _Table | None:
-        """A new table with pair's two moves after these, sharing them; None
-        if pair has a rule that the numbering lacks."""
-        if any(st.rule not in self.index for m in pair for st in m.steps):
-            return None
+    def plus(self, pair: tuple[Path, Path]) -> _Table:
+        """A new table with pair's two moves after these, sharing them."""
         moves, by_key = list(self.moves), dict(self.by_key)
-        ca, cb = self.code(pair[0]), self.code(pair[1])
+        ca, cb = _CODER.codes(pair[0].steps, pair[1].steps)
         for frm, to in ((ca, cb), (cb, ca)):
             g = _gaps(frm)
-            key = (frm[0] % len(self.index), g[:1]) if frm else pair[0].start
+            key = (frm[0] % _STRIDE, g[:1]) if frm else pair[0].start
             by_key[key] = by_key.get(key, ()) + (len(moves),)
             moves.append((pair[0].start, frm, to, g, key, {}))
-        return _Table(self.index, tuple(moves), by_key)
+        return _Table(tuple(moves), by_key)
 
 
 def _replacements(
-    steps: _Codes, words: list[Word], gaps: _Codes, at: list[int], move: tuple, R: int
+    steps: _Codes, words: list[Word], gaps: _Codes, at: list[int], move: tuple
 ) -> Iterator[_Codes]:
     """Replace each whiskered occurrence of a move's coded path `frm`, from
     `base`, by its `to`, trying the step indices `at` (ascending) where
@@ -602,36 +569,37 @@ def _replacements(
     for i in at:
         if i + k > len(steps):
             break
-        shift = steps[i] - frm[0]  # offset * R: the rules agree
+        shift = steps[i] - frm[0]  # offset * _STRIDE: the rules agree
         if shift >= 0 and gaps[i : i + k - 1] == frm_gaps:
-            x = shift // R
+            x = shift // _STRIDE
             if words[i][x : x + len(base)] == base:
                 if shift not in whiskered:
                     whiskered[shift] = tuple(c + shift for c in to)
                 yield steps[:i] + whiskered[shift] + steps[i + k :]
 
 
-def _insertions(steps: _Codes, places: list[tuple[int, int]], move: tuple, R: int) -> Iterator[_Codes]:
+def _insertions(steps: _Codes, places: list[tuple[int, int]], move: tuple) -> Iterator[_Codes]:
     """Insert a whiskered copy of a move's `to`, a coded loop, at each (step
     index, word offset) of `places`, where its base word occurs."""
     to, whiskered = move[2], move[5]
     for i, x in places:
-        shift = x * R
+        shift = x * _STRIDE
         if shift not in whiskered:
             whiskered[shift] = tuple(c + shift for c in to)
         yield steps[:i] + whiskered[shift] + steps[i:]
 
 
-def _natural_swaps(steps: _Codes, lhs: list[Word], rhs: list[Word], R: int) -> Iterator[_Codes]:
+def _natural_swaps(steps: _Codes) -> Iterator[_Codes]:
     """Commute adjacent coded steps whose redexes do not touch."""
+    S, lhs, rhs = _STRIDE, _CODER.lhs, _CODER.rhs
     for i in range(len(steps) - 1):
         c1, c2 = steps[i], steps[i + 1]
-        a1, r1 = divmod(c1, R)
-        a2, r2 = divmod(c2, R)
+        a1, r1 = divmod(c1, S)
+        a2, r2 = divmod(c2, S)
         if a2 >= a1 + len(rhs[r1]):  # second redex right of the first rewrite
-            moved = (c2 + (len(lhs[r1]) - len(rhs[r1])) * R, c1)
+            moved = (c2 + (len(lhs[r1]) - len(rhs[r1])) * S, c1)
         elif a2 + len(lhs[r2]) <= a1:  # second redex left of the first rewrite
-            moved = (c2, c1 + (len(rhs[r2]) - len(lhs[r2])) * R)
+            moved = (c2, c1 + (len(rhs[r2]) - len(lhs[r2])) * S)
         else:
             continue
         yield steps[:i] + moved + steps[i + 2 :]
@@ -650,26 +618,22 @@ def paths_equivalent_mod_cells(
         raise NotParallel("paths must share start and end words")
     if p.steps == q.steps:
         return PathVerdict.EQUIVALENT
-    table = family._coded()
-    if any(st.rule not in table.index for path in (p, q) for st in path.steps):
-        table = _Table.of(family.members, (p, q))  # renumbered for this call only
-    index, moves, by_key = table
-    R = len(index)
+    moves, by_key = family._coded()
+    S, lhs, rhs = _STRIDE, _CODER.lhs, _CODER.rhs
     bases = {move[0] for move in moves if not move[1]}
-    lhs, rhs = [r.lhs for r in index], [r.rhs for r in index]
     found: dict[Word, list[tuple[Word, int]]] = {}  # word -> (loop base, offset) in it
 
     def neighbours(steps: _Codes) -> Iterator[_Codes]:
         words = [p.start]
         for c in steps:
-            a, r = divmod(c, R)
+            a, r = divmod(c, S)
             words.append(words[-1][:a] + rhs[r] + words[-1][a + len(lhs[r]) :])
         state_gaps = _gaps(steps)
         at: dict[tuple, list[int]] = {}
         for i, c in enumerate(steps):
-            at.setdefault((c % R, ()), []).append(i)
+            at.setdefault((c % S, ()), []).append(i)
             if i < len(state_gaps):
-                at.setdefault((c % R, state_gaps[i : i + 1]), []).append(i)
+                at.setdefault((c % S, state_gaps[i : i + 1]), []).append(i)
         places: dict[Word, list[tuple[int, int]]] = {}
         for i, w in enumerate(words):
             if w not in found:
@@ -683,12 +647,12 @@ def paths_equivalent_mod_cells(
         for j in sorted(j for key in (*at, *places) for j in by_key.get(key, ())):
             move = moves[j]
             if move[1]:
-                yield from _replacements(steps, words, state_gaps, at[move[4]], move, R)
+                yield from _replacements(steps, words, state_gaps, at[move[4]], move)
             else:
-                yield from _insertions(steps, places[move[4]], move, R)
-        yield from _natural_swaps(steps, lhs, rhs, R)
+                yield from _insertions(steps, places[move[4]], move)
+        yield from _natural_swaps(steps)
 
-    frontiers = [[table.code(p)], [table.code(q)]]
+    frontiers = [[c] for c in _CODER.codes(p.steps, q.steps)]
     seen = tuple(set(f) for f in frontiers)
     budget = bound
     while frontiers[0] and frontiers[1] and budget > 0:

@@ -836,20 +836,14 @@ def _verify_criticals(sys: SrsSystem) -> VerifyItem:
 
 def _verify_c_subsystem(sys: SrsSystem) -> VerifyItem:
     """The forward commutations terminate, and their critical pairs are
-    cc-shaped and join.  Termination needs no check: `classify_rule` calls
-    a rule "cf" only when it is s t -> t s with s > t + 1, and that shape
-    removes exactly one inversion in every context (module docstring)."""
+    cc-shaped and join.  Only joining needs a check.  `classify_rule` calls
+    a rule "cf" only when it is s t -> t s with s > t + 1: that shape
+    removes exactly one inversion in every context (module docstring), and
+    two such rules, both with two-letter sides, meet only in an overlap,
+    which `_display_cell` names "cc"."""
     forward = tuple(r for r in sys.rules if classify_rule(r)[0] == "cf")
     sub = SrsSystem(n=sys.n, rules=forward, order=sys.order)
     pairs = enumerate_critical_pairs(sub)
-    for pair in pairs:
-        ed, name, _ = chosen_critical_ed_tagged(pair, sys)
-        if name != "cc":
-            return VerifyItem(
-                "commutation-subsystem",
-                "FAIL",
-                f"critical pair {pair.render(sys.n)} is {name}, expected cc",
-            )
     rep = local_confluence_report(sub, bound=4)
     if not rep.ok:
         return VerifyItem(

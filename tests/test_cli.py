@@ -294,6 +294,19 @@ def test_complete_peak_output(h3full, capsys):
     assert out == "sink 2321\nright 32:c31:-,-:b31:-\nbottom -\ncells 1\n"
 
 
+def test_a_peak_past_the_step_code_stride_exits_two(monkeypatch, h3full, capsys):
+    import weakref
+
+    from srw import diagrams
+
+    monkeypatch.setattr(diagrams, "_STRIDE", 1)
+    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder())
+    monkeypatch.setattr(diagrams, "_CHOSEN", weakref.WeakKeyDictionary())
+    code, out, err = run(capsys, ["complete-peak", h3full, "--top=32:c13:-", "--left=-:b31:-"])
+    assert (code, out) == (2, "")
+    assert err == "error: more rules than the step code's stride 1 can number\n"
+
+
 def test_complete_peak_dot(h3full, capsys):
     code, out, _ = run(
         capsys,

@@ -310,15 +310,22 @@ class _Slotted:
         return self.choose(pair)
 
 
-def test_codes_are_restrided_when_the_numbering_outgrows_them(monkeypatch):
-    """Start the rule numbering at stride 1, so it doubles while tilings
-    are built, while the chooser's cells are coded and while a diagram is
-    adjoined; every tiling still equals the reference tiler's."""
+def test_one_numbering_serves_tilings_and_path_searches(monkeypatch):
+    """From an empty numbering, tilings built while later systems' rules
+    are numbered, a critical cell and a diagram adjoined by hand whose
+    rule c31 is new all equal the reference tiler's; a path search then
+    numbers only the rules the tilings did not, and codes its members
+    through the same numbering."""
     import random
+    import weakref
 
     from srw import diagrams
 
-    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder(R=1))
+    def fresh_numbering():
+        monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder())
+        monkeypatch.setattr(diagrams, "_CHOSEN", weakref.WeakKeyDictionary())
+
+    fresh_numbering()
     rng = random.Random(21)
     for n in (3, 4, 5):
         sys = hecke_system(n, "rfull")
@@ -332,17 +339,17 @@ def test_codes_are_restrided_when_the_numbering_outgrows_them(monkeypatch):
             assert _cells(t) == ref_cells
             assert (b.sink, b.from_start, b.from_end) == ref_boundary
         assert _cells(complete_tiling(early, chooser)) == rescan_tiling(zigs[0], chooser, 10000)[0]
-    assert diagrams._CODER.R >= 16
     # A critical cell, then a diagram adjoined by hand, whose rule c31 is
     # new to a numbering that holds only the corner's two rules.
     sys = _h3()
     w = (3, 2, 1, 3)
     top, left = find_redexes(w, sys)[1], find_redexes(w, sys)[0]
     zig = Zigzag(top.target, ((BACKWARD, top), (FORWARD, left)))
-    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder(R=1))
+    fresh_numbering()
     t = complete_tiling(Tiling(3, zig), hecke_provider(sys))
-    assert (diagrams._CODER.R, _cells(t)) == (4, rescan_tiling(zig, hecke_provider(sys), 1)[0])
-    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder(R=1))
+    assert _cells(t) == rescan_tiling(zig, hecke_provider(sys), 1)[0]
+    assert len(diagrams._CODER.rules) == 3
+    fresh_numbering()
     t = Tiling(3, zig)
     ((_, h, v),) = t.open_corners()
     ed = next(
@@ -352,9 +359,35 @@ def test_codes_are_restrided_when_the_numbering_outgrows_them(monkeypatch):
         for ed in [hecke.chosen_critical_ed_tagged(pair, sys)[0]]
     )
     t.adjoin_at_corner(0, ed, "critical", "by hand")
-    assert diagrams._CODER.R == 4
     assert t.cells == [CellRecord(ed, "critical", "by hand")]
     assert t.boundary().sink == (2, 3, 2, 1)
+    # A path search after tilings: each shared rule keeps its one number.
+    for zig in _seeded_zigzags(rng, sys, 20):
+        complete_tiling(Tiling(3, zig), hecke_provider(sys))
+    tiled = list(diagrams._CODER.rules)
+    base = cells_P(3)
+    m = dict(zip(base.labels, base.members))
+    assert paths_equivalent_mod_cells(*m["loop(1,3)"], base, 100) is PathVerdict.EQUIVALENT
+    searched = {st.rule for pair in base.members for path in pair for st in path.steps}
+    assert len(searched & set(tiled)) == 5
+    assert diagrams._CODER.rules[: len(tiled)] == tiled
+    numbered = diagrams._CODER.rules
+    assert len(set(numbered)) == len(numbered) and set(numbered) == set(tiled) | searched
+    coded = [move[1] for move in base._table.moves[::2]]
+    assert coded == [diagrams._CODER.codes(p.steps)[0] for p, _ in base.members]
+
+
+def test_the_numbering_stops_at_the_stride(monkeypatch):
+    """A rule past the stride is refused, not coded into a wrong decode."""
+    from srw import diagrams
+
+    monkeypatch.setattr(diagrams, "_STRIDE", 4)
+    monkeypatch.setattr(diagrams, "_CODER", diagrams._Coder())
+    steps = [RuleInstance((), r, ()) for r in _h3().rules[:5]]
+    assert diagrams._CODER.codes(steps[:4]) == ((0, 1, 2, 3),)
+    with pytest.raises(ValueError, match="stride 4"):
+        diagrams._CODER.codes(steps)
+    assert diagrams._CODER.rules == [st.rule for st in steps[:4]]
 
 
 def test_chooser_cells_must_fit_their_pair():
@@ -538,8 +571,8 @@ def test_extending_one_family_twice_keeps_the_children_apart():
 
 
 def test_extending_by_a_rule_the_family_lacks():
-    # def(3,1) is the only member with the long braid b31, which cells_P(3)
-    # does not number: the child and the searches over it renumber.
+    # def(3,1) is the only member with the long braid b31, which no member
+    # of cells_P(3) uses: the child codes it, and every code made before stays.
     base = cells_P(3)
     m = dict(zip(base.labels, base.members))
     (d31,) = hecke.definitions(3).members

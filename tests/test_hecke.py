@@ -527,6 +527,20 @@ def test_every_forward_commutation_removes_exactly_one_inversion(variant):
             assert inversions(rule.lhs) - inversions(rule.rhs) == 1, rule.name
 
 
+def test_forward_commutation_pairs_are_cc_overlaps():
+    """The shape fact that lets `_verify_c_subsystem` skip a shape check:
+    every critical pair of the forward commutations, at ranks 3-7, is an
+    overlap whose curated cell is "cc"."""
+    for n in range(3, 8):
+        sys = hecke_system(n, "rfull")
+        forward = tuple(r for r in sys.rules if classify_rule(r)[0] == "cf")
+        pairs = enumerate_critical_pairs(SrsSystem(n=n, rules=forward, order=sys.order))
+        assert len(pairs) > 0 or n < 5
+        for pair in pairs:
+            assert pair.kind == "overlap", pair.render(n)
+            assert chosen_critical_ed_tagged(pair, sys)[1] == "cc", pair.render(n)
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_rfull_steps_keep_or_lower_the_measure_in_every_context(data):
