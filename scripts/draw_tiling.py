@@ -14,7 +14,7 @@ import argparse
 import itertools
 import sys as _sys
 
-from srw.cli import UsageError, parse_path, parse_word
+from srw.cli import parse_path, parse_word
 from srw.diagrams import FuelExhausted, complete_peak, export_dot
 from srw.hecke import hecke_provider, hecke_system
 from srw.words import Path, find_redexes
@@ -38,7 +38,7 @@ def main() -> int:
         ap.error("give --top and --left, or --word with --all-pairs")
     try:
         draw(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except FuelExhausted as exc:

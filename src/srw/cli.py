@@ -34,7 +34,9 @@ leaves the answer undecided.
 
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
-2 for unusable input.
+2 for unusable input.  The library raises ValueError on unusable input
+and RuntimeError on an undecided or out-of-fuel computation; `main` maps
+every ValueError (`UsageError` is one) to 2 and every RuntimeError to 1.
 
 `main` may be called repeatedly in one process: every call shares one
 parser, built by the first call, and parses its own arguments afresh.
@@ -58,6 +60,7 @@ from .diagrams import (
     natural_squares,
 )
 from .hecke import (
+    VARIANTS,
     enumerate_monoid,
     hecke_order,
     hecke_provider,
@@ -72,7 +75,6 @@ from .words import (
     Path,
     Rule,
     RuleInstance,
-    SourceMismatch,
     SrsSystem,
     Zigzag,
     find_redexes,
@@ -82,8 +84,9 @@ from .words import (
 )
 
 
-class UsageError(Exception):
-    """Unusable input: bad file, bad word, bad step, bad system."""
+class UsageError(ValueError):
+    """Unusable input that the CLI's own parsing finds: an unreadable file,
+    a bad document, step or zigzag.  The library's ValueErrors cover the rest."""
 
 
 def system_to_doc(sys: SrsSystem) -> dict[str, Any]:
@@ -125,10 +128,7 @@ def system_from_doc(doc: Any) -> SrsSystem:
             raise UsageError(f"rule name must be a non-empty string, got {name!r}")
         if not all(_is_int(g) for g in lhs + rhs):
             raise UsageError(f"rule {name}: sides must be lists of integers")
-        try:
-            rules.append(Rule(name=name, lhs=lhs, rhs=rhs))
-        except ValueError as exc:
-            raise UsageError(f"rule {name}: {exc}") from exc
+        rules.append(Rule(name=name, lhs=lhs, rhs=rhs))
     order = None
     odoc = doc.get("order")
     if odoc is not None:
@@ -153,10 +153,7 @@ def system_from_doc(doc: Any) -> SrsSystem:
             order = rule_rank_order(ranks, tie=tie)
         else:
             raise UsageError(f"unknown order kind {kind!r}")
-    try:
-        return SrsSystem(n=n, rules=tuple(rules), order=order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SrsSystem(n=n, rules=tuple(rules), order=order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -179,10 +176,7 @@ def load_system(path: str) -> SrsSystem:
 
 
 def parse_word(s: str, sys: SrsSystem) -> tuple[int, ...]:
-    try:
-        return word_from_str(s, sys.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return word_from_str(s, sys.n)
 
 
 def parse_step(s: str, sys: SrsSystem) -> RuleInstance:
@@ -201,10 +195,7 @@ def parse_path(s: str, sys: SrsSystem) -> Path:
     if s == "-":
         raise UsageError("an empty path needs a start word from elsewhere")
     steps = tuple(parse_step(part, sys) for part in s.split(","))
-    try:
-        return Path(steps[0].source, steps)
-    except SourceMismatch as exc:
-        raise UsageError(str(exc)) from exc
+    return Path(steps[0].source, steps)
 
 
 def parse_zigzag(s: str, sys: SrsSystem) -> Zigzag:
@@ -213,14 +204,9 @@ def parse_zigzag(s: str, sys: SrsSystem) -> Zigzag:
         if not part or part[0] not in (FORWARD, BACKWARD):
             raise UsageError(f"zigzag leg {part!r} must start with '>' or '<'")
         legs.append((part[0], parse_step(part[1:], sys)))
-    if not legs:
-        raise UsageError("empty zigzag")
     d0, s0 = legs[0]
     start = s0.source if d0 == FORWARD else s0.target
-    try:
-        return Zigzag(start, tuple(legs))
-    except SourceMismatch as exc:
-        raise UsageError(str(exc)) from exc
+    return Zigzag(start, tuple(legs))
 
 
 def _is_rfull(sys: SrsSystem) -> bool:
@@ -285,10 +271,7 @@ def cmd_redexes(args: argparse.Namespace) -> int:
 def cmd_reach(args: argparse.Namespace) -> int:
     sys = load_system(args.system)
     w = parse_word(args.word, sys)
-    try:
-        res = reach(w, sys, max_words=args.max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    res = reach(w, sys, max_words=args.max)
     ws = sorted(res.words, key=lambda t: (len(t), t))
     if args.json:
         _emit_json(
@@ -568,106 +551,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="String rewriting: reduction, critical pairs, diagram tiling.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    cmd: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, fn, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    def add(group, name: str, fn, help: str, *positionals: str) -> None:
+        p = cmd[name] = group.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        return p
+        for dest in positionals:
+            p.add_argument(dest, type=int if dest == "rank" else None)
 
-    p = add("validate", cmd_validate, help="check a system document")
-    p.add_argument("system")
-    p.add_argument("--json", action="store_true")
+    for name, fn, help, *positionals in (
+        ("validate", cmd_validate, "check a system document"),
+        ("redexes", cmd_redexes, "list the rule instances applicable to a word", "word"),
+        ("reach", cmd_reach, "list all words reachable by rewriting", "word"),
+        ("normal-form", cmd_normal_form, "canonical form of a word", "word"),
+        ("equal", cmd_equal, "decide whether two words present the same element", "word1", "word2"),
+        ("critical-pairs", cmd_critical_pairs, "enumerate critical pairs"),
+        ("confluence", cmd_confluence, "joinability of all critical pairs"),
+        (
+            "check-decreasing",
+            cmd_check_decreasing,
+            "verify the order makes natural and critical diagrams decreasing",
+        ),
+        ("complete-peak", cmd_complete_peak, "tile a peak of two reductions"),
+        ("complete-zigzag", cmd_complete_zigzag, "tile a zigzag of reductions"),
+    ):
+        add(sub, name, fn, help, "system", *positionals)
+    hecke = sub.add_parser("hecke", help="the 0-Hecke monoid presentations")
+    hsub = hecke.add_subparsers(dest="hecke_command", required=True)
+    add(hsub, "gen", cmd_hecke_gen, "emit a Hecke system document", "rank")
+    add(hsub, "enumerate", cmd_hecke_enumerate, "list all monoid elements", "rank")
+    add(hsub, "verify", cmd_hecke_verify, "run the machine checks for rank n", "rank")
 
-    p = add("redexes", cmd_redexes, help="list the rule instances applicable to a word")
-    p.add_argument("system")
-    p.add_argument("word")
-    p.add_argument("--json", action="store_true")
-
-    p = add("reach", cmd_reach, help="list all words reachable by rewriting")
-    p.add_argument("system")
-    p.add_argument("word")
-    p.add_argument("--max", type=_budget(1), default=None)
-    p.add_argument("--json", action="store_true")
-
-    max_words_help = "bound on the descendant graph's words (default: unbounded)"
-
-    p = add("normal-form", cmd_normal_form, help="canonical form of a word")
-    p.add_argument("system")
-    p.add_argument("word")
-    p.add_argument("--max-words", type=_budget(1), default=None, help=max_words_help)
-    p.add_argument("--json", action="store_true")
-
-    p = add("equal", cmd_equal, help="decide whether two words present the same element")
-    p.add_argument("system")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--max-words", type=_budget(1), default=None, help=max_words_help)
-    p.add_argument("--json", action="store_true")
-
-    p = add("critical-pairs", cmd_critical_pairs, help="enumerate critical pairs")
-    p.add_argument("system")
-    p.add_argument("--json", action="store_true")
-
-    p = add("confluence", cmd_confluence, help="joinability of all critical pairs")
-    p.add_argument("system")
-    p.add_argument("--bound", type=_budget(), default=16)
-    p.add_argument("--json", action="store_true")
-
-    p = add(
-        "check-decreasing",
-        cmd_check_decreasing,
-        help="verify the order makes natural and critical diagrams decreasing",
-    )
-    p.add_argument("system")
-    p.add_argument("--json", action="store_true")
-
-    p = add("complete-peak", cmd_complete_peak, help="tile a peak of two reductions")
-    p.add_argument("system")
-    p.add_argument("--top", required=True, help="comma-separated steps, or -")
-    p.add_argument("--left", required=True, help="comma-separated steps, or -")
-    p.add_argument("--fuel", type=_budget(), default=10000)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    p = add("complete-zigzag", cmd_complete_zigzag, help="tile a zigzag of reductions")
-    p.add_argument("system")
-    p.add_argument("--zigzag", required=True, help="semicolon-separated >/< steps")
-    p.add_argument("--fuel", type=_budget(), default=10000)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    ph = sub.add_parser("hecke", help="the 0-Hecke monoid presentations")
-    hsub = ph.add_subparsers(dest="hecke_command", required=True)
-
-    def addh(name: str, fn, **kwargs) -> argparse.ArgumentParser:
-        p = hsub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = addh("gen", cmd_hecke_gen, help="emit a Hecke system document")
-    p.add_argument("rank", type=int)
-    p.add_argument(
-        "--variant",
-        choices=["rprime", "rdoubleprime", "rfull"],
-        default="rdoubleprime",
-    )
-    p.add_argument("-o", "--output", default=None)
-
-    p = addh("enumerate", cmd_hecke_enumerate, help="list all monoid elements")
-    p.add_argument("rank", type=int)
-    p.add_argument(
-        "--variant",
-        choices=["rprime", "rdoubleprime", "rfull"],
-        default="rdoubleprime",
-    )
-    p.add_argument("--cap", type=_budget(), default=6)
-    p.add_argument("--json", action="store_true")
-
-    p = addh("verify", cmd_hecke_verify, help="run the machine checks for rank n")
-    p.add_argument("rank", type=int)
-    p.add_argument("--coherence-bound", type=_budget(), default=100000)
-    p.add_argument("--json", action="store_true")
-
+    cmd["reach"].add_argument("--max", type=_budget(1), default=None)
+    for name in ("normal-form", "equal"):
+        cmd[name].add_argument(
+            "--max-words",
+            type=_budget(1),
+            default=None,
+            help="bound on the descendant graph's words (default: unbounded)",
+        )
+    cmd["confluence"].add_argument("--bound", type=_budget(), default=16)
+    cmd["complete-peak"].add_argument("--top", required=True, help="comma-separated steps, or -")
+    cmd["complete-peak"].add_argument("--left", required=True, help="comma-separated steps, or -")
+    cmd["complete-zigzag"].add_argument("--zigzag", required=True, help="semicolon-separated >/< steps")
+    for name in ("complete-peak", "complete-zigzag"):
+        cmd[name].add_argument("--fuel", type=_budget(), default=10000)
+        cmd[name].add_argument("--dot", action="store_true")
+    for name in ("gen", "enumerate"):
+        cmd[name].add_argument("--variant", choices=VARIANTS, default="rdoubleprime")
+    cmd["gen"].add_argument("-o", "--output", default=None)
+    cmd["enumerate"].add_argument("--cap", type=_budget(), default=6)
+    cmd["verify"].add_argument("--coherence-bound", type=_budget(), default=100000)
+    # Last, so that it closes every usage line.
+    for name, p in cmd.items():
+        if name != "gen":
+            p.add_argument("--json", action="store_true")
     return ap
 
 
@@ -679,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
     except RuntimeError as exc:

@@ -63,6 +63,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import TopologicalSorter
 from typing import Iterator, NamedTuple
 
 from .critical import CriticalPair, join_pair
@@ -580,10 +581,9 @@ def _replacements(
 
 def _insertions(steps: _Codes, places: list[tuple[int, int]], move: tuple) -> Iterator[_Codes]:
     """Insert a whiskered copy of a move's `to`, a coded loop, at each (step
-    index, word offset) of `places`, where its base word occurs."""
+    index, whisker shift) of `places`, where its base word occurs."""
     to, whiskered = move[2], move[5]
-    for i, x in places:
-        shift = x * _STRIDE
+    for i, shift in places:
         if shift not in whiskered:
             whiskered[shift] = tuple(c + shift for c in to)
         yield steps[:i] + whiskered[shift] + steps[i:]
@@ -621,7 +621,7 @@ def paths_equivalent_mod_cells(
     moves, by_key = family._coded()
     S, lhs, rhs = _STRIDE, _CODER.lhs, _CODER.rhs
     bases = {move[0] for move in moves if not move[1]}
-    found: dict[Word, list[tuple[Word, int]]] = {}  # word -> (loop base, offset) in it
+    found: dict[Word, list[tuple[Word, int]]] = {}  # word -> (loop base, offset * S) in it
 
     def neighbours(steps: _Codes) -> Iterator[_Codes]:
         words = [p.start]
@@ -638,10 +638,10 @@ def paths_equivalent_mod_cells(
         for i, w in enumerate(words):
             if w not in found:
                 found[w] = [
-                    (b, x) for x in range(len(w) + 1) for b in bases if w[x : x + len(b)] == b
+                    (b, x * S) for x in range(len(w) + 1) for b in bases if w[x : x + len(b)] == b
                 ]
-            for b, x in found[w]:
-                places.setdefault(b, []).append((i, x))
+            for b, shift in found[w]:
+                places.setdefault(b, []).append((i, shift))
         # In move order, then step index and offset, as a full scan would
         # find them: the verdict at a given budget depends on that order.
         for j in sorted(j for key in (*at, *places) for j in by_key.get(key, ())):
@@ -691,39 +691,12 @@ def export_dot(t: Tiling) -> str:
     indeg: dict[int, list[_Edge]] = {i: [] for i in nodes}
     for e in edges:
         indeg[e.dst].append(e)
+    # A node's row counts the V steps (dashed edges are H) on the longest
+    # path to it.  Acyclic: from a frontier node, V edges move forward along
+    # the walk and H edges backward, and interior nodes get no new out-edges.
     row: dict[int, int] = {}
-    col: dict[int, int] = {}
-    expanding: set[int] = set()
-    for start in nodes:
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            if v in row:
-                stack.pop()
-                continue
-            if v not in expanding:
-                expanding.add(v)
-                deps = [
-                    e.src
-                    for e in indeg[v]
-                    if e.src not in row and e.src not in expanding
-                ]
-                if deps:
-                    stack.extend(deps)
-                    continue
-            best_r = best_c = 0
-            for e in indeg[v]:
-                if e.src not in row:
-                    continue
-                r, c = row[e.src], col[e.src]
-                if e.step is not None:
-                    if e.kind == "V":
-                        r += 1
-                    else:
-                        c += 1
-                best_r, best_c = max(best_r, r), max(best_c, c)
-            row[v], col[v] = best_r, best_c
-            stack.pop()
+    for v in TopologicalSorter({v: [e.src for e in es] for v, es in indeg.items()}).static_order():
+        row[v] = max((row[e.src] + (e.kind == "V") for e in indeg[v]), default=0)
     lines = ["digraph tiling {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
     for v in sorted(nodes):
         lines.append(f'  n{v} [label="{word_to_str(nodes[v], n)}"];')

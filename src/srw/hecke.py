@@ -92,6 +92,7 @@ __all__ = [
     "InvalidRank",
     "CapExceeded",
     "UnclassifiedPair",
+    "VARIANTS",
     "hecke_system",
     "classify_rule",
     "hecke_order",
@@ -130,11 +131,14 @@ def _nm(prefix: str, n: int, *idx: int) -> str:
     return prefix + sep.join(str(i) for i in idx)
 
 
+VARIANTS = ("rprime", "rdoubleprime", "rfull")
+
+
 def hecke_system(n: int, variant: str = "rdoubleprime") -> SrsSystem:
     """Build one of the three 0-Hecke rewriting systems on n generators."""
     if not isinstance(n, int) or n < 1:
         raise InvalidRank(f"rank must be a positive integer, got {n!r}")
-    if variant not in ("rprime", "rdoubleprime", "rfull"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     rules: list[Rule] = []
     for i in range(1, n + 1):
@@ -843,7 +847,6 @@ def _verify_c_subsystem(sys: SrsSystem) -> VerifyItem:
     which `_display_cell` names "cc"."""
     forward = tuple(r for r in sys.rules if classify_rule(r)[0] == "cf")
     sub = SrsSystem(n=sys.n, rules=forward, order=sys.order)
-    pairs = enumerate_critical_pairs(sub)
     rep = local_confluence_report(sub, bound=4)
     if not rep.ok:
         return VerifyItem(
@@ -856,7 +859,7 @@ def _verify_c_subsystem(sys: SrsSystem) -> VerifyItem:
         "commutation-subsystem",
         "PASS",
         f"terminating (each of {len(forward)} rules removes one inversion in every "
-        f"context), {len(pairs)} critical pairs all cc-shaped and joinable",
+        f"context), {rep.total} critical pairs all cc-shaped and joinable",
     )
 
 

@@ -504,6 +504,50 @@ def test_usage_errors_exit_two(h3full, capsys):
     assert main(["unknown-command"]) == 2
 
 
+def test_a_rule_error_names_the_rule_once(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"generators": 2, "rules": [{"name": "a", "lhs": [], "rhs": [1]}]}))
+    assert run(capsys, ["validate", str(path)]) == (2, "", "error: rule a: empty left-hand side\n")
+
+
+_USAGE = {
+    "srw": "[-h] {validate,redexes,reach,normal-form,equal,critical-pairs,confluence,"
+    "check-decreasing,complete-peak,complete-zigzag,hecke} ...",
+    "srw validate": "[-h] [--json] system",
+    "srw redexes": "[-h] [--json] system word",
+    "srw reach": "[-h] [--max MAX] [--json] system word",
+    "srw normal-form": "[-h] [--max-words MAX_WORDS] [--json] system word",
+    "srw equal": "[-h] [--max-words MAX_WORDS] [--json] system word1 word2",
+    "srw critical-pairs": "[-h] [--json] system",
+    "srw confluence": "[-h] [--bound BOUND] [--json] system",
+    "srw check-decreasing": "[-h] [--json] system",
+    "srw complete-peak": "[-h] --top TOP --left LEFT [--fuel FUEL] [--dot] [--json] system",
+    "srw complete-zigzag": "[-h] --zigzag ZIGZAG [--fuel FUEL] [--dot] [--json] system",
+    "srw hecke": "[-h] {gen,enumerate,verify} ...",
+    "srw hecke gen": "[-h] [--variant {rprime,rdoubleprime,rfull}] [-o OUTPUT] rank",
+    "srw hecke enumerate": "[-h] [--variant {rprime,rdoubleprime,rfull}] [--cap CAP] [--json] rank",
+    "srw hecke verify": "[-h] [--coherence-bound COHERENCE_BOUND] [--json] rank",
+}
+
+
+def test_every_usage_line(monkeypatch):
+    """The usage line of `srw` and of each sub-parser, on one line: the
+    arguments each command takes, in order, with `--json` last."""
+    import argparse
+
+    monkeypatch.setenv("COLUMNS", "500")
+
+    def parsers(p):
+        yield p
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    yield from parsers(child)
+
+    got = {p.prog: p.format_usage() for p in parsers(build_parser())}
+    assert got == {prog: f"usage: {prog} {args}\n" for prog, args in _USAGE.items()}
+
+
 def test_completion_output_matches_the_golden_capture(tmp_path, capsys):
     """`complete-peak` and `complete-zigzag`, as text, `--json` and `--dot`,
     byte for byte as captured in `golden_completions.json`: seeded peaks
