@@ -38,6 +38,14 @@ an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
 and RuntimeError on an undecided or out-of-fuel computation; `main` maps
 every ValueError (`UsageError` is one) to 2 and every RuntimeError to 1.
 
+Each `cmd_*` builds its answer once and returns it as (exit code, the
+`--json` document, the text lines); it writes only notes and undecided
+answers to stderr, the same with or without `--json`.  `main` alone
+prints to stdout: the document as indented JSON under `--json`, else the
+lines.  An undecided answer has no document, so `--json` prints nothing.
+`--dot` makes the two tiling commands answer with Graphviz text, which
+has no JSON form: `--dot` and `--json` exclude each other (exit 2).
+
 `main` may be called repeatedly in one process: every call shares one
 parser, built by the first call, and parses its own arguments afresh.
 """
@@ -48,6 +56,7 @@ import argparse
 import functools
 import json
 import sys as _sysmod
+from collections import Counter
 from typing import Any
 
 from .critical import enumerate_critical_pairs, local_confluence_report
@@ -227,84 +236,46 @@ def _critical_chooser(sys: SrsSystem):
     return "bfs", bfs_join_chooser(sys)
 
 
-def _emit_json(doc: Any) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
-
-
-def _tiling_doc(t: Tiling) -> dict[str, Any]:
-    tags: dict[str, int] = {}
-    for rec in t.cells:
-        tags[rec.tag] = tags.get(rec.tag, 0) + 1
-    return {"cells": len(t.cells), "tags": tags}
-
-
 # --- subcommand bodies ------------------------------------------------------
 
+# (exit code, --json document or None, text lines): see the module docstring.
+Answer = tuple[int, Any, list[str]]
 
-def cmd_validate(args: argparse.Namespace) -> int:
+
+def cmd_validate(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
-    msg = f"valid: {len(sys.rules)} rules over {sys.n} generators"
-    if args.json:
-        _emit_json({"valid": True, "rules": len(sys.rules), "generators": sys.n})
-    else:
-        print(msg)
-    return 0
+    doc = {"valid": True, "rules": len(sys.rules), "generators": sys.n}
+    return 0, doc, [f"valid: {len(sys.rules)} rules over {sys.n} generators"]
 
 
-def cmd_redexes(args: argparse.Namespace) -> int:
-    sys = load_system(args.system)
-    w = parse_word(args.word, sys)
-    insts = find_redexes(w, sys)
-    if args.json:
-        _emit_json(
-            {
-                "word": sys.fmt(w),
-                "redexes": [i.render(sys.n) for i in insts],
-            }
-        )
-    else:
-        for inst in insts:
-            print(inst.render(sys.n))
-    return 0
-
-
-def cmd_reach(args: argparse.Namespace) -> int:
+def cmd_redexes(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     w = parse_word(args.word, sys)
-    res = reach(w, sys, max_words=args.max)
-    ws = sorted(res.words, key=lambda t: (len(t), t))
-    if args.json:
-        _emit_json(
-            {
-                "complete": res.complete,
-                "count": len(ws),
-                "words": [sys.fmt(x) for x in ws],
-            }
-        )
-    else:
-        for x in ws:
-            print(sys.fmt(x))
-        if not res.complete:
-            print(f"(truncated at {args.max} words)", file=_sysmod.stderr)
-    return 0
+    redexes = [i.render(sys.n) for i in find_redexes(w, sys)]
+    return 0, {"word": sys.fmt(w), "redexes": redexes}, redexes
 
 
-def cmd_normal_form(args: argparse.Namespace) -> int:
+def cmd_reach(args: argparse.Namespace) -> Answer:
+    sys = load_system(args.system)
+    res = reach(parse_word(args.word, sys), sys, max_words=args.max)
+    words = [sys.fmt(x) for x in sorted(res.words, key=lambda t: (len(t), t))]
+    if not res.complete:
+        print(f"(truncated at {args.max} words)", file=_sysmod.stderr)
+    return 0, {"complete": res.complete, "count": len(words), "words": words}, words
+
+
+def cmd_normal_form(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     w = parse_word(args.word, sys)
     try:
-        c = canon(w, sys, args.max_words)
+        c = sys.fmt(canon(w, sys, args.max_words))
     except (NotOneClass, Inexact, ValueError) as exc:
         print(f"no canonical form: {exc}", file=_sysmod.stderr)
-        return 1
-    if args.json:
-        _emit_json({"word": sys.fmt(w), "normal-form": sys.fmt(c)})
-    else:
-        print(sys.fmt(c))
-    return 0
+        return 1, None, []
+    return 0, {"word": sys.fmt(w), "normal-form": c}, [c]
 
 
-def cmd_equal(args: argparse.Namespace) -> int:
+def cmd_equal(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     u = parse_word(args.word1, sys)
     v = parse_word(args.word2, sys)
@@ -312,67 +283,52 @@ def cmd_equal(args: argparse.Namespace) -> int:
         eq = words_equal(u, v, sys, args.max_words)
     except (NotOneClass, Inexact, ValueError) as exc:
         print(f"undecided: {exc}", file=_sysmod.stderr)
-        return 1
-    if args.json:
-        _emit_json({"equal": eq})
-    else:
-        print("equal" if eq else "different")
-    return 0 if eq else 1
+        return 1, None, []
+    return 0 if eq else 1, {"equal": eq}, ["equal" if eq else "different"]
 
 
-def cmd_critical_pairs(args: argparse.Namespace) -> int:
+def cmd_critical_pairs(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     pairs = enumerate_critical_pairs(sys)
-    if args.json:
-        _emit_json(
+    doc = {
+        "count": len(pairs),
+        "pairs": [
             {
-                "count": len(pairs),
-                "pairs": [
-                    {
-                        "kind": p.kind,
-                        "peak": sys.fmt(p.peak),
-                        "first": p.first.render(sys.n),
-                        "second": p.second.render(sys.n),
-                    }
-                    for p in pairs
-                ],
+                "kind": p.kind,
+                "peak": sys.fmt(p.peak),
+                "first": p.first.render(sys.n),
+                "second": p.second.render(sys.n),
             }
-        )
-    else:
-        for p in pairs:
-            print(p.render(sys.n))
-    return 0
+            for p in pairs
+        ],
+    }
+    return 0, doc, [p.render(sys.n) for p in pairs]
 
 
-def cmd_confluence(args: argparse.Namespace) -> int:
+def cmd_confluence(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     rep = local_confluence_report(sys, bound=args.bound)
-    if args.json:
-        _emit_json(
-            {
-                "ok": rep.ok,
-                "verdict": rep.verdict,
-                "bound": rep.bound,
-                "pairs": rep.total,
-                "failures": [p.render(sys.n) for p in rep.failures],
-                "cut": [p.render(sys.n) for p in rep.cut],
-            }
-        )
+    failures = [(p, p.render(sys.n)) for p in rep.failures]
+    lines = [f"{'undecided' if p in rep.cut else 'unjoinable'}: {r}" for p, r in failures]
+    if rep.ok:
+        lines.append(f"PASS: {rep.total} critical pairs join (bound {rep.bound})")
     else:
-        for p in rep.failures:
-            label = "undecided" if p in rep.cut else "unjoinable"
-            print(f"{label}: {p.render(sys.n)}")
-        if rep.ok:
-            print(f"PASS: {rep.total} critical pairs join (bound {rep.bound})")
-        else:
-            print(
-                f"{rep.verdict}: {len(rep.failures)} of {rep.total} critical pairs "
-                f"did not join (bound {rep.bound})"
-            )
-    return 0 if rep.ok else 1
+        lines.append(
+            f"{rep.verdict}: {len(failures)} of {rep.total} critical pairs "
+            f"did not join (bound {rep.bound})"
+        )
+    doc = {
+        "ok": rep.ok,
+        "verdict": rep.verdict,
+        "bound": rep.bound,
+        "pairs": rep.total,
+        "failures": [r for _, r in failures],
+        "cut": [r for p, r in failures if p in rep.cut],
+    }
+    return 0 if rep.ok else 1, doc, lines
 
 
-def cmd_check_decreasing(args: argparse.Namespace) -> int:
+def cmd_check_decreasing(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     if sys.order is None:
         raise UsageError("check-decreasing needs a system with an order")
@@ -404,50 +360,40 @@ def cmd_check_decreasing(args: argparse.Namespace) -> int:
     else:
         verdict = "UNKNOWN"
     checked = naturals.checked + criticals.checked
-    if args.json:
-        _emit_json(
-            {
-                "ok": verdict == "PASS",
-                "verdict": verdict,
-                "chooser": chooser,
-                "checked": checked,
-                "failures": failures + ties,
-            }
-        )
-    else:
-        for f in failures + ties:
-            print(f)
-        print(f"{verdict}: {checked} diagrams checked, {len(failures)} not decreasing")
-    return 0 if verdict == "PASS" else 1
+    doc = {
+        "ok": verdict == "PASS",
+        "verdict": verdict,
+        "chooser": chooser,
+        "checked": checked,
+        "failures": failures + ties,
+    }
+    summary = f"{verdict}: {checked} diagrams checked, {len(failures)} not decreasing"
+    return 0 if verdict == "PASS" else 1, doc, doc["failures"] + [summary]
 
 
-def _print_completion(
-    kind: str,
-    sink: tuple[int, ...],
+def _completion(
+    args: argparse.Namespace,
+    sys: SrsSystem,
+    t: Tiling,
+    names: tuple[str, str, str],
+    common: tuple[int, ...],
     p1: Path,
     p2: Path,
-    t: Tiling,
-    sys: SrsSystem,
-    args: argparse.Namespace,
-) -> None:
+) -> Answer:
+    """The tiling commands' answer: the DOT text under --dot, else the
+    common word and the two paths to it, under `names`, and the cells."""
     if args.dot:
-        print(export_dot(t), end="")
-        return
-    first, second = ("right", "bottom") if kind == "peak" else ("from-start", "from-end")
-    if args.json:
-        doc = _tiling_doc(t)
-        doc["common" if kind == "zigzag" else "sink"] = sys.fmt(sink)
-        doc[first] = p1.render(sys.n)
-        doc[second] = p2.render(sys.n)
-        _emit_json(doc)
-        return
-    print(f"{'common' if kind == 'zigzag' else 'sink'} {sys.fmt(sink)}")
-    print(f"{first} {p1.render(sys.n)}")
-    print(f"{second} {p2.render(sys.n)}")
-    print(f"cells {len(t.cells)}")
+        if args.json:
+            raise UsageError("--dot and --json exclude each other")
+        return 0, None, [export_dot(t).removesuffix("\n")]
+    values = (sys.fmt(common), p1.render(sys.n), p2.render(sys.n))
+    doc: dict[str, Any] = dict(zip(names, values))
+    lines = [f"{name} {value}" for name, value in doc.items()] + [f"cells {len(t.cells)}"]
+    doc.update(cells=len(t.cells), tags=Counter(rec.tag for rec in t.cells))
+    return 0, doc, lines
 
 
-def cmd_complete_peak(args: argparse.Namespace) -> int:
+def cmd_complete_peak(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     if args.top == "-" and args.left == "-":
         raise UsageError("at least one of --top/--left must contain a step")
@@ -461,70 +407,45 @@ def cmd_complete_peak(args: argparse.Namespace) -> int:
         raise UsageError("--top and --left must start at the same word")
     t = complete_peak(sys, _critical_chooser(sys)[1], top, left, fuel=args.fuel)
     b = t.boundary()
-    _print_completion("peak", b.sink, b.from_start, b.from_end, t, sys, args)
-    return 0
+    return _completion(args, sys, t, ("sink", "right", "bottom"), b.sink, b.from_start, b.from_end)
 
 
-def cmd_complete_zigzag(args: argparse.Namespace) -> int:
+def cmd_complete_zigzag(args: argparse.Namespace) -> Answer:
     sys = load_system(args.system)
     z = parse_zigzag(args.zigzag, sys)
     comp = complete_zigzag(sys, _critical_chooser(sys)[1], z, fuel=args.fuel)
-    _print_completion(
-        "zigzag", comp.common, comp.from_start, comp.from_end, comp.tiling, sys, args
-    )
-    return 0
+    names = ("common", "from-start", "from-end")
+    return _completion(args, sys, comp.tiling, names, comp.common, comp.from_start, comp.from_end)
 
 
-def cmd_hecke_gen(args: argparse.Namespace) -> int:
+def cmd_hecke_gen(args: argparse.Namespace) -> Answer:
     sys = hecke_system(args.rank, args.variant)
     text = json.dumps(system_to_doc(sys), sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    if not args.output:
+        return 0, None, [text]
+    with open(args.output, "w") as fh:
+        fh.write(text + "\n")
+    return 0, None, []
 
 
-def cmd_hecke_enumerate(args: argparse.Namespace) -> int:
+def cmd_hecke_enumerate(args: argparse.Namespace) -> Answer:
     elems = enumerate_monoid(args.rank, variant=args.variant, cap=args.cap)
-    if args.json:
-        _emit_json(
-            {
-                "count": len(elems),
-                "elements": [word_to_str(w, args.rank) for w in elems],
-            }
-        )
-    else:
-        print(f"count {len(elems)}")
-        for w in elems:
-            print(word_to_str(w, args.rank))
-    return 0
+    words = [word_to_str(w, args.rank) for w in elems]
+    return 0, {"count": len(words), "elements": words}, [f"count {len(words)}", *words]
 
 
-def cmd_hecke_verify(args: argparse.Namespace) -> int:
+def cmd_hecke_verify(args: argparse.Namespace) -> Answer:
     rep = verify_suite(args.rank, coherence_bound=args.coherence_bound)
-    if args.json:
-        _emit_json(
-            {
-                "rank": rep.n,
-                "overall": rep.verdict,
-                "items": [
-                    {
-                        "name": i.name,
-                        "status": i.status,
-                        "detail": i.detail,
-                        "seconds": i.seconds,
-                    }
-                    for i in rep.items
-                ],
-            }
-        )
-    else:
-        for item in rep.items:
-            print(f"{item.name}: {item.status} ({item.detail})")
-        print(f"VERDICT: {rep.verdict}")
-    return 0 if rep.ok else 1
+    doc = {
+        "rank": rep.n,
+        "overall": rep.verdict,
+        "items": [
+            {"name": i.name, "status": i.status, "detail": i.detail, "seconds": i.seconds}
+            for i in rep.items
+        ],
+    }
+    lines = [f"{i.name}: {i.status} ({i.detail})" for i in rep.items]
+    return 0 if rep.ok else 1, doc, lines + [f"VERDICT: {rep.verdict}"]
 
 
 # --- parser -----------------------------------------------------------------
@@ -616,13 +537,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code, doc, lines = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 1
+    if getattr(args, "json", False):  # `hecke gen` has no --json
+        lines = [] if doc is None else [json.dumps(doc, sort_keys=True, indent=2)]
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

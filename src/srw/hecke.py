@@ -482,62 +482,42 @@ def _undo_cell(inv: RuleInstance, other: RuleInstance, H: _HeckeRules) -> Elemen
 def _display_cell(
     i1: RuleInstance, i2: RuleInstance, H: _HeckeRules
 ) -> tuple[ElementaryDiagram, str]:
-    """Build the curated diagram for an unordered pair, display-oriented."""
-    k1, k2 = classify_rule(i1.rule), classify_rule(i2.rule)
-    if k1[0] == "ci":
-        return _undo_cell(i1, i2, H), "undo"
-    if k2[0] == "ci":
-        return _undo_cell(i2, i1, H), "undo"
-    kinds = {k1[0], k2[0]}
-    if kinds == {"a"}:
-        return _aa_cell(k1[1], H), "aa"
-    if kinds == {"a", "b"}:
-        a_inst, b_inst = (i1, i2) if k1[0] == "a" else (i2, i1)
-        bk = classify_rule(b_inst.rule)
-        k, j = bk[1], bk[2]
-        if not a_inst.left:
-            name = "ab" if j == k - 1 else "aB"
-            return _aB_cell(k, j, H), name
-        name = "ba" if j == k - 1 else "Ba"
-        return _Ba_cell(k, j, H), name
-    if kinds == {"b"}:
-        pre, suf = (i1, i2) if not i1.left else (i2, i1)
-        kj = classify_rule(pre.rule)
-        ki = classify_rule(suf.rule)
-        k, j, i = kj[1], kj[2], ki[2]
-        if j == k - 1:
-            name = "bb" if i == k - 1 else "bB"
-            return _bB_cell(k, i, H), name
-        return _BB_cell(k, j, i, H), "BB"
-    if kinds == {"b", "cf"}:
-        c_inst, b_inst = (i1, i2) if k1[0] == "cf" else (i2, i1)
-        ck = classify_rule(c_inst.rule)
-        bk = classify_rule(b_inst.rule)
-        if not c_inst.left:
-            k, j = ck[1], ck[2]
-            i = bk[2]
-            name = "bc" if i == j - 1 else "cB"
-            return _cB_cell(k, j, i, H), name
-        k, j = bk[1], bk[2]
-        s = ck[2]
-        if s <= j - 2:
+    """Build the curated diagram for an unordered pair, display-oriented.
+
+    A pair with an inverse commutation gets the undo cell.  In any other
+    pair one redex starts the peak and the other ends it, and the family
+    follows from the kinds of that prefix and suffix."""
+    for inv, other in ((i1, i2), (i2, i1)):
+        if classify_rule(inv.rule)[0] == "ci":
+            return _undo_cell(inv, other, H), "undo"
+    pre, suf = (i1, i2) if not i1.left else (i2, i1)
+    match classify_rule(pre.rule), classify_rule(suf.rule):
+        case ("a", k), ("a", _):
+            return _aa_cell(k, H), "aa"
+        case ("a", _), ("b", k, j):
+            return _aB_cell(k, j, H), "ab" if j == k - 1 else "aB"
+        case ("b", k, j), ("a", _):
+            return _Ba_cell(k, j, H), "ba" if j == k - 1 else "Ba"
+        case ("b", k, j), ("b", _, i) if j == k - 1:
+            return _bB_cell(k, i, H), "bb" if i == k - 1 else "bB"
+        case ("b", k, j), ("b", _, i):
+            return _BB_cell(k, j, i, H), "BB"
+        case ("cf", k, j), ("b", _, i):
+            return _cB_cell(k, j, i, H), "bc" if i == j - 1 else "cB"
+        case ("b", k, j), ("cf", _, s) if s <= j - 2:
             return _Bc1_cell(k, j, s, H), "Bc1"
-        if s == j - 1:
+        case ("b", k, j), ("cf", _, s) if s == j - 1:
             return _Bc2_cell(k, j, H), "Bc2"
-        if s == j:
+        case ("b", k, j), ("cf", _, s) if s == j:
             return _Bc3_cell(k, j, H), "Bc3"
-        return _Bc4_cell(k, j, s, H), "Bc4"
-    if kinds == {"cf"}:
-        pre, suf = (i1, i2) if not i1.left else (i2, i1)
-        k, j = classify_rule(pre.rule)[1], classify_rule(pre.rule)[2]
-        i = classify_rule(suf.rule)[2]
-        return _cc_cell(k, j, i, H), "cc"
-    if kinds == {"a", "cf"}:
-        a_inst, c_inst = (i1, i2) if k1[0] == "a" else (i2, i1)
-        ck = classify_rule(c_inst.rule)
-        if not c_inst.left:
-            return _ac_cell(ck[1], ck[2], H), "ac"
-        return _ac_mirror_cell(ck[1], ck[2], H), "ac-mirror"
+        case ("b", k, j), ("cf", _, s):
+            return _Bc4_cell(k, j, s, H), "Bc4"
+        case ("cf", k, j), ("cf", _, i):
+            return _cc_cell(k, j, i, H), "cc"
+        case ("cf", s, t), ("a", _):
+            return _ac_cell(s, t, H), "ac"
+        case ("a", _), ("cf", s, t):
+            return _ac_mirror_cell(s, t, H), "ac-mirror"
     raise UnclassifiedPair(f"no curated family for rules {i1.rule.name}, {i2.rule.name}")
 
 

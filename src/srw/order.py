@@ -124,22 +124,20 @@ def _side_split(
     after the split must be dominated by `other` or `anchor`.
     """
     gt, sim = order.greater, order.equivalent
-    first_block = ""
     for j in range(len(steps) + 1):
         if j > 0 and not sim(anchor, steps[j - 1]):
             continue
         for k, st in enumerate(steps, start=1):
             if k < j and not gt(other, st):
-                block = f"step {k} not dominated by the opposite side"
                 break
             if k > j and not (gt(other, st) or gt(anchor, st)):
-                block = f"step {k} not dominated by either side"
                 break
         else:
             return j, ""
-        first_block = first_block or block
-    # j = 0 is always tried, so a failure has set first_block.
-    return None, first_block
+        if j == 0:
+            # Tried first, so its blocking step k gives the reason.
+            reason = f"step {k} not dominated by either side"
+    return None, reason
 
 
 def is_decreasing_ed(

@@ -316,6 +316,21 @@ def test_complete_peak_dot(h3full, capsys):
     assert out.startswith("digraph tiling {") and "rank=same" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete-peak", "{sys}", "--top=32:c13:-", "--left=-:b31:-"],
+        ["complete-zigzag", "{sys}", "--zigzag=>-:a1:13;>1:c13:-"],
+    ],
+    ids=["peak", "zigzag"],
+)
+def test_dot_and_json_exclude_each_other(argv, h3full, capsys):
+    argv = [a.replace("{sys}", h3full) for a in argv]
+    assert run(capsys, argv + ["--dot", "--json"]) == (
+        2, "", "error: --dot and --json exclude each other\n"
+    )
+
+
 def test_complete_peak_bad_input(h3full, capsys):
     code, _, err = run(
         capsys, ["complete-peak", h3full, "--top=-:nope:-", "--left=-:b31:-"]
@@ -546,6 +561,46 @@ def test_every_usage_line(monkeypatch):
 
     got = {p.prog: p.format_usage() for p in parsers(build_parser())}
     assert got == {prog: f"usage: {prog} {args}\n" for prog, args in _USAGE.items()}
+
+
+# One rank-3 run of each command that takes --json; "undecided" ones have
+# no answer to print.
+_JSON_RUNS = {
+    "validate": ["validate", "{sys}"],
+    "redexes": ["redexes", "{sys}", "3213"],
+    "reach": ["reach", "{sys}", "13"],
+    "reach-truncated": ["reach", "{sys}", "3213", "--max", "2"],
+    "normal-form": ["normal-form", "{sys}", "1131"],
+    "normal-form-undecided": ["normal-form", "{sys}", "32132132", "--max-words", "1"],
+    "equal": ["equal", "{sys}", "212", "121"],
+    "critical-pairs": ["critical-pairs", "{sys}"],
+    "confluence": ["confluence", "{sys}"],
+    "check-decreasing": ["check-decreasing", "{sys}"],
+    "complete-peak": ["complete-peak", "{sys}", "--top=32:c13:-", "--left=-:b31:-"],
+    "complete-zigzag": ["complete-zigzag", "{sys}", "--zigzag=>-:a1:13;>1:c13:-"],
+    "hecke-enumerate": ["hecke", "enumerate", "3"],
+    "hecke-verify": ["hecke", "verify", "3"],
+}
+
+
+def test_every_json_command_has_a_parity_run():
+    have = {"srw " + " ".join(argv[: 2 if argv[0] == "hecke" else 1]) for argv in _JSON_RUNS.values()}
+    assert have == {prog for prog, args in _USAGE.items() if "[--json]" in args}
+
+
+@pytest.mark.parametrize("name", list(_JSON_RUNS))
+def test_text_and_json_give_one_answer(name, h3full, capsys):
+    """The same exit code and stderr either way; under --json, stdout is
+    one indented JSON document, or nothing where the answer is undecided."""
+    argv = [a.replace("{sys}", h3full) for a in _JSON_RUNS[name]]
+    code, out, err = run(capsys, argv)
+    jcode, jout, jerr = run(capsys, argv + ["--json"])
+    assert (jcode, jerr) == (code, err)
+    if name.endswith("-undecided"):
+        assert (code, out, jout) == (1, "", "")
+    else:
+        assert out
+        assert jout == json.dumps(json.loads(jout), sort_keys=True, indent=2) + "\n"
 
 
 def test_completion_output_matches_the_golden_capture(tmp_path, capsys):
