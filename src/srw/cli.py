@@ -423,8 +423,11 @@ def cmd_hecke_gen(args: argparse.Namespace) -> Answer:
     text = json.dumps(system_to_doc(sys), sort_keys=True, indent=2)
     if not args.output:
         return 0, None, [text]
-    with open(args.output, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}") from exc
     return 0, None, []
 
 

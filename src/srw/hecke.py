@@ -685,11 +685,11 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
     class is named by its lex-least word, its normal form.  A class is the
     attractor iff no idempotence or braid step applies anywhere in it;
     otherwise any such step strictly lowers `_measure`, which commutations
-    keep (see the module docstring).  So the loop takes the normal form,
-    looks for a descent's left-hand side as a factor of some class member
-    (rules in name order, each against the class's trace order, built once
-    by `class_factors`, without listing the class) and rewrites it, until
-    no descent is left; the result is the final class's normal form.
+    keep (see the module docstring).  So the loop takes the normal form and
+    tries the descents in name order against the class's trace order, built
+    once by `class_factors` without listing the class; it rewrites the first
+    placement of the first rule that has one, until no descent is left.
+    The result is the final class's normal form.
     `_memo` maps the normal forms met along the way to the result.
     Cross-checked against the generic sink-class attractor in the tests.
 
@@ -714,7 +714,7 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
         chain.append(key)
         factor = class_factors(key, H.independent)
         for rule in H.descent_rules:
-            hit = factor(rule.lhs)
+            hit = next(factor(rule.lhs), None)
             if hit is not None:
                 cur = hit[0] + rule.rhs + hit[1]
                 break

@@ -6,118 +6,117 @@ independent letters form a class, a Mazurkiewicz trace; a position lies
 below a later one in the trace order when a chain of pairwise dependent
 letters leads from one to the other (Diekert and Rozenberg, *The Book of
 Traces*, 1995).  `normal_form` is the class's lex-least word (Anisimov and
-Knuth, *Inhomogeneous sorting*, 1979; Cartier and Foata, LNM 85, 1969);
-`factor_in_class` finds a member with a given factor.  Neither lists it,
-and `class_factors` keeps a word's trace order as bit sets of positions,
-so that a placement's convexity is one AND.
+Knuth, *Inhomogeneous sorting*, 1979; Cartier and Foata, LNM 85, 1969),
+built in one pass: each letter, appended to the normal form so far, moves
+left past the run of letters at its end that are independent of it and
+stops just before the first letter of that run greater than itself.  The
+result is lex-least as it has no factor b u c with c < b, c independent of
+b and of u, the mark of the lex-least member (Anisimov and Knuth): the new
+letter passed no greater letter, and any other such factor gives one in
+the old normal form.  `class_factors` yields every placement of a factor
+in the class, from bit sets of the trace order, without listing it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 Word = tuple[int, ...]
 Pairs = frozenset[tuple[int, int]]
-Dep = dict[int, frozenset[int]]
+Placements = Iterator[tuple[Word, Word]]
 
 
 @lru_cache(maxsize=256)
-def _dependent(letters: frozenset[int], independent: Pairs) -> Dep:
-    """Each letter mapped to the letters it depends on, itself too; cached,
-    as every word's normal form and trace order need it."""
-    return {a: frozenset(b for b in letters if (b, a) not in independent) for a in letters}
+def _free(independent: Pairs) -> dict[int, frozenset[int]]:
+    """Each letter mapped to the letters independent of it; cached, as every
+    normal form and trace order needs it."""
+    return {a: frozenset(c for b, c in independent if b == a) for a, _ in independent}
 
 
 def normal_form(w: Word, independent: Pairs) -> Word:
-    """The lex-least word of w's commutation class: emit the least letter
-    with no dependent letter before it, until none is left."""
-    dep = _dependent(frozenset(w), independent)
-    rest = list(w)
+    """The lex-least word of w's commutation class, by insertion."""
+    free = _free(independent)
     out: list[int] = []
-    while rest:
-        best = 0
-        before: set[int] = set()
-        for k, a in enumerate(rest):
-            if a < rest[best] and before.isdisjoint(dep[a]):
-                best = k
-            before.add(a)
-        out.append(rest.pop(best))
+    for a in w:
+        run = free.get(a, ())
+        k = j = len(out)
+        while j and out[j - 1] in run:
+            j -= 1
+            if out[j] > a:
+                k = j
+        out.insert(k, a)
     return tuple(out)
 
 
-def _reach(w: Word, dep: Dep, order: range) -> list[int]:
-    """For each position k, the bit set of k and of the positions a chain of
-    dependent letters reaches from k in `order`: k's bit and the sets of
-    the nearest dependent occurrences."""
-    out = [0] * len(w)
-    near: dict[int, int] = {}
-    for k in order:
-        out[k] = 1 << k
-        for b in dep[w[k]]:
-            if b in near:
-                out[k] |= out[near[b]]
-        near[w[k]] = k
-    return out
-
-
-def class_factors(w: Word, independent: Pairs) -> Callable[[Word], tuple[Word, Word] | None]:
-    """`lambda lhs: factor_in_class(w, lhs, independent)`, with w's trace
-    order built once: `up[k]` and `down[k]` are the bit sets of k and the
-    positions above, respectively below, it; `at[a]` lists a's positions
-    and `deps[a]` is the bit set of the positions of letters a depends on."""
-    dep = _dependent(frozenset(w), independent)
-    up = _reach(w, dep, range(len(w) - 1, -1, -1))
-    down = _reach(w, dep, range(len(w)))
-    at: dict[int, list[int]] = {}
+def class_factors(w: Word, independent: Pairs) -> Callable[[Word], Placements]:
+    """lhs -> every (u, v) of `factor_in_class`, in its order, from w's trace
+    order built once: `at[a]` is the bit set of a's positions, `deps[a]` that
+    of the positions of the letters a depends on, a's own too, and `down[k]`
+    that of k and the positions below it."""
+    free = _free(independent)
+    at: dict[int, int] = {}
     for k, a in enumerate(w):
-        at.setdefault(a, []).append(k)
-    deps = {a: sum(1 << k for b in dep[a] for k in at[b]) for a in at}
+        at[a] = at.get(a, 0) | 1 << k
+    full = (1 << len(w)) - 1
+    deps = {a: full ^ sum([at.get(b, 0) for b in free.get(a, ())]) for a in at}
+    down = [0] * len(w)
+    for k, a in enumerate(w):
+        # each nearest dependent position below k not yet covered adds its set
+        d, m = deps[a] & ~(-1 << k), 1 << k
+        while d:
+            m |= down[d.bit_length() - 1]
+            d &= ~m
+        down[k] = m
 
-    def factor(lhs: Word) -> tuple[Word, Word] | None:
+    def factor(lhs: Word) -> Placements:
         if not lhs:
-            return w, ()
-        # depth first over the placements; each level holds the candidates
-        # for its letter and the chosen, above and below masks before it
-        todo = [iter(at.get(lhs[0], ()))]
-        masks = [(0, 0, 0)]
-        while todo:
-            p = next(todo[-1], None)
-            if p is None:
-                todo.pop(), masks.pop()
-                continue
-            mask, above, below = masks[-1]
-            mask, above, below = mask | 1 << p, above | up[p], below | down[p]
-            if len(todo) < len(lhs):
-                a = lhs[len(todo)]
-                ps = at.get(a, [])
-                # past the last chosen position of a letter a depends on,
-                # only the first a: a later one would leave it in between
-                floor = (mask & deps.get(a, 0)).bit_length() - 1
-                if floor >= 0:
-                    k = bisect_right(ps, floor)
-                    ps = ps[k : k + 1]
-                todo.append(iter(ps))
-                masks.append((mask, above, below))
-            elif not above & below & ~mask:
-                u = tuple(a for k, a in enumerate(w) if not above >> k & 1)
-                return u, tuple(a for k, a in enumerate(w) if (above & ~mask) >> k & 1)
-        return None
+            yield w, ()
+            return
+        # an entry: untried positions for lhs[i - 1], the chosen positions and
+        # those below them before it, and i; a letter that depends on a
+        # chosen one has one candidate, so it takes no entry
+        stack = [(at.get(lhs[0], 0), 0, 0, 1)]
+        while stack:
+            ps, mask, below, i = stack.pop()
+            bit = ps & -ps
+            if ps ^ bit:
+                stack.append((ps ^ bit, mask, below, i))
+            while bit:
+                mask, below = mask | bit, below | down[bit.bit_length() - 1]
+                if i == len(lhs):
+                    # convex unless a position below the set, and after
+                    # its first one, lies above some chosen position
+                    inner = below & ~mask & -(mask & -mask)
+                    while inner and not down[inner.bit_length() - 1] & mask:
+                        inner ^= 1 << inner.bit_length() - 1
+                    if not inner:
+                        u = tuple(a for a, d in zip(w, down) if not d & mask)
+                        v = (a for k, a in enumerate(w) if down[k] & mask and not mask >> k & 1)
+                        yield u, tuple(v)
+                    break
+                a, i = lhs[i], i + 1
+                floor = (mask & deps.get(a, 0)).bit_length()
+                if not floor:
+                    stack.append((at.get(a, 0), mask, below, i))
+                    break
+                bit = at.get(a, 0) >> floor << floor
+                bit &= -bit
 
     return factor
 
 
 def factor_in_class(w: Word, lhs: Word, independent: Pairs) -> tuple[Word, Word] | None:
-    """(u, v) with u + lhs + v in w's class, or None when no member of the
-    class has lhs as a factor.
+    """(u, v) with u + lhs + v in w's class, the first placement that
+    `class_factors` yields, or None when no class member has lhs as a factor.
 
     A placement spells lhs letter by letter, each after the positions
-    chosen for the earlier letters of lhs it depends on (then only the
-    first such occurrence), so its subword is in lhs's class.  It is
-    accepted when its position set is convex in the trace order: no other
-    position is both above and below it, one AND of the bit sets that
-    `class_factors` builds.  Then u is the positions not above the set
-    and v those above it, each in word order.
+    chosen for the earlier letters it depends on, and then only at the
+    first such occurrence (a later one would leave the first in between).
+    It is accepted when its position set is convex in the trace order: no
+    other position is above one chosen position and below another.  Then
+    u is the positions not above the set and v those above it, in word
+    order.  Placements come depth first, candidates in word order; u holds
+    each letter's occurrences before the set's, so no (u, v) comes twice.
     """
-    return class_factors(w, independent)(lhs)
+    return next(class_factors(w, independent)(lhs), None)

@@ -30,6 +30,11 @@ chooser's bare cells itself, and calls no tiling code of `srw.diagrams`.  `natur
 up to a separator length: the reference for `srw.order.check_naturals`,
 which decides them all from the squares without a separator.
 
+`labelled_class` is the commutation class under any independent letter
+pairs, each member's letters tagged with their positions in the start
+word; `class_placements` reads from it the position sets that spell a
+factor, the reference for `srw.traces.class_factors`.
+
 `demazure_product` is the 0-Hecke action on permutations, the reference
 for the element count and the reducedness of `srw.hecke.enumerate_monoid`.
 
@@ -107,20 +112,49 @@ def attractor_classes(
 
 def commutation_class(w: Word, n: int) -> set[Word]:
     """Every word reached from w by swapping adjacent letters at distance
-    >= 2 (the rank-n Hecke commutations), by iterating all swaps of all
-    members to a fixpoint."""
+    >= 2 (the rank-n Hecke commutations)."""
     assert all(1 <= a <= n for a in w), f"{w} is not a rank-{n} word"
-    closure: set[Word] = {w}
+    pairs = {(s, t) for s in range(1, n + 1) for t in range(1, n + 1) if abs(s - t) >= 2}
+    return {tuple(a for a, _ in x) for x in labelled_class(w, pairs)}
+
+
+def labelled_class(w: Word, independent) -> set[tuple[tuple[int, int], ...]]:
+    """Every word reached from w by swapping adjacent letters that form a
+    pair in `independent`, by iterating all swaps of all members to a
+    fixpoint; each letter is kept as (letter, its position in w)."""
+    closure = {tuple((a, k) for k, a in enumerate(w))}
     while True:
         new = {
             x[:i] + (x[i + 1], x[i]) + x[i + 2 :]
             for x in closure
             for i in range(len(x) - 1)
-            if abs(x[i] - x[i + 1]) >= 2
+            if (x[i][0], x[i + 1][0]) in independent
         }
         if new <= closure:
             return closure
         closure |= new
+
+
+def class_placements(
+    w: Word, lhs: Word, labelled: set[tuple[tuple[int, int], ...]]
+) -> dict[frozenset[int], tuple[Word, Word]]:
+    """Each set of w's positions that spells lhs as a factor of some member
+    of `labelled`, w's `labelled_class`, mapped to (u, v): w's letters, in
+    w's order, at the positions that come before the set in some such
+    member, and at the other positions outside it."""
+    before: dict[frozenset[int], set[int]] = {}
+    for x in labelled:
+        for i in range(len(x) - len(lhs) + 1):
+            if tuple(a for a, _ in x[i : i + len(lhs)]) == lhs:
+                at = frozenset(k for _, k in x[i : i + len(lhs)])
+                before.setdefault(at, set()).update(k for _, k in x[:i])
+    return {
+        at: (
+            tuple(a for k, a in enumerate(w) if k in ks),
+            tuple(a for k, a in enumerate(w) if k not in ks and k not in at),
+        )
+        for at, ks in before.items()
+    }
 
 
 def demazure_product(w: Word, n: int) -> tuple[int, ...]:

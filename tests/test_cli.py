@@ -42,6 +42,13 @@ def test_gen_validate_roundtrip(h3full, capsys):
     assert doc["order"] == {"kind": "hecke"}
 
 
+def test_gen_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(capsys, ["hecke", "gen", "2", "-o", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_validate_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"generators": 2, "rules": []}')

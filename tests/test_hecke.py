@@ -387,6 +387,14 @@ def test_enumerate_matches_demazure_products():
     assert all(len(w) == inversions(p) for w, p in zip(words, products))
 
 
+def test_enumerate_rank5_words_are_their_own_generic_canon():
+    """Pins the canonical forms against any change to `srw.traces`: each
+    element's word is irreducible, so its attractor is only its commutation
+    class, whose least member the generic `canon` returns."""
+    sys = hecke_system(5, "rdoubleprime")
+    assert [w for w in enumerate_monoid(5) if generic_canon(w, sys) != w] == []
+
+
 @given(st.lists(st.integers(1, 3), max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_hecke_canon_matches_generic(letters):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srw.hecke import classify_rule, hecke_system
-from srw.traces import factor_in_class, normal_form
+from srw.traces import class_factors, factor_in_class, normal_form
 
-from oracles import all_words, commutation_class
+from oracles import all_words, class_placements, commutation_class, labelled_class
 
 
 def _independent(n):
@@ -89,3 +89,61 @@ def test_factor_in_class_examples():
     # letter may sit anywhere, even before the first
     assert factor_in_class((3, 1, 4, 3), (1, 4), ind) == ((3,), (3,))
     assert factor_in_class((4, 1), (1, 4), ind) == ((), ())
+
+
+def _check_placements(w, lhss, ind):
+    """Every placement `class_factors` yields, against the oracle's position
+    sets: one per set, the same (u, v), none twice, each in the class, and
+    the first one `factor_in_class`'s."""
+    labelled = labelled_class(w, ind)
+    members = {tuple(a for a, _ in x) for x in labelled}
+    factor = class_factors(w, ind)
+    for lhs in lhss:
+        got = list(factor(lhs))
+        want = class_placements(w, lhs, labelled)
+        assert len(got) == len(want) == len(set(got)), (w, lhs)
+        assert set(got) == set(want.values()), (w, lhs)
+        assert all(u + lhs + v in members for u, v in got), (w, lhs)
+        assert factor_in_class(w, lhs, ind) == (got[0] if got else None), (w, lhs)
+
+
+def _descent_lhss(n):
+    return sorted(
+        {
+            r.lhs
+            for variant in ("rdoubleprime", "rfull")
+            for r in hecke_system(n, variant).rules
+            if classify_rule(r)[0] in ("a", "b")
+        }
+    )
+
+
+def test_every_placement_matches_oracle_rank4():
+    ind, lhss = _independent(4), _descent_lhss(4)
+    for w in all_words(4, 6):
+        _check_placements(w, lhss, ind)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_placement_matches_oracle_rank6(data):
+    w = tuple(data.draw(st.lists(st.integers(1, 6), max_size=9)))
+    pick = st.sampled_from(w) if w and data.draw(st.booleans()) else st.integers(1, 6)
+    lhs = tuple(data.draw(st.lists(pick, max_size=4)))
+    _check_placements(w, [lhs, *_descent_lhss(6)], _independent(6))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_independence_relation(data):
+    """Any independent letter pairs, not only Hecke shapes: a random
+    symmetric relation on up to 6 letters, its normal forms and placements."""
+    k = data.draw(st.integers(1, 6))
+    pairs = [(s, t) for s in range(1, k + 1) for t in range(s + 1, k + 1)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ind = frozenset(chosen) | frozenset((t, s) for s, t in chosen)
+    w = tuple(data.draw(st.lists(st.integers(1, k), max_size=8)))
+    lhs = tuple(data.draw(st.lists(st.integers(1, k), max_size=4)))
+    members = {tuple(a for a, _ in x) for x in labelled_class(w, ind)}
+    assert normal_form(w, ind) == min(members)
+    _check_placements(w, [lhs], ind)
