@@ -60,13 +60,13 @@ check rules, not words, and each PASS holds for every word:
   one inversion in any context, since a letter outside the redex keeps
   its order against both letters of it.  So the forward commutations
   terminate.
-- `_measure`, the length and then the count of each letter from n down
-  to 1, compared lexicographically: a context adds the same vector to
-  both sides of a step.  An interchange (a rule s t -> t s, s != t, told
-  from its words) keeps it, and idempotence and braids lower it.  A word
-  of an attractor class reaches back every word it reaches, and no step
-  raises the measure, so no step inside the class lowers it: every loop
-  of every attractor class is made of interchanges.
+- `srw.seminormal._measure`, the length and then the count of each
+  letter from n down to 1, compared lexicographically: a context adds the
+  same vector to both sides of a step.  An interchange (a rule
+  s t -> t s, s != t, told from its words) keeps it, and idempotence and
+  braids lower it.  A word of an attractor class reaches back every word
+  it reaches, and no step raises the measure, so no step inside the class
+  lowers it: every loop of every attractor class is made of interchanges.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from .diagrams import (
     transpose_ed,
 )
 from .order import InstanceOrder, check_decreasing, check_naturals
+from .seminormal import measure_split
 from .traces import class_factors, normal_form
 from .words import Path, Rule, RuleInstance, SourceMismatch, SrsSystem, Word, explore
 
@@ -135,11 +136,18 @@ VARIANTS = ("rprime", "rdoubleprime", "rfull")
 
 
 def hecke_system(n: int, variant: str = "rdoubleprime") -> SrsSystem:
-    """Build one of the three 0-Hecke rewriting systems on n generators."""
+    """One of the three 0-Hecke rewriting systems on n generators, built
+    once per (n, variant): equal calls return one object, so the caches
+    keyed on a system find it by identity, without comparing rules."""
     if not isinstance(n, int) or n < 1:
         raise InvalidRank(f"rank must be a positive integer, got {n!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    return _hecke_system(n, variant)
+
+
+@lru_cache(maxsize=None)
+def _hecke_system(n: int, variant: str) -> SrsSystem:
     rules: list[Rule] = []
     for i in range(1, n + 1):
         rules.append(Rule(_nm("a", n, i), (i, i), (i,)))
@@ -843,28 +851,21 @@ def _verify_c_subsystem(sys: SrsSystem) -> VerifyItem:
     )
 
 
-def _measure(w: Word, n: int) -> tuple[int, ...]:
-    """The length of w, then its count of each letter from n down to 1."""
-    return (len(w),) + tuple(w.count(g) for g in range(n, 0, -1))
-
-
 def _verify_attractor_loops(sys: SrsSystem) -> VerifyItem:
     """Every loop of every attractor class is made of interchanges, from
-    one check per rule: interchanges keep `_measure` and every other rule
-    must lower it (module docstring).  A rule that does not is named, and
-    the item is UNKNOWN: the measure cannot decide it."""
+    one check per rule, `srw.seminormal.measure_split`: interchanges keep
+    the measure and every other rule must lower it (module docstring).  A
+    rule that does not is named, and the item is UNKNOWN: the measure
+    cannot decide it."""
     name = "attractor-loops-are-commutations"
-    swaps = [r for r in sys.rules if len(set(r.lhs)) == len(r.lhs) == 2 and r.rhs == r.lhs[::-1]]
-    open_ = [
-        r.name for r in sys.rules
-        if r not in swaps and not _measure(r.rhs, sys.n) < _measure(r.lhs, sys.n)
-    ]
+    swaps, _, open_ = measure_split(sys)
     scale = "(length, count of each letter, largest first)"
     if open_:
         return VerifyItem(
             name,
             "UNKNOWN",
-            f"rules {','.join(open_)} neither swap two letters nor lower the measure {scale}",
+            f"rules {','.join(r.name for r in open_)} neither swap two letters "
+            f"nor lower the measure {scale}",
         )
     return VerifyItem(
         name,

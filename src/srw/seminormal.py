@@ -10,39 +10,79 @@ sink component and it is the attractor, a single mutual-reachability
 class.  Its lexicographically least member serves as a canonical form,
 so two words are congruent iff their canonical forms coincide.
 
-`attractors` reads every start's attractor off one shared descendant
-graph, which `srw.words.explore` builds from each start in turn (a
-bound on its words that cuts it short raises `Inexact`).  One pass of
-Tarjan's algorithm condenses it; as a component is finished after every
+`attractors` condenses one of two graphs, with one explorer and one
+condensation pass.  An unbounded query on a system that `_quotient`
+admits takes the quotient by interchanges; every other query takes the
+word graph.
+
+The quotient route.  An *interchange* is a rule s t -> t s with s != t;
+`measure_split` sorts the other rules by `_measure`, the length and then
+the count of each letter from n down to 1, compared lexicographically.
+A context adds the same vector to both sides of a step, so the measure
+of a step is that of its rule.  `_quotient` admits a system when
+
+- every interchange s t -> t s has its inverse t s -> s t as a rule;
+- every other rule strictly lowers `_measure`;
+- every other rule's right-hand side uses only letters of its left-hand
+  side.
+
+Then each strongly connected component of the word graph is one
+interchange class, a trace over the swapped letter pairs (`srw.traces`).
+Interchanges keep the measure and every other step lowers it, so a cycle
+has no other step: a component lies inside one class.  Each interchange
+step is undone by its inverse rule, so a class is strongly connected:
+the class is the component.  Modulo the classes the graph is a DAG whose
+edges lower the measure, and its sinks are the sink components.  An edge
+leaves a class wherever some member has a non-interchange rule's lhs as a
+factor, which is at a placement that `traces.class_factors` yields from
+the class's normal form.  A member x lhs y of one placement differs from
+its (u, v) only in which letters off the placement, each independent of
+every letter of the lhs, stand left or right of it; by the third premise
+they are independent of every letter of the rhs too, so x rhs y and
+u rhs v lie in one class.  So the quotient graph has one node per class,
+its normal form, which is also its lex-least member and so its `canon`,
+and one edge per distinct target class; a class's members are listed
+only when it is a sink.  A start reaches the sinks that its class
+reaches.
+
+The graphs.  `srw.words.explore` builds one descendant graph from each
+start in turn, or from each start's class normal form (a bound on its
+words that cuts it short raises `Inexact`).  One pass of Tarjan's
+algorithm condenses it; as a component is finished after every
 component it reaches, the same pass gives it the sink components it
-reaches: itself if no edge leaves it, else the union over its edges.
-A word is semi-normal iff it lies in its own attractor.
+reaches: itself if no edge leaves it, else the union over its edges.  On
+the quotient every component is one node.  A word is semi-normal iff it
+lies in its own attractor.
 
 `attractors` keeps one memo per system: each word of each graph it
-condensed, with the sink classes that word reaches.  Each entry is exact,
-as `_descendant_graph` never returns a truncated graph.  An unbounded
-exploration makes a recorded word a leaf without successors, whose
-one-word component takes the recorded sinks: its whole closure lay in an
-earlier complete graph.  A sink class recorded in part still answers
-right: an unrecorded member has an edge to a recorded one, a leaf, so its
-component is no sink and the union over its edges is the recorded class.
-Bounded queries only write the memo, so their answers and `Inexact`
-messages never depend on earlier queries.  The memo holds at most
-MEMO_WORDS words over all systems; a graph that would overflow it clears
-it first.
+condensed, or each class normal form that the quotient route met, with
+the sink classes it reaches.  Each entry is exact, as neither route
+records a truncated graph, and under the premises a word reaches the
+sinks of its whole class.  An unbounded exploration makes a recorded word
+a leaf without successors, whose one-word component takes the recorded
+sinks: its whole closure lay in an earlier complete graph.  A sink class
+recorded in part still answers right: an unrecorded member has an edge to
+a recorded one, a leaf, so its component is no sink and the union over
+its edges is the recorded class.  Bounded queries only write the memo, so
+their answers and `Inexact` messages never depend on earlier queries.
+The memo holds at most MEMO_WORDS entries over all systems; a graph that
+would overflow it clears it first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Collection, Iterable
 
-from .words import SrsSystem, Word, explore, successors
+from .traces import class_factors, normal_form
+from .words import Rule, SrsSystem, Word, explore, successors
 
 __all__ = [
     "Inexact",
     "NotOneClass",
     "AttractorClass",
+    "measure_split",
     "attractors",
     "attractor",
     "canon",
@@ -64,20 +104,91 @@ class AttractorClass:
     canon: Word
 
 
+def _measure(w: Word, n: int) -> tuple[int, ...]:
+    """The length of w, then its count of each letter from n down to 1."""
+    return (len(w),) + tuple(w.count(g) for g in range(n, 0, -1))
+
+
+def measure_split(sys: SrsSystem) -> tuple[tuple[Rule, ...], tuple[Rule, ...], tuple[Rule, ...]]:
+    """The rules in three parts, each in rule order: the interchanges
+    s t -> t s with s != t, told from their words; the other rules that
+    strictly lower `_measure`; and the rest, which do neither."""
+    swaps, lower, rest = [], [], []
+    for r in sys.rules:
+        if len(set(r.lhs)) == len(r.lhs) == 2 and r.rhs == r.lhs[::-1]:
+            swaps.append(r)
+        elif _measure(r.rhs, sys.n) < _measure(r.lhs, sys.n):
+            lower.append(r)
+        else:
+            rest.append(r)
+    return tuple(swaps), tuple(lower), tuple(rest)
+
+
+_Route = tuple[
+    Callable[[Word], Word],
+    Callable[[Word], Collection[Word]],
+    Callable[[set[Word]], frozenset[Word]],
+]
+
+
+@lru_cache(maxsize=16)
+def _quotient(sys: SrsSystem) -> _Route | None:
+    """The quotient route for a system that meets its three premises
+    (module docstring), else None.  The route's three functions give a
+    word's class normal form; the normal forms one non-interchange step
+    from a class, at every placement of every rule; and the members of the
+    class of a one-node component."""
+    swaps, lower, rest = measure_split(sys)
+    independent = frozenset(r.lhs for r in swaps)
+    if rest or any(r.lhs[::-1] not in independent for r in swaps):
+        return None
+    if any(not set(r.rhs) <= set(r.lhs) for r in lower):
+        return None
+
+    def key(w: Word) -> Word:
+        return normal_form(w, independent)
+
+    def step(v: Word) -> set[Word]:
+        factor, present = class_factors(v, independent), set(v)
+        return {
+            key(u + r.rhs + x)
+            for r in lower
+            if present.issuperset(r.lhs)
+            for u, x in factor(r.lhs)
+        }
+
+    def swapped(w: Word) -> list[Word]:
+        return [
+            w[:i] + (b, a) + w[i + 2 :]
+            for i, (a, b) in enumerate(zip(w, w[1:]))
+            if (a, b) in independent
+        ]
+
+    def whole(members: set[Word]) -> frozenset[Word]:
+        (v,) = members
+        return frozenset(explore(v, swapped)[0])
+
+    return key, step, whole
+
+
 def _descendant_graph(
-    starts: Iterable[Word], sys: SrsSystem, max_words: int | None, known: dict
-) -> dict[Word, list[Word]]:
-    """Each word reachable from some start, with its successors (none for
-    a word in `known`); a word past the first `max_words` (the first start
-    always fits) is `Inexact`, and the error names the start being
-    explored."""
+    starts: Iterable[Word],
+    sys: SrsSystem,
+    max_words: int | None,
+    known: dict,
+    step_from: Callable[[Word], Collection[Word]],
+) -> dict[Word, Collection[Word]]:
+    """Each word reachable from some start, with its successors by
+    `step_from` (none for a word in `known`); a word past the first
+    `max_words` (the first start always fits) is `Inexact`, and the error
+    names the start being explored."""
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: descendant graphs need a bound"
         )
-    adj: dict[Word, list[Word]] = {}
+    adj: dict[Word, Collection[Word]] = {}
 
-    def step(v: Word) -> list[Word]:
+    def step(v: Word) -> Collection[Word]:
         if v in adj:
             return []
         if max_words is not None and adj and len(adj) >= max_words:
@@ -85,7 +196,7 @@ def _descendant_graph(
             raise Inexact(
                 f"descendant graph of {sys.fmt(start)} truncated at {max_words} {words}"
             )
-        adj[v] = [] if v in known else successors(v, sys)
+        adj[v] = () if v in known else step_from(v)
         return adj[v]
 
     for start in starts:  # `step` names the start it is exploring from
@@ -94,11 +205,14 @@ def _descendant_graph(
 
 
 def _condense(
-    adj: dict[Word, list[Word]], known: dict[Word, frozenset[AttractorClass]]
+    adj: dict[Word, Collection[Word]],
+    known: dict[Word, frozenset[AttractorClass]],
+    whole: Callable[[set[Word]], frozenset[Word]],
 ) -> tuple[dict[Word, int], list[frozenset[AttractorClass]]]:
     """Tarjan's components, iteratively: each word's component id, and
     for each component the sink components it reaches (a word in `known`
-    is a leaf that reaches its recorded sinks)."""
+    is a leaf that reaches its recorded sinks).  A sink component's class
+    is `whole` of its words."""
     comp: dict[Word, int] = {}
     sinks: list[frozenset[AttractorClass]] = []
     index: dict[Word, int] = {}
@@ -141,15 +255,16 @@ def _condense(
                 if reached is None:
                     reached = known.get(v)
                 if reached is None:
-                    cls = frozenset(members)
+                    cls = whole(members)
                     reached = frozenset((AttractorClass(cls, min(cls)),))
                 sinks.append(reached)
     return comp, sinks
 
 
 # Words the memo holds over all systems.  A word_problem pass of the
-# benchmark records about 29,000 (29,201, 28,404 and 29,032 at seeds 1,
-# 9020 and 777), so the bound leaves a pass room to spare.
+# benchmark records about 6,100 (6,097, 6,120 and 6,139 at seeds 1, 9020
+# and 777; about 29,000 on the word graph alone), so the bound leaves a
+# pass room to spare.
 MEMO_WORDS = 65536
 _MEMO: dict[SrsSystem, dict[Word, frozenset[AttractorClass]]] = {}
 
@@ -171,20 +286,28 @@ def _record(memo: dict, adj: dict, comp: dict, sinks: list) -> None:
 def attractors(
     starts: Iterable[Word], sys: SrsSystem, max_words: int | None = None
 ) -> dict[Word, AttractorClass]:
-    """The unique sink class of each start, all read off one shared graph
-    of at most `max_words` words.  Raises NotOneClass when reduction can
-    settle into two classes below some start (it is not confluent there).
-    Only an unbounded call reads the memo; every call that finishes its
-    graph records it, NotOneClass or not."""
+    """The unique sink class of each start, all read off one shared graph:
+    the quotient graph when the call is unbounded and `_quotient` admits
+    the system, else the word graph of at most `max_words` words.  Raises
+    NotOneClass when reduction can settle into two classes below some
+    start (it is not confluent there).  Only an unbounded call reads the
+    memo; every call that finishes its graph records it, NotOneClass or
+    not."""
     starts = tuple(starts)
     memo = _MEMO.setdefault(sys, {})
     known = memo if max_words is None else {}
-    adj = _descendant_graph(starts, sys, max_words, known)
-    comp, sinks = _condense(adj, known)
+    quotient = _quotient(sys) if max_words is None else None
+    if quotient is None:
+        key, step, whole = (lambda w: w), (lambda v: successors(v, sys)), frozenset
+    else:
+        key, step, whole = quotient
+    keys = {w: key(w) for w in starts}
+    adj = _descendant_graph(keys.values(), sys, max_words, known, step)
+    comp, sinks = _condense(adj, known, whole)
     _record(memo, adj, comp, sinks)
     out: dict[Word, AttractorClass] = {}
     for w in starts:
-        reached = sinks[comp[w]]
+        reached = sinks[comp[keys[w]]]
         if len(reached) != 1:
             raise NotOneClass(
                 f"{sys.fmt(w)} settles into {len(reached)} distinct classes"

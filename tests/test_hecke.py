@@ -32,7 +32,7 @@ from srw.hecke import (
     translate_to_basic,
     verify_suite,
 )
-from srw import hecke
+from srw import hecke, seminormal
 from srw.hecke import NotCSortable
 from srw.order import InstanceOrder, check_decreasing, check_naturals, is_decreasing_ed
 from srw.seminormal import attractor, canon as generic_canon
@@ -378,6 +378,19 @@ def test_enumerate_cap():
     assert len(enumerate_monoid(5, cap=5)) == 720
 
 
+def test_equal_hecke_systems_are_one_object(monkeypatch):
+    assert hecke_system(5, "rfull") is hecke_system(5, "rfull")
+    assert hecke_system(3) is hecke_system(3, "rdoubleprime")
+    assert hecke_system(3, "rfull") is not hecke_system(3, "rdoubleprime")
+    enumerate_monoid(5)
+    calls = []
+    eq = SrsSystem.__eq__
+    monkeypatch.setattr(SrsSystem, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+    # The system caches find the system by identity, comparing no rules.
+    assert len(enumerate_monoid(5)) == 720
+    assert calls == []
+
+
 def test_enumerate_matches_demazure_products():
     """One canonical word per permutation of 1..6, each a reduced word of
     its Demazure product: its length is the permutation's inversions."""
@@ -387,12 +400,22 @@ def test_enumerate_matches_demazure_products():
     assert all(len(w) == inversions(p) for w, p in zip(words, products))
 
 
+def _word_graph_canons(words, sys):
+    """The generic canon of each word on the word graph alone, from an
+    empty memo, so that it never calls `srw.traces`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seminormal, "_quotient", lambda sys: None)
+        mp.setattr(seminormal, "_MEMO", {})
+        return [generic_canon(w, sys) for w in words]
+
+
 def test_enumerate_rank5_words_are_their_own_generic_canon():
     """Pins the canonical forms against any change to `srw.traces`: each
     element's word is irreducible, so its attractor is only its commutation
     class, whose least member the generic `canon` returns."""
     sys = hecke_system(5, "rdoubleprime")
-    assert [w for w in enumerate_monoid(5) if generic_canon(w, sys) != w] == []
+    words = enumerate_monoid(5)
+    assert [w for w, c in zip(words, _word_graph_canons(words, sys)) if c != w] == []
 
 
 @given(st.lists(st.integers(1, 3), max_size=6))
@@ -400,7 +423,7 @@ def test_enumerate_rank5_words_are_their_own_generic_canon():
 def test_hecke_canon_matches_generic(letters):
     sys = hecke_system(3, "rdoubleprime")
     w = tuple(letters)
-    assert hecke_canon(w, sys) == generic_canon(w, sys)
+    assert [hecke_canon(w, sys)] == _word_graph_canons([w], sys)
 
 
 @pytest.mark.parametrize("variant", ["rdoubleprime", "rfull"])
@@ -408,8 +431,9 @@ def test_hecke_canon_matches_generic_rank4(variant):
     sys = hecke_system(4, variant)
     memo = {}
     # longest words first, so that calls miss the memo and run whole chains
-    for w in reversed(list(all_words(4, 6))):
-        assert hecke_canon(w, sys, memo) == generic_canon(w, sys), w
+    words = list(reversed(all_words(4, 6)))
+    for w, c in zip(words, _word_graph_canons(words, sys)):
+        assert hecke_canon(w, sys, memo) == c, w
     # the memo is keyed by trace normal forms only
     independent = frozenset(
         (s, t) for s in range(1, 5) for t in range(1, 5) if abs(s - t) >= 2
@@ -552,16 +576,17 @@ def test_forward_commutation_pairs_are_cc_overlaps():
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_rfull_steps_keep_or_lower_the_measure_in_every_context(data):
-    """The lemma behind `_verify_attractor_loops`: `_measure` adds up over
-    concatenation, so a step compares with its source as its rule's two
-    sides do: equal for a two-letter swap, lower for any other rule."""
+    """The lemma behind `_verify_attractor_loops` and the quotient route:
+    `seminormal._measure` adds up over concatenation, so a step compares
+    with its source as its rule's two sides do: equal for a two-letter
+    swap, lower for any other rule."""
     n = data.draw(st.integers(2, 7))
     rule = data.draw(st.sampled_from(hecke_system(n, "rfull").rules))
     words = st.lists(st.integers(1, n), max_size=8).map(tuple)
     a, b = data.draw(words), data.draw(words)
 
     def m(w):
-        return hecke._measure(w, n)
+        return seminormal._measure(w, n)
 
     def plus(*vs):
         return tuple(map(sum, zip(*vs)))

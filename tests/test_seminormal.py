@@ -83,11 +83,18 @@ def _memo_words() -> int:
     return sum(map(len, seminormal._MEMO.values()))
 
 
+def _word_graph_only(mp) -> None:
+    """Send every query to the word graph: no system passes the quotient
+    route's eligibility check."""
+    mp.setattr(seminormal, "_quotient", lambda sys: None)
+
+
 def test_memo_is_bounded(monkeypatch):
     # A small bound, so that a few queries overflow it many times over.
     bound = 200
     monkeypatch.setattr(seminormal, "MEMO_WORDS", bound)
     monkeypatch.setattr(seminormal, "_MEMO", {})
+    _word_graph_only(monkeypatch)
     sys = hecke_system(4, "rfull")
     oracle: dict = {}
     passed: set = set()
@@ -102,7 +109,7 @@ def test_memo_is_bounded(monkeypatch):
     assert any(b < a for a, b in zip(held, held[1:]))  # it overflowed
     # Bounded queries of a word the memo knows: each bound that fits gives
     # the unbounded answer, and one that does not still truncates.
-    assert MEMO_WORDS >= 32768  # a word_problem pass records about 29,000 words
+    assert MEMO_WORDS >= 32768  # a word_problem pass on the word graph records about 29,000
     h3 = _h3()
     for cap in (1, 2, 5, MEMO_WORDS + 50):
         assert attractor((1,), h3, cap) == attractor((1,), h3)
@@ -172,6 +179,7 @@ def test_memo_stream_matches_empty_memo(calls, rnd):
 
 def test_partly_recorded_sink_class(monkeypatch):
     monkeypatch.setattr(seminormal, "_MEMO", {})
+    _word_graph_only(monkeypatch)
     sys = _h3()
     whole = attractor((1, 1, 3, 1), sys)
     assert whole.members == frozenset({(1, 3), (3, 1)})
@@ -183,6 +191,135 @@ def test_partly_recorded_sink_class(monkeypatch):
     assert attractor((3, 1), sys) == whole
     assert attractor((1, 1, 3, 1), sys) == whole
     assert memo[(3, 1)] == memo[(1, 3)] == frozenset({whole})
+
+
+def test_quotient_memo_is_bounded(monkeypatch):
+    # The quotient route records class normal forms under the same bound.
+    bound = 40
+    monkeypatch.setattr(seminormal, "MEMO_WORDS", bound)
+    monkeypatch.setattr(seminormal, "_MEMO", {})
+    sys = hecke_system(4, "rfull")
+    key, _, _ = seminormal._quotient(sys)
+    oracle: dict = {}
+    held = []
+    for w in itertools.islice(itertools.product((4, 3, 2, 1), repeat=6), 0, None, 97):
+        found = attractor(w, sys)
+        held.append(_memo_words())
+        assert held[-1] <= bound
+        assert attractor_classes(w, sys, oracle) == {found.members}, w
+        assert all(key(k) == k for k in seminormal._MEMO[sys])  # class normal forms
+    assert any(b < a for a, b in zip(held, held[1:]))  # it overflowed
+
+
+def _both_routes(words, sys):
+    """Each word's answer on an empty memo, by the default route and then
+    by the word graph alone: its sink class, or NotOneClass's message."""
+
+    def answers():
+        out = {}
+        for w in words:
+            try:
+                out[w] = attractor(w, sys)
+            except NotOneClass as exc:
+                out[w] = str(exc)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seminormal, "_MEMO", {})
+        default = answers()
+        mp.setattr(seminormal, "_MEMO", {})
+        _word_graph_only(mp)
+        return default, answers()
+
+
+@pytest.mark.parametrize("n,variant", [(4, "rfull"), (3, "rdoubleprime"), (4, "rdoubleprime")])
+def test_quotient_route_matches_word_graph(n, variant):
+    sys = hecke_system(n, variant)
+    assert seminormal._quotient(sys) is not None
+    quotient, graph = _both_routes(all_words(n, 6), sys)
+    assert quotient == graph
+
+
+def _swap_pairs(rules, pairs):
+    for s, t in sorted(pairs):
+        rules += [Rule(f"c{s}{t}", (s, t), (t, s)), Rule(f"c{t}{s}", (t, s), (s, t))]
+    return rules
+
+
+@st.composite
+def _paired_systems(draw):
+    """Paired interchanges, plus random rules that lower the measure and
+    whose right-hand sides use only letters of their left-hand sides."""
+    n = draw(st.integers(2, 4))
+    letter = st.integers(1, n)
+    pairs = draw(st.sets(st.tuples(letter, letter).filter(lambda p: p[0] < p[1]), max_size=3))
+    rules = _swap_pairs([], pairs)
+    lhss = draw(st.lists(st.lists(letter, min_size=1, max_size=3).map(tuple), min_size=1, max_size=5))
+    for k, lhs in enumerate(lhss):
+        rhs = tuple(draw(st.lists(st.sampled_from(lhs), min_size=len(lhs) - 1, max_size=len(lhs))))
+        if seminormal._measure(rhs, n) < seminormal._measure(lhs, n):
+            rules.append(Rule(f"r{k}", lhs, rhs))
+    return SrsSystem(n, tuple(rules))
+
+
+@given(_paired_systems(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_quotient_route_matches_word_graph_on_random_systems(sys, data):
+    assert seminormal._quotient(sys) is not None
+    word = st.lists(st.integers(1, sys.n), min_size=2, max_size=6).map(tuple)
+    words = data.draw(st.lists(word, min_size=4, max_size=8))
+    quotient, graph = _both_routes(words, sys)
+    assert quotient == graph
+
+
+def test_every_placement_of_a_rule_counts():
+    # 2 commutes with 1 and 3, so 2131's class holds 12 at two placements,
+    # in 1231 and in 1312; erasing it leaves 31 or 13, two classes.  The
+    # first placement alone would reach only 31.
+    sys = SrsSystem(3, tuple(_swap_pairs([Rule("e", (1, 2), ())], {(1, 2), (2, 3)})))
+    assert seminormal._quotient(sys) is not None
+    with pytest.raises(NotOneClass, match="^2131 settles into 2 distinct classes$"):
+        attractor((2, 1, 3, 1), sys)
+    quotient, graph = _both_routes(all_words(3, 5), sys)
+    assert quotient == graph
+
+
+_BASE = _swap_pairs(
+    [Rule("a1", (1, 1), (1,)), Rule("a3", (3, 3), (3,)), Rule("b", (2, 1, 2), (1, 2, 1))], {(1, 3)}
+)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        [r for r in _BASE if r.name != "c13"],  # an interchange without its inverse
+        _BASE + [Rule("p", (1, 2, 1), (2, 1, 1))],  # keeps the measure, swaps no two letters
+        _BASE + [Rule("x", (3,), (2,))],  # lowers the measure, but 2 is not in its lhs
+    ],
+    ids=["unpaired", "not-lower", "rhs-letter"],
+)
+def test_each_broken_premise_keeps_the_word_graph(rules):
+    assert seminormal._quotient(SrsSystem(3, tuple(_BASE))) is not None
+    sys = SrsSystem(3, tuple(rules))
+    assert seminormal._quotient(sys) is None
+    words = all_words(3, 5)
+    default, graph = _both_routes(words, sys)
+    assert default == graph
+    oracle: dict = {}
+    for w in words:
+        classes = attractor_classes(w, sys, oracle)
+        if isinstance(default[w], str):
+            assert default[w] == f"{sys.fmt(w)} settles into {len(classes)} distinct classes"
+        else:
+            assert classes == {default[w].members}, w
+
+
+def test_an_rhs_letter_outside_the_lhs_splits_a_class():
+    # 13 and 31 are one class, but 3 -> 2 sends them to 12 and 21, two
+    # classes: one placement of the lhs, two targets modulo commutations.
+    sys = SrsSystem(3, tuple(_BASE + [Rule("x", (3,), (2,))]))
+    with pytest.raises(NotOneClass, match="^13 settles into 2 distinct classes$"):
+        attractor((1, 3), sys)
 
 
 @pytest.mark.parametrize(
