@@ -28,9 +28,11 @@ decreasing) or natural squares whose heads tie.  Each critical failure
 line and the `--json` output name the chooser.  `hecke verify --json`
 gives each item's seconds.
 
-`normal-form` and `equal` take `--max-words`, a bound on the words of
-the descendant graph behind each canonical form; a graph cut short by it
-leaves the answer undecided.
+`normal-form` and `equal` take `--max-words`, a bound on the nodes of
+the descendant graph behind each canonical form: commutation classes on
+a system that `srw.seminormal` takes modulo interchanges (rdoubleprime,
+rfull), words on any other; a graph cut short by it leaves the answer
+undecided.
 
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
@@ -512,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-words",
             type=_budget(1),
             default=None,
-            help="bound on the descendant graph's words (default: unbounded)",
+            help="bound on the descendant graph's nodes, words or commutation classes"
+            " as the system has it (default: unbounded)",
         )
     cmd["confluence"].add_argument("--bound", type=_budget(), default=16)
     cmd["complete-peak"].add_argument("--top", required=True, help="comma-separated steps, or -")

@@ -11,9 +11,12 @@ class.  Its lexicographically least member serves as a canonical form,
 so two words are congruent iff their canonical forms coincide.
 
 `attractors` condenses one of two graphs, with one explorer and one
-condensation pass.  An unbounded query on a system that `_quotient`
-admits takes the quotient by interchanges; every other query takes the
-word graph.
+condensation pass, and the system alone picks it: a system that
+`_quotient` admits takes the quotient by interchanges, every other
+system the word graph.  A bound counts the nodes of the graph taken.
+A sink class is named by its canon; its members, the words reachable
+from the canon (a sink class is closed under rewriting), are listed only
+when read.
 
 The quotient route.  An *interchange* is a rule s t -> t s with s != t;
 `measure_split` sorts the other rules by `_measure`, the length and then
@@ -41,24 +44,22 @@ every letter of the lhs, stand left or right of it; by the third premise
 they are independent of every letter of the rhs too, so x rhs y and
 u rhs v lie in one class.  So the quotient graph has one node per class,
 its normal form, which is also its lex-least member and so its `canon`,
-and one edge per distinct target class; a class's members are listed
-only when it is a sink.  A start reaches the sinks that its class
-reaches.
+and one edge per distinct target class.  A start reaches the sinks that
+its class reaches.
 
 The graphs.  `srw.words.explore` builds one descendant graph from each
 start in turn, or from each start's class normal form (a bound on its
-words that cuts it short raises `Inexact`).  One pass of Tarjan's
-algorithm condenses it; as a component is finished after every
-component it reaches, the same pass gives it the sink components it
-reaches: itself if no edge leaves it, else the union over its edges.  On
+nodes that cuts it short raises `Inexact` naming the start).  One pass
+of Tarjan's algorithm condenses it; as a component is finished after
+every component it reaches, the same pass gives it the sink components
+it reaches: itself if no edge leaves it, else the union over its edges.  On
 the quotient every component is one node.  A word is semi-normal iff it
 lies in its own attractor.
 
-`attractors` keeps one memo per system: each word of each graph it
-condensed, or each class normal form that the quotient route met, with
-the sink classes it reaches.  Each entry is exact, as neither route
-records a truncated graph, and under the premises a word reaches the
-sinks of its whole class.  An unbounded exploration makes a recorded word
+`attractors` keeps one memo per system: each node of each graph it
+condensed, a word or a class normal form as the system's route has it,
+with the sink classes it reaches.  Each entry is exact, as no truncated
+graph is recorded.  An unbounded exploration makes a recorded word
 a leaf without successors, whose one-word component takes the recorded
 sinks: its whole closure lay in an earlier complete graph.  A sink class
 recorded in part still answers right: an unrecorded member has an edge to
@@ -71,8 +72,8 @@ would overflow it clears it first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Collection, Iterable
 
 from .traces import class_factors, normal_form
@@ -100,8 +101,17 @@ class NotOneClass(RuntimeError):
 
 @dataclass(frozen=True)
 class AttractorClass:
-    members: frozenset[Word]
+    """A sink class of `sys`, named by its canon, its lex-least member;
+    equality and hashing read the canon alone.  `members` lists the class
+    when first read: the words reachable from the canon, as a sink class
+    is closed under rewriting."""
+
     canon: Word
+    sys: SrsSystem = field(compare=False, repr=False)
+
+    @cached_property
+    def members(self) -> frozenset[Word]:
+        return frozenset(explore(self.canon, lambda v: successors(v, self.sys))[0])
 
 
 def _measure(w: Word, n: int) -> tuple[int, ...]:
@@ -124,20 +134,15 @@ def measure_split(sys: SrsSystem) -> tuple[tuple[Rule, ...], tuple[Rule, ...], t
     return tuple(swaps), tuple(lower), tuple(rest)
 
 
-_Route = tuple[
-    Callable[[Word], Word],
-    Callable[[Word], Collection[Word]],
-    Callable[[set[Word]], frozenset[Word]],
-]
+_Route = tuple[Callable[[Word], Word], Callable[[Word], Collection[Word]]]
 
 
 @lru_cache(maxsize=16)
 def _quotient(sys: SrsSystem) -> _Route | None:
     """The quotient route for a system that meets its three premises
-    (module docstring), else None.  The route's three functions give a
-    word's class normal form; the normal forms one non-interchange step
-    from a class, at every placement of every rule; and the members of the
-    class of a one-node component."""
+    (module docstring), else None.  The route's two functions give a
+    word's class normal form, and the normal forms one non-interchange
+    step from a class, at every placement of every rule."""
     swaps, lower, rest = measure_split(sys)
     independent = frozenset(r.lhs for r in swaps)
     if rest or any(r.lhs[::-1] not in independent for r in swaps):
@@ -157,31 +162,20 @@ def _quotient(sys: SrsSystem) -> _Route | None:
             for u, x in factor(r.lhs)
         }
 
-    def swapped(w: Word) -> list[Word]:
-        return [
-            w[:i] + (b, a) + w[i + 2 :]
-            for i, (a, b) in enumerate(zip(w, w[1:]))
-            if (a, b) in independent
-        ]
-
-    def whole(members: set[Word]) -> frozenset[Word]:
-        (v,) = members
-        return frozenset(explore(v, swapped)[0])
-
-    return key, step, whole
+    return key, step
 
 
 def _descendant_graph(
-    starts: Iterable[Word],
+    nodes: dict[Word, Word],
     sys: SrsSystem,
     max_words: int | None,
     known: dict,
     step_from: Callable[[Word], Collection[Word]],
 ) -> dict[Word, Collection[Word]]:
-    """Each word reachable from some start, with its successors by
-    `step_from` (none for a word in `known`); a word past the first
-    `max_words` (the first start always fits) is `Inexact`, and the error
-    names the start being explored."""
+    """Each node reachable from some start's node in `nodes`, with its
+    successors by `step_from` (none for a node in `known`); a node past
+    the first `max_words` (the first start's node always fits) is `Inexact`,
+    and the error names the start being explored."""
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: descendant graphs need a bound"
@@ -199,20 +193,20 @@ def _descendant_graph(
         adj[v] = () if v in known else step_from(v)
         return adj[v]
 
-    for start in starts:  # `step` names the start it is exploring from
-        explore(start, step)
+    for start, node in nodes.items():  # `step` names the start it is exploring from
+        explore(node, step)
     return adj
 
 
 def _condense(
     adj: dict[Word, Collection[Word]],
     known: dict[Word, frozenset[AttractorClass]],
-    whole: Callable[[set[Word]], frozenset[Word]],
+    sys: SrsSystem,
 ) -> tuple[dict[Word, int], list[frozenset[AttractorClass]]]:
     """Tarjan's components, iteratively: each word's component id, and
     for each component the sink components it reaches (a word in `known`
-    is a leaf that reaches its recorded sinks).  A sink component's class
-    is `whole` of its words."""
+    is a leaf that reaches its recorded sinks).  A sink component is
+    named by its least word."""
     comp: dict[Word, int] = {}
     sinks: list[frozenset[AttractorClass]] = []
     index: dict[Word, int] = {}
@@ -255,8 +249,7 @@ def _condense(
                 if reached is None:
                     reached = known.get(v)
                 if reached is None:
-                    cls = whole(members)
-                    reached = frozenset((AttractorClass(cls, min(cls)),))
+                    reached = frozenset((AttractorClass(min(members), sys),))
                 sinks.append(reached)
     return comp, sinks
 
@@ -287,27 +280,22 @@ def attractors(
     starts: Iterable[Word], sys: SrsSystem, max_words: int | None = None
 ) -> dict[Word, AttractorClass]:
     """The unique sink class of each start, all read off one shared graph:
-    the quotient graph when the call is unbounded and `_quotient` admits
-    the system, else the word graph of at most `max_words` words.  Raises
+    the quotient graph when `_quotient` admits the system, else the word
+    graph, of at most `max_words` nodes either way.  Raises
     NotOneClass when reduction can settle into two classes below some
     start (it is not confluent there).  Only an unbounded call reads the
     memo; every call that finishes its graph records it, NotOneClass or
     not."""
-    starts = tuple(starts)
     memo = _MEMO.setdefault(sys, {})
     known = memo if max_words is None else {}
-    quotient = _quotient(sys) if max_words is None else None
-    if quotient is None:
-        key, step, whole = (lambda w: w), (lambda v: successors(v, sys)), frozenset
-    else:
-        key, step, whole = quotient
+    key, step = _quotient(sys) or ((lambda w: w), (lambda v: successors(v, sys)))
     keys = {w: key(w) for w in starts}
-    adj = _descendant_graph(keys.values(), sys, max_words, known, step)
-    comp, sinks = _condense(adj, known, whole)
+    adj = _descendant_graph(keys, sys, max_words, known, step)
+    comp, sinks = _condense(adj, known, sys)
     _record(memo, adj, comp, sinks)
     out: dict[Word, AttractorClass] = {}
-    for w in starts:
-        reached = sinks[comp[keys[w]]]
+    for w, k in keys.items():
+        reached = sinks[comp[k]]
         if len(reached) != 1:
             raise NotOneClass(
                 f"{sys.fmt(w)} settles into {len(reached)} distinct classes"

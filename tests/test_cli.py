@@ -10,6 +10,8 @@ from srw.cli import build_parser, main, system_from_doc, system_to_doc
 from srw.hecke import hecke_system
 from srw.order import InstanceOrder
 
+from oracles import all_words, commutation_class, fixpoint_reach
+
 
 @pytest.fixture
 def h3full(tmp_path):
@@ -151,6 +153,31 @@ def test_undecided_answer_names_its_word(h3full, capsys):
     code, out, err = run(capsys, ["equal", h3full, "121", "32132132", "--max-words", "10"])
     assert code == 1 and out == ""
     assert err == "undecided: descendant graph of 32132132 truncated at 10 words\n"
+
+
+def test_max_words_counts_commutation_classes(tmp_path, capsys):
+    # On rfull the bound counts classes, not words, so the 16-letter word's
+    # graph fits in 1000 nodes and is not cut short.
+    h5 = str(tmp_path / "h5.json")
+    assert main(["hecke", "gen", "5", "--variant", "rfull", "-o", h5]) == 0
+    argv = ["equal", h5, "2554221122223325", "12145432", "--max-words", "1000"]
+    assert run(capsys, argv) == (0, "equal\n", "")
+
+
+def test_max_words_is_exact_on_the_class_graph(h3full, capsys):
+    # A word whose descendants fall into k commutation classes has a class
+    # graph of k nodes: bound k answers, bound k - 1 is undecided.
+    sys = hecke_system(3, "rfull")
+    for w in all_words(3, 6):
+        k = len({frozenset(commutation_class(x, 3)) for x in fixpoint_reach(w, sys)})
+        if k < 2:
+            continue
+        word = sys.fmt(w)
+        argv = ["normal-form", h3full, word, "--max-words"]
+        assert run(capsys, argv + [str(k)]) == run(capsys, argv[:3])
+        nodes = f"{k - 1} word" if k == 2 else f"{k - 1} words"
+        err = f"no canonical form: descendant graph of {word} truncated at {nodes}\n"
+        assert run(capsys, argv + [str(k - 1)]) == (1, "", err)
 
 
 def test_parser_reuse_leaks_no_state(h3full, capsys):

@@ -18,7 +18,13 @@ from srw.seminormal import (
 )
 from srw.words import Rule, SrsSystem, find_redexes
 
-from oracles import all_words, attractor_classes, congruence_closure, fixpoint_reach
+from oracles import (
+    all_words,
+    attractor_classes,
+    commutation_class,
+    congruence_closure,
+    fixpoint_reach,
+)
 
 
 def _h3():
@@ -61,6 +67,27 @@ def test_seminormal_members_all_seminormal():
         for m in attractor(w, sys).members:
             assert _seminormal(m, sys)
             assert attractor(m, sys).members == attractor(w, sys).members
+
+
+def _w0(n):
+    """The longest element's word 1 21 321 ... n(n-1)...1, irreducible in rfull."""
+    return tuple(a for k in range(1, n + 1) for a in range(k, 0, -1))
+
+
+def test_members_are_listed_only_when_read(monkeypatch):
+    monkeypatch.setattr(seminormal, "_MEMO", {})
+    found = attractor(_w0(6), hecke_system(6, "rfull"))
+    assert found.canon == _w0(6)
+    assert "members" not in vars(found)
+    assert found.canon in found.members
+    assert "members" in vars(found)
+
+
+@pytest.mark.parametrize("n,size", [(4, 12), (5, 286)])
+def test_members_of_the_longest_element_are_its_class(n, size):
+    members = attractor(_w0(n), hecke_system(n, "rfull")).members
+    assert members == commutation_class(_w0(n), n)
+    assert len(members) == size
 
 
 def test_not_one_class():
@@ -199,7 +226,7 @@ def test_quotient_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(seminormal, "MEMO_WORDS", bound)
     monkeypatch.setattr(seminormal, "_MEMO", {})
     sys = hecke_system(4, "rfull")
-    key, _, _ = seminormal._quotient(sys)
+    key, _ = seminormal._quotient(sys)
     oracle: dict = {}
     held = []
     for w in itertools.islice(itertools.product((4, 3, 2, 1), repeat=6), 0, None, 97):
