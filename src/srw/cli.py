@@ -528,7 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd[name].add_argument("--variant", choices=VARIANTS, default="rdoubleprime")
     cmd["gen"].add_argument("-o", "--output", default=None)
     cmd["enumerate"].add_argument("--cap", type=_budget(), default=6)
-    cmd["verify"].add_argument("--coherence-bound", type=_budget(), default=100000)
+    cmd["verify"].add_argument(
+        "--coherence-bound",
+        type=_budget(),
+        default=100000,
+        help="neighbours that each diagram class's search may generate (default: 100000)",
+    )
     # Last, so that it closes every usage line.
     for name, p in cmd.items():
         if name != "gen":

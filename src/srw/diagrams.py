@@ -56,6 +56,10 @@ a full scan would find them (move, step index, offset, then swaps),
 which no rule number enters.  That order matters, because the budget
 cuts the search after a fixed number of new states: another order could
 change an Unknown at a given bound into Equivalent or back.
+
+`skeleton_search` asks the same question modulo commutations: its states
+are skeletons, the paths with their commutation steps read away, and it
+can also answer Exhausted (see its docstring).
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from graphlib import TopologicalSorter
 from typing import Iterator, NamedTuple
 
 from .critical import CriticalPair, join_pair
+from .traces import Pairs, class_factors, normal_form, trace_order
 from .words import (
     BACKWARD,
     FORWARD,
@@ -100,6 +105,8 @@ __all__ = [
     "PathVerdict",
     "NotParallel",
     "paths_equivalent_mod_cells",
+    "skeleton",
+    "skeleton_search",
     "export_dot",
 ]
 
@@ -485,6 +492,7 @@ def bfs_join_chooser(sys: SrsSystem):
 
 class PathVerdict(Enum):
     EQUIVALENT = "equivalent"
+    EXHAUSTED = "exhausted"  # a side's whole space searched: no chain under these moves
     UNKNOWN = "unknown"
 
 
@@ -674,6 +682,190 @@ def paths_equivalent_mod_cells(
                 break
         frontiers[me] = new
     return PathVerdict.UNKNOWN
+
+
+# --- path equivalence modulo commutations ----------------------------------
+
+SkeletonStep = tuple[Word, tuple[tuple[int, int], ...], Rule]
+
+
+def _is_swap(rule: Rule, independent: Pairs) -> bool:
+    return len(rule.lhs) == 2 and rule.rhs == rule.lhs[::-1] and rule.lhs in independent
+
+
+def _skeleton_step(left: Word, rule: Rule, right: Word, independent: Pairs) -> SkeletonStep:
+    lhs = rule.lhs
+    labels = tuple((a, left.count(a) + lhs[:j].count(a)) for j, a in enumerate(lhs))
+    return normal_form(left + lhs + right, independent), labels, rule
+
+
+def skeleton(path: Path, independent: Pairs) -> tuple[SkeletonStep, ...]:
+    """The steps of `path` other than commutations, each as the normal form
+    of the word before it, its redex as (letter, occurrence index) labels,
+    and its rule."""
+    return tuple(
+        _skeleton_step(st.left, st.rule, st.right, independent)
+        for st in path.steps
+        if not _is_swap(st.rule, independent)
+    )
+
+
+def skeleton_search(family: CellFamily, independent: Pairs):
+    """(p, q, bound) -> PathVerdict: whether p and q are equivalent modulo
+    `family` and commutations, by a bidirectional breadth-first search over
+    skeletons.
+
+    Commutations are the rules s t -> t s with (s, t) in `independent`; any
+    other rule's right side must use letters of its left side only, as in
+    the Hecke systems.  Equal letters never commute, so a redex's labels are
+    the same in every word of a trace, and the trace after a step depends on
+    the trace and the redex alone: a letter left of the redex in one word
+    and right of it in another is independent of each letter of the redex.
+
+    A state is a skeleton, its steps numbered on first sight.  Two moves:
+    - replace a whiskered occurrence of a member side's skeleton by the
+      other side's: the member, whiskered concretely by every placement
+      (u, v) of its start word in the step's trace (`class_factors`), has
+      its skeletons compared.  Members with one skeleton on both sides are
+      left out; a side with an empty skeleton is inserted anywhere;
+    - swap adjacent steps whose redexes are disjoint, and not ordered both
+      ways, in the trace between them: some word of that trace then holds
+      both as blocks, where the two steps form a natural square.
+    Moves come in inverse pairs, so a side whose frontier runs dry has
+    searched through its whole space without meeting the other: EXHAUSTED.
+    The budget charges each generated neighbour before it is built, so
+    bound 0 generates none; UNKNOWN means it ran out.  The smaller frontier
+    is expanded, and on a tie the side that waited.
+
+    Soundness.  A chain of moves lifts to a derivation modulo `family` when
+    the family's commutation cells give two premises:
+    - (A) parallel paths of commutations are equivalent.  The forward
+      commutations terminate and their critical pairs join by cc members
+      (`srw.hecke` checks both), so by Squier's theorem (Squier, Otto and
+      Kobayashi, TCS 131, 1994) parallel forward paths are equivalent
+      modulo cc members and natural squares; the loop members make each
+      inverse commutation the inverse of a forward one;
+    - (B) a letter independent of each letter of a non-commutation rule
+      crosses a step of that rule by a derivable square (for the Hecke
+      systems, by loop, ac, bc and cc members).
+    With both, the concrete paths that read one skeleton are equivalent, as
+    their commutations can be moved to the steps' blocks.  So a replacement
+    lifts to a whiskered member between commutation paths, and a swap to a
+    natural square.  Conversely each concrete replacement or natural square
+    maps to one move or to none, so EXHAUSTED proves that no chain of
+    positive moves exists.  This is rewriting modulo an equational theory
+    (Jouannaud and Kirchner, SIAM J. Comput. 15, 1986); for coherence
+    modulo, Dupont and Malbos, JPAA 226, 2022.
+    """
+    ids: dict[SkeletonStep, int] = {}
+    steps: list[SkeletonStep] = []
+    where: list[tuple[Word, Word]] = []  # step id -> (left, right) of one word with its redex
+    placements: dict[tuple[Word, Word], list[tuple[Word, Word]]] = {}
+    whiskered: dict[tuple[int, Word, Word], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def number(left: Word, rule: Rule, right: Word) -> int:
+        st = _skeleton_step(left, rule, right, independent)
+        if st not in ids:
+            ids[st] = len(steps)
+            steps.append(st)
+            where.append((left, right))
+        return ids[st]
+
+    def read(path: Path) -> tuple[int, ...]:
+        return tuple(
+            number(st.left, st.rule, st.right)
+            for st in path.steps
+            if not _is_swap(st.rule, independent)
+        )
+
+    sides: list[tuple[Path, Path]] = []
+    by_rule: dict[Rule | None, list[int]] = {}  # first rule of a side's skeleton -> sides
+    for p, q in family.members:
+        sp, sq = read(p), read(q)
+        if sp != sq:
+            for frm, to, skel in ((p, q, sp), (q, p, sq)):
+                by_rule.setdefault(steps[skel[0]][2] if skel else None, []).append(len(sides))
+                sides.append((frm, to))
+
+    def places(trace: Word, start: Word) -> list[tuple[Word, Word]]:
+        if (trace, start) not in placements:
+            placements[trace, start] = list(class_factors(trace, independent)(start))
+        return placements[trace, start]
+
+    def swap(x: int, y: int) -> tuple[int, int] | None:
+        """The two steps of the natural square on steps x then y, y first."""
+        left, right = where[x]
+        r1, r2 = steps[x][2], steps[y][2]
+        w = left + r1.rhs + right
+        count: dict[int, int] = {}
+        pos: dict[tuple[int, int], int] = {}  # label -> position in w
+        for k, a in enumerate(w):
+            count[a] = count.get(a, -1) + 1
+            pos[a, count[a]] = k
+        block = ((1 << len(r1.rhs)) - 1) << len(left)
+        redex = [pos[label] for label in steps[y][1]]
+        mask = sum(1 << k for k in redex)
+        if mask & block or not block:
+            return None
+        down = trace_order(w, independent)[2]
+        y_first = any(down[k] & mask for k in range(len(left), len(left) + len(r1.rhs)))
+        if y_first and any(down[k] & block for k in redex):
+            return None
+        one, two = (mask, block) if y_first else (block, mask)
+        above = [(d & one != 0, d & two != 0) for d in down]
+        a = tuple(w[k] for k, (o, t) in enumerate(above) if not o and not t)
+        b = tuple(w[k] for k, (o, t) in enumerate(above) if o and not t and not one >> k & 1)
+        c = tuple(w[k] for k, (_, t) in enumerate(above) if t and not two >> k & 1)
+        if y_first:  # a lhs2 b rhs1 c is in the trace
+            return number(a, r2, b + r1.lhs + c), number(a + r2.rhs + b, r1, c)
+        return number(a + r1.lhs + b, r2, c), number(a, r1, b + r2.rhs + c)
+
+    def moves(state: tuple[int, ...], end: Word) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(i, k, new): replace state[i : i + k] by new."""
+        for i in range(len(state) + 1):
+            trace, _, rule = steps[state[i]] if i < len(state) else (end, None, None)
+            for j in (j for key in dict.fromkeys((rule, None)) for j in by_rule.get(key, ())):
+                frm, to = sides[j]
+                for u, v in places(trace, frm.start):
+                    if (j, u, v) not in whiskered:
+                        whiskered[j, u, v] = read(frm.whisker(u, v)), read(to.whisker(u, v))
+                    old, new = whiskered[j, u, v]
+                    if state[i : i + len(old)] == old:
+                        yield i, len(old), new
+        for i in range(len(state) - 1):
+            new = swap(state[i], state[i + 1])
+            if new is not None:
+                yield i, 2, new
+
+    def search(p: Path, q: Path, bound: int = 10000) -> PathVerdict:
+        if p.start != q.start or p.end != q.end:
+            raise NotParallel("paths must share start and end words")
+        end = normal_form(p.end, independent)
+        frontiers = [[read(p)], [read(q)]]
+        if frontiers[0] == frontiers[1]:
+            return PathVerdict.EQUIVALENT
+        seen = (set(frontiers[0]), set(frontiers[1]))
+        budget, me = bound, 1
+        while frontiers[0] and frontiers[1]:
+            a, b = len(frontiers[0]), len(frontiers[1])
+            me = 0 if a < b else 1 if b < a else 1 - me
+            mine, other = seen[me], seen[1 - me]
+            new: list[tuple[int, ...]] = []
+            for state in frontiers[me]:
+                for i, k, put in moves(state, end):
+                    if not budget:
+                        return PathVerdict.UNKNOWN
+                    budget -= 1
+                    nxt = state[:i] + put + state[i + k :]
+                    if nxt in other:
+                        return PathVerdict.EQUIVALENT
+                    if nxt not in mine:
+                        mine.add(nxt)
+                        new.append(nxt)
+            frontiers[me] = new
+        return PathVerdict.EXHAUSTED
+
+    return search
 
 
 # --- graphviz export ------------------------------------------------------

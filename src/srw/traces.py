@@ -14,7 +14,8 @@ result is lex-least as it has no factor b u c with c < b, c independent of
 b and of u, the mark of the lex-least member (Anisimov and Knuth): the new
 letter passed no greater letter, and any other such factor gives one in
 the old normal form.  `class_factors` yields every placement of a factor
-in the class, from bit sets of the trace order, without listing it.
+in the class, from bit sets of the trace order (`trace_order`), without
+listing it.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ def normal_form(w: Word, independent: Pairs) -> Word:
     return tuple(out)
 
 
-def class_factors(w: Word, independent: Pairs) -> Callable[[Word], Placements]:
-    """lhs -> every (u, v) of `factor_in_class`, in its order, from w's trace
-    order built once: `at[a]` is the bit set of a's positions, `deps[a]` that
-    of the positions of the letters a depends on, a's own too, and `down[k]`
-    that of k and the positions below it."""
+def trace_order(w: Word, independent: Pairs) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """w's trace order as bit sets: `at[a]` is the set of a's positions,
+    `deps[a]` that of the positions of the letters a depends on, a's own
+    too, and `down[k]` that of k and the positions below it."""
     free = _free(independent)
     at: dict[int, int] = {}
     for k, a in enumerate(w):
@@ -68,6 +68,13 @@ def class_factors(w: Word, independent: Pairs) -> Callable[[Word], Placements]:
             m |= down[d.bit_length() - 1]
             d &= ~m
         down[k] = m
+    return at, deps, down
+
+
+def class_factors(w: Word, independent: Pairs) -> Callable[[Word], Placements]:
+    """lhs -> every (u, v) of `factor_in_class`, in its order, from w's
+    `trace_order` built once."""
+    at, deps, down = trace_order(w, independent)
 
     def factor(lhs: Word) -> Placements:
         if not lhs:

@@ -20,6 +20,8 @@ from srw.diagrams import (
     export_dot,
     natural_squares,
     paths_equivalent_mod_cells,
+    skeleton,
+    skeleton_search,
     transpose_ed,
     whisker_ed,
 )
@@ -47,6 +49,7 @@ from oracles import (
     scan_path_search,
     tiny_system,
 )
+from test_hecke import base_and_definitions, concrete_coherence
 from test_words import systems_with_words
 
 
@@ -511,16 +514,15 @@ def test_path_search_matches_scan_reference(case):
     _assert_matches_scan(*list(_hand_made_searches())[case])
 
 
-def test_path_search_matches_scan_reference_rank3_coherence(monkeypatch):
+def test_path_search_matches_scan_reference_rank3_coherence():
     searches = []
 
     def record(p, q, family, bound):
         searches.append((p, q, family.members))
         return paths_equivalent_mod_cells(p, q, family, bound)
 
-    monkeypatch.setattr(hecke, "paths_equivalent_mod_cells", record)
-    item = hecke._verify_coherence(hecke_system(3, "rfull"), bound=1000)
-    assert item.status == "PASS" and len(searches) == 25
+    assert concrete_coherence(3, base_and_definitions(3), 1000, record) == []
+    assert len(searches) == 25
     for p, q, members in searches:
         _assert_matches_scan(p, q, members)
 
@@ -535,16 +537,15 @@ def _assert_same_verdicts(p: Path, q: Path, family: CellFamily, max_bound: int =
 
 
 @pytest.mark.parametrize("n, classes", [(3, 25), (4, 73)])
-def test_grown_coherence_family_matches_a_fresh_one(monkeypatch, n, classes):
+def test_grown_coherence_family_matches_a_fresh_one(n, classes):
     searches = []
 
     def record(p, q, family, bound):
         searches.append((p, q, family))
         return paths_equivalent_mod_cells(p, q, family, bound)
 
-    monkeypatch.setattr(hecke, "paths_equivalent_mod_cells", record)
-    item = hecke._verify_coherence(hecke_system(n, "rfull"), bound=100000)
-    assert item.status == "PASS" and len(searches) == classes
+    assert concrete_coherence(n, base_and_definitions(n), 100000, record) == []
+    assert len(searches) == classes
     sizes = [len(family.members) for _, _, family in searches]
     assert sizes == list(range(sizes[0], sizes[0] + classes))  # grown one member a class
     for p, q, family in searches:
@@ -677,6 +678,66 @@ def test_paths_equivalent_rejects_non_parallel():
     q = Path((1, 1))
     with pytest.raises(NotParallel):
         paths_equivalent_mod_cells(p, q, fam, bound=10)
+
+
+# --- path equivalence modulo commutations ----------------------------------
+
+
+def _rank3_independent():
+    return hecke._hecke_rules(hecke_system(3, "rdoubleprime")).independent
+
+
+def test_skeleton_reads_commutations_away():
+    sys = hecke_system(3, "rdoubleprime")
+    ind = _rank3_independent()
+    a1, c31, c13 = sys.rule("a1"), sys.rule("c31"), sys.rule("c13")
+    # 311 -> 131 -> 113 -> 13 and 311 -> 31 -> 13 rewrite the same two 1s.
+    p = Path((3, 1, 1), (
+        RuleInstance((), c31, (1,)),
+        RuleInstance((1,), c31, ()),
+        RuleInstance((), a1, (3,)),
+    ))
+    q = Path((3, 1, 1), (RuleInstance((3,), a1, ()), RuleInstance((), c31, ())))
+    assert skeleton(p, ind) == skeleton(q, ind) == (((1, 1, 3), ((1, 0), (1, 1)), a1),)
+    assert skeleton(Path((1, 3), (RuleInstance((), c13, ()),)), ind) == ()
+
+
+def test_skeleton_search_swaps_disjoint_steps_across_a_trace():
+    sys = hecke_system(3, "rdoubleprime")
+    ind = _rank3_independent()
+    a1, a3, c13 = sys.rule("a1"), sys.rule("a3"), sys.rule("c13")
+    # From 1133 to 31: a1 first, then a3 on 331, a word of 133's trace; or
+    # a3 first.  The two steps are a natural square in 1133.
+    p = Path((1, 1, 3, 3), (
+        RuleInstance((), a1, (3, 3)),
+        RuleInstance((), c13, (3,)),
+        RuleInstance((3,), c13, ()),
+        RuleInstance((), a3, (1,)),
+    ))
+    q = Path((1, 1, 3, 3), (
+        RuleInstance((1, 1), a3, ()),
+        RuleInstance((), a1, (3,)),
+        RuleInstance((), c13, ()),
+    ))
+    search = skeleton_search(CellFamily(name="empty", members=()), ind)
+    assert search(p, q, 1) is PathVerdict.EQUIVALENT
+    assert search(p, q, 0) is PathVerdict.UNKNOWN
+    # The two a1 steps on 111 overlap: no move, and the search runs dry.
+    first = Path((1, 1, 1), (RuleInstance((), a1, (1,)), RuleInstance((), a1, ())))
+    second = Path((1, 1, 1), (RuleInstance((1,), a1, ()), RuleInstance((), a1, ())))
+    assert search(first, second, 100) is PathVerdict.EXHAUSTED
+    assert skeleton_search(cells_P(3), ind)(first, second, 1) is PathVerdict.EQUIVALENT
+    with pytest.raises(NotParallel):
+        search(p, first, 10)
+
+
+def test_skeleton_search_inserts_a_member_with_an_empty_side():
+    grow, drop = Rule("grow", (1,), (1, 1)), Rule("drop", (1, 1), (1,))
+    loop = Path((1,), (RuleInstance((), grow, ()), RuleInstance((), drop, ())))
+    search = skeleton_search(CellFamily(name="loop", members=((loop, Path((1,))),)), frozenset())
+    there = Path((2, 1, 2), tuple(st.whisker((2,), (2,)) for st in loop.steps))
+    assert search(Path((2, 1, 2)), there, 1) is PathVerdict.EQUIVALENT
+    assert search(there, Path((2, 1, 2)), 1) is PathVerdict.EQUIVALENT
 
 
 def test_cell_family_validates_members():

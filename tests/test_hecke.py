@@ -13,6 +13,7 @@ from srw.diagrams import (
     PathVerdict,
     natural_squares,
     paths_equivalent_mod_cells,
+    skeleton_search,
     whisker_ed,
 )
 from srw.hecke import (
@@ -315,13 +316,165 @@ def test_translation_identifies_definitions_and_fixes_cells(n):
         assert tuple(translate_to_basic(p, rdp) for p in pair) == pair
 
 
-def test_coherence_rank4_needs_the_definitions(monkeypatch):
-    """Without the definition members the rank-4 search loses classes."""
-    sys = hecke_system(4, "rfull")
-    assert hecke._verify_coherence(sys, 100000).detail.startswith("73/73 ")
-    monkeypatch.setattr(hecke, "definitions", lambda n: CellFamily(name="none", members=()))
-    item = hecke._verify_coherence(sys, 100000)
-    assert item.status == "UNKNOWN" and item.detail.startswith("71/73 "), item.detail
+# --- coherence: the quotient search against the concrete one ----------------
+
+# The concrete search takes the classes family by family in this order, and
+# within a family the classes with the larger braid feet first: a class may
+# need a class derived before it.  The quotient search needs no order.
+_CONCRETE_ORDER = "undo aa ac ac-mirror ab ba bb bc cc aB Ba bB BB cB Bc1 Bc2 Bc3 Bc4".split()
+
+
+def _concrete_key(cls: tuple[str, tuple[Path, Path]]) -> tuple:
+    label, sides = cls
+    kinds = [classify_rule(side.steps[0].rule) for side in sides]
+    feet = sorted(-k[2] for k in kinds if k[0] == "b")
+    return _CONCRETE_ORDER.index(label.split("@")[0]), feet
+
+
+def concrete_coherence(
+    n: int, family: CellFamily, bound: int, search=paths_equivalent_mod_cells
+) -> list[str]:
+    """The labels of the rank-n classes that the concrete path search does
+    not derive.  Each class of `hecke._coherence_classes`, in the order
+    above, runs over the mixed alphabet with its widest braids peeled one
+    level; `family` grows by each class derived, with its unpeeled sides.
+    `search` is called as `paths_equivalent_mod_cells`."""
+    M = hecke._mixed_rules(hecke_system(n, "rdoubleprime"))
+    lost = []
+    classes = hecke._coherence_classes(hecke_system(n, "rfull"))
+    for label, sides in sorted(classes, key=_concrete_key):
+        sides = tuple(hecke._peel(side, M, 0) for side in sides)  # width 0: none peeled
+        widest = max(hecke._width(st.rule) for side in sides for st in side.steps)
+        p, q = (hecke._peel(side, M, widest) for side in sides)
+        if search(p, q, family, bound) is PathVerdict.EQUIVALENT:
+            family = family.extended(sides, label)
+        else:
+            lost.append(label)
+    return lost
+
+
+def base_and_definitions(n: int) -> CellFamily:
+    base, defs = cells_P(n), definitions(n)
+    return CellFamily(base.name, base.members + defs.members, base.labels + defs.labels)
+
+
+def _members(n: int, *kinds: str) -> CellFamily:
+    """The members of `cells_P(n)` of the given kinds, as named in their labels."""
+    base = cells_P(n)
+    keep = [i for i, label in enumerate(base.labels) if label.split("(")[0] in kinds]
+    return CellFamily(
+        base.name, tuple(base.members[i] for i in keep), tuple(base.labels[i] for i in keep)
+    )
+
+
+def test_coherence_rank4_needs_the_definitions():
+    """Without the definition members the concrete rank-4 search over the
+    mixed alphabet loses classes."""
+    assert concrete_coherence(4, base_and_definitions(4), 100000) == []
+    assert sorted(concrete_coherence(4, cells_P(4), 100000)) == ["BB@432143214", "BB@43214324"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_quotient_verdicts_match_the_concrete_search(n):
+    """Each class that the concrete search derives the quotient derives, and
+    the other way round."""
+    rdp = hecke_system(n, "rdoubleprime")
+    search = skeleton_search(cells_P(n), hecke._hecke_rules(rdp).independent)
+    classes = hecke._coherence_classes(hecke_system(n, "rfull"))
+    verdicts = {
+        search(*(translate_to_basic(side, rdp) for side in sides), 100000) for _, sides in classes
+    }
+    assert len(classes) == {3: 25, 4: 73, 5: 163}[n]
+    assert concrete_coherence(n, base_and_definitions(n), 100000) == []
+    assert verdicts == {PathVerdict.EQUIVALENT}
+
+
+_RANK4_CONTROLS = {
+    "zz": "BB@3213213 BB@321323 BB@432143214 BB@43214324 "
+    "BB@4321434 BB@43243214 BB@4324324 BB@432434",
+    "aa": "aa@111 aa@222 aa@333 aa@444",
+    "ab": "ab@2212 aB@33213 ab@3323 aB@443214 aB@44324 ab@4434",
+    "ba": "ba@2122 Ba@32133 ba@3233 Ba@432144 Ba@43244 ba@4344",
+    "bb": "bb@21212 bB@323213 bb@32323 bB@4343214 bB@434324 bb@43434",
+}
+
+
+@pytest.mark.parametrize("dropped", sorted(_RANK4_CONTROLS))
+def test_coherence_rank4_negative_controls(monkeypatch, dropped):
+    """Without one family of the members that survive the quotient, rank 4
+    loses exactly the classes named, each EXHAUSTED (its search ran dry),
+    none cut by the bound."""
+    kinds = ("loop", "aa", "ab", "ba", "bb", "ac", "bc", "cc", "zz")
+    family = _members(4, *(k for k in kinds if k != dropped))
+    monkeypatch.setattr(hecke, "cells_P", lambda n: family)
+    item = hecke._verify_coherence(hecke_system(4, "rfull"), 100000)
+    lost = _RANK4_CONTROLS[dropped].split()
+    assert item.status == "UNKNOWN"
+    assert item.detail == (
+        f"{73 - len(lost)}/73 diagram classes derivable from the base family; "
+        f"not derivable by positive moves: {','.join(lost)}"
+    )
+
+
+def test_coherence_count_never_falls_as_the_bound_rises():
+    sys = hecke_system(3, "rfull")
+    counts = [
+        int(hecke._verify_coherence(sys, bound).detail.split("/")[0]) for bound in range(6)
+    ]
+    assert counts == sorted(counts) and counts[0] < counts[-1] == 25, counts
+
+
+def _crossings(n: int):
+    """Premise (B)'s squares: each letter x independent of every letter of
+    an idempotence or braid rule, on the left or the right of its source,
+    crosses the rule's step.  Yields (label, rewrite then move x, move x
+    then rewrite)."""
+    rdp = hecke_system(n, "rdoubleprime")
+    H = hecke._hecke_rules(rdp)
+    for r in H.descent_rules:
+        for x in range(1, n + 1):
+            if all((x, a) in H.independent for a in r.lhs):
+                for u, v in (((x,), ()), ((), (x,))):
+                    rewrite = RuleInstance(u, r, v)
+                    after = c_sort_path(rewrite.target, v + r.rhs + u, rdp)
+                    before = c_sort_path(rewrite.source, v + r.lhs + u, rdp)
+                    p = Path(rewrite.source, (rewrite,) + after.steps)
+                    q = Path(rewrite.source, before.steps + (RuleInstance(v, r, u),))
+                    yield f"{r.name}:{x}{'<' if u else '>'}", p, q
+
+
+@pytest.mark.parametrize("n, squares", [(3, 4), (4, 16), (5, 36), (6, 64)])
+def test_premise_b_crossings_derivable_from_commutation_members(n, squares):
+    """Premise (B) of `skeleton_search`: every crossing joins, by the
+    concrete search, with the loop, ac, bc and cc members alone."""
+    family = _members(n, "loop", "ac", "bc", "cc")
+    crossings = list(_crossings(n))
+    assert len(crossings) == squares
+    for label, p, q in crossings:
+        assert paths_equivalent_mod_cells(p, q, family, 20000) is PathVerdict.EQUIVALENT, label
+
+
+@pytest.mark.parametrize("n, length", [(4, 6), (5, 7)])
+def test_premise_a_commutation_paths_sampled(n, length):
+    """Premise (A) of `skeleton_search`, sampled: a random walk of
+    commutations and the sorting path to its end are equivalent, by the
+    concrete search, modulo the loop and cc members."""
+    rdp = hecke_system(n, "rdoubleprime")
+    H = hecke._hecke_rules(rdp)
+    family = _members(n, "loop", "cc")
+    rng = random.Random(n)
+    for _ in range(30):
+        w = cur = tuple(rng.randint(1, n) for _ in range(length))
+        steps = []
+        for _ in range(5):
+            free = [i for i in range(len(cur) - 1) if cur[i : i + 2] in H.independent]
+            if not free:
+                break
+            i = rng.choice(free)
+            steps.append(RuleInstance(cur[:i], H.c(*cur[i : i + 2]), cur[i + 2 :]))
+            cur = steps[-1].target
+        p, q = Path(w, tuple(steps)), c_sort_path(w, cur, rdp)
+        assert paths_equivalent_mod_cells(p, q, family, 50000) is PathVerdict.EQUIVALENT, p
 
 
 @given(st.integers(0, 10**6))
