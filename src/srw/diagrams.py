@@ -16,13 +16,12 @@ them by its right and bottom sides, until the frontier runs from both
 ends to a common sink.  `complete_tiling` glues at the first open corner
 and resumes its scan one place before it.
 
-The tiler and the path search code a step at word offset a as one int,
-a * _STRIDE + its rule's number, over one numbering for the process
-(`_CODER`, which numbers a rule on first sight, keeps its sides, and
-raises ValueError rather than number more rules than the stride holds).
-A code never changes once made, so tilings, the chooser memo and cell
-families share them, and whiskering by x letters on the left adds
-x * _STRIDE to every code.
+The tiler codes a step at word offset a as one int, a * _STRIDE + its
+rule's number, over one numbering for the process (`_CODER`, which
+numbers a rule on first sight, keeps its sides, and raises ValueError
+rather than number more rules than the stride holds).  A code never
+changes once made, so tilings and the chooser memo share them, and
+whiskering by x letters on the left adds x * _STRIDE to every code.
 
 In a tiling a node holds its word once; the frontier, edges and cells
 hold codes.  A repeated step closes with an improper cell, disjoint
@@ -38,28 +37,16 @@ into place.  Objects are built and validated only at the API: the
 `Tiling.cells`, `open_corners`, `nodes` and `edges`, `adjoin_at_corner`,
 `export_dot` and the exceptions' messages.
 
-A `CellFamily` is a set of parallel path pairs; `paths_equivalent_mod_cells`
-searches for a rewrite of one path into another by replacing whiskered
-occurrences of a member path with its partner (in both directions,
-including insertion and deletion of whiskered loops) and by commuting
-adjacent steps with disjoint redexes.  The verdict is
-one-sided: Equivalent means a chain of substitutions was found, Unknown
-means none was found within the search budget.  A state is a tuple of
-codes, cheap to hash, whose words are computed once when it is expanded.
-A member path occurs where the gaps between adjacent codes agree and its
-base word sits at the offset that the whisker's shift names.  So moves
-are keyed by their first rule and (first gap,), loop insertions by their
-base word (a word holds no tuple, so keys never clash), and each move
-memoises its whiskered copies.  `CellFamily.extended` codes only the new
-member and shares the parent's moves.  Neighbours come out in the order
-a full scan would find them (move, step index, offset, then swaps),
-which no rule number enters.  That order matters, because the budget
-cuts the search after a fixed number of new states: another order could
-change an Unknown at a given bound into Equivalent or back.
-
-`skeleton_search` asks the same question modulo commutations: its states
-are skeletons, the paths with their commutation steps read away, and it
-can also answer Exhausted (see its docstring).
+A `CellFamily` is a set of parallel path pairs.  The one path search,
+`paths_equivalent_mod_cells`, rewrites one path into another by
+replacing whiskered occurrences of a member path with its partner (in
+both directions, including insertion and deletion of whiskered loops)
+and by natural squares of adjacent steps, modulo a given set of
+commutations.  Its states are skeletons, the paths with their
+commutation steps read away; with no commutations a skeleton is the path
+itself.  The verdict is Equivalent when a chain of moves was found,
+Exhausted when a side's whole space was searched without one, and
+Unknown when the budget ran out first.
 """
 
 from __future__ import annotations
@@ -106,7 +93,6 @@ __all__ = [
     "NotParallel",
     "paths_equivalent_mod_cells",
     "skeleton",
-    "skeleton_search",
     "export_dot",
 ]
 
@@ -202,6 +188,9 @@ class Boundary:
 # A step at word offset a codes as a * _STRIDE + its rule's number: codes
 # stay below 2**30, one machine digit, for offsets under 2**14.
 _STRIDE = 1 << 16
+
+# A path's steps from a known start word, each coded as one int.
+_Codes = tuple[int, ...]
 
 
 class _Coder:
@@ -503,18 +492,13 @@ class NotParallel(ValueError):
 @dataclass(frozen=True)
 class CellFamily:
     """Named parallel path pairs; the path search takes them together with
-    all commuting squares of disjoint redexes.
-
-    The search codes the members on its first call and keeps that table
-    with the family.  `extended(pair, label)` is the family with one more
-    member; it codes only that member and reuses the parent's coded moves,
-    so a family grown a member at a time is coded once.  The parent is
-    unchanged, so one family can be extended twice."""
+    all natural squares, and keeps its memos with the family, one set per
+    commutation relation."""
 
     name: str
     members: tuple[tuple[Path, Path], ...]
     labels: tuple[str, ...] = ()
-    _table: _Table | None = field(default=None, init=False, repr=False, compare=False)
+    _searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for p, q in self.members:
@@ -523,168 +507,6 @@ class CellFamily:
         if self.labels and len(self.labels) != len(self.members):
             raise ValueError("labels must match members")
 
-    def extended(self, pair: tuple[Path, Path], label: str = "") -> CellFamily:
-        labels = self.labels + (label,) if len(self.labels) == len(self.members) else ()
-        child = CellFamily(self.name, self.members + (pair,), labels)
-        object.__setattr__(child, "_table", self._coded().plus(pair))
-        return child
-
-    def _coded(self) -> _Table:
-        if self._table is None:
-            table = _Table((), {})
-            for pair in self.members:
-                table = table.plus(pair)
-            object.__setattr__(self, "_table", table)
-        return self._table
-
-
-# A path's steps from a known start word, each coded as one int.
-_Codes = tuple[int, ...]
-
-
-def _gaps(c: _Codes) -> _Codes:
-    return tuple(y - x for x, y in zip(c, c[1:]))
-
-
-class _Table(NamedTuple):
-    """Members' moves, two each, coded by `_CODER`: (base, frm, to, frm's
-    gaps, key, whiskered), listed in `by_key` under their key."""
-
-    moves: tuple[tuple, ...]
-    by_key: dict[tuple, tuple[int, ...]]
-
-    def plus(self, pair: tuple[Path, Path]) -> _Table:
-        """A new table with pair's two moves after these, sharing them."""
-        moves, by_key = list(self.moves), dict(self.by_key)
-        ca, cb = _CODER.codes(pair[0].steps, pair[1].steps)
-        for frm, to in ((ca, cb), (cb, ca)):
-            g = _gaps(frm)
-            key = (frm[0] % _STRIDE, g[:1]) if frm else pair[0].start
-            by_key[key] = by_key.get(key, ()) + (len(moves),)
-            moves.append((pair[0].start, frm, to, g, key, {}))
-        return _Table(tuple(moves), by_key)
-
-
-def _replacements(
-    steps: _Codes, words: list[Word], gaps: _Codes, at: list[int], move: tuple
-) -> Iterator[_Codes]:
-    """Replace each whiskered occurrence of a move's coded path `frm`, from
-    `base`, by its `to`, trying the step indices `at` (ascending) where
-    frm's first rule, and gap to its second step, occur.  A whisker adds
-    one shift to every code, so frm occurs at i iff the gaps between
-    adjacent codes agree there and `base` sits at the offset shift names."""
-    base, frm, to, frm_gaps, _, whiskered = move
-    k = len(frm)
-    for i in at:
-        if i + k > len(steps):
-            break
-        shift = steps[i] - frm[0]  # offset * _STRIDE: the rules agree
-        if shift >= 0 and gaps[i : i + k - 1] == frm_gaps:
-            x = shift // _STRIDE
-            if words[i][x : x + len(base)] == base:
-                if shift not in whiskered:
-                    whiskered[shift] = tuple(c + shift for c in to)
-                yield steps[:i] + whiskered[shift] + steps[i + k :]
-
-
-def _insertions(steps: _Codes, places: list[tuple[int, int]], move: tuple) -> Iterator[_Codes]:
-    """Insert a whiskered copy of a move's `to`, a coded loop, at each (step
-    index, whisker shift) of `places`, where its base word occurs."""
-    to, whiskered = move[2], move[5]
-    for i, shift in places:
-        if shift not in whiskered:
-            whiskered[shift] = tuple(c + shift for c in to)
-        yield steps[:i] + whiskered[shift] + steps[i:]
-
-
-def _natural_swaps(steps: _Codes) -> Iterator[_Codes]:
-    """Commute adjacent coded steps whose redexes do not touch."""
-    S, lhs, rhs = _STRIDE, _CODER.lhs, _CODER.rhs
-    for i in range(len(steps) - 1):
-        c1, c2 = steps[i], steps[i + 1]
-        a1, r1 = divmod(c1, S)
-        a2, r2 = divmod(c2, S)
-        if a2 >= a1 + len(rhs[r1]):  # second redex right of the first rewrite
-            moved = (c2 + (len(lhs[r1]) - len(rhs[r1])) * S, c1)
-        elif a2 + len(lhs[r2]) <= a1:  # second redex left of the first rewrite
-            moved = (c2, c1 + (len(rhs[r2]) - len(lhs[r2])) * S)
-        else:
-            continue
-        yield steps[:i] + moved + steps[i + 2 :]
-
-
-def paths_equivalent_mod_cells(
-    p: Path, q: Path, family: CellFamily, bound: int = 10000
-) -> PathVerdict:
-    """Search for a chain of member substitutions turning p into q.
-
-    Bidirectional breadth-first search over step sequences; `bound`
-    limits the total number of explored states.  Equivalent is
-    definitive; Unknown only means the budget ran out.
-    """
-    if p.start != q.start or p.end != q.end:
-        raise NotParallel("paths must share start and end words")
-    if p.steps == q.steps:
-        return PathVerdict.EQUIVALENT
-    moves, by_key = family._coded()
-    S, lhs, rhs = _STRIDE, _CODER.lhs, _CODER.rhs
-    bases = {move[0] for move in moves if not move[1]}
-    found: dict[Word, list[tuple[Word, int]]] = {}  # word -> (loop base, offset * S) in it
-
-    def neighbours(steps: _Codes) -> Iterator[_Codes]:
-        words = [p.start]
-        for c in steps:
-            a, r = divmod(c, S)
-            words.append(words[-1][:a] + rhs[r] + words[-1][a + len(lhs[r]) :])
-        state_gaps = _gaps(steps)
-        at: dict[tuple, list[int]] = {}
-        for i, c in enumerate(steps):
-            at.setdefault((c % S, ()), []).append(i)
-            if i < len(state_gaps):
-                at.setdefault((c % S, state_gaps[i : i + 1]), []).append(i)
-        places: dict[Word, list[tuple[int, int]]] = {}
-        for i, w in enumerate(words):
-            if w not in found:
-                found[w] = [
-                    (b, x * S) for x in range(len(w) + 1) for b in bases if w[x : x + len(b)] == b
-                ]
-            for b, shift in found[w]:
-                places.setdefault(b, []).append((i, shift))
-        # In move order, then step index and offset, as a full scan would
-        # find them: the verdict at a given budget depends on that order.
-        for j in sorted(j for key in (*at, *places) for j in by_key.get(key, ())):
-            move = moves[j]
-            if move[1]:
-                yield from _replacements(steps, words, state_gaps, at[move[4]], move)
-            else:
-                yield from _insertions(steps, places[move[4]], move)
-        yield from _natural_swaps(steps)
-
-    frontiers = [[c] for c in _CODER.codes(p.steps, q.steps)]
-    seen = tuple(set(f) for f in frontiers)
-    budget = bound
-    while frontiers[0] and frontiers[1] and budget > 0:
-        me = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        mine, other = seen[me], seen[1 - me]
-        new: list[_Codes] = []
-        for state in frontiers[me]:
-            for nxt in neighbours(state):
-                if nxt in mine:
-                    continue
-                if nxt in other:
-                    return PathVerdict.EQUIVALENT
-                mine.add(nxt)
-                new.append(nxt)
-                budget -= 1
-                if budget <= 0:
-                    break
-            if budget <= 0:
-                break
-        frontiers[me] = new
-    return PathVerdict.UNKNOWN
-
-
-# --- path equivalence modulo commutations ----------------------------------
 
 SkeletonStep = tuple[Word, tuple[tuple[int, int], ...], Rule]
 
@@ -710,17 +532,22 @@ def skeleton(path: Path, independent: Pairs) -> tuple[SkeletonStep, ...]:
     )
 
 
-def skeleton_search(family: CellFamily, independent: Pairs):
-    """(p, q, bound) -> PathVerdict: whether p and q are equivalent modulo
-    `family` and commutations, by a bidirectional breadth-first search over
-    skeletons.
+def paths_equivalent_mod_cells(
+    p: Path, q: Path, family: CellFamily, bound: int = 10000, *, independent: Pairs = frozenset()
+) -> PathVerdict:
+    """Whether p and q are equivalent modulo `family`, natural squares and
+    commutations, by a bidirectional breadth-first search over skeletons.
 
-    Commutations are the rules s t -> t s with (s, t) in `independent`; any
-    other rule's right side must use letters of its left side only, as in
-    the Hecke systems.  Equal letters never commute, so a redex's labels are
-    the same in every word of a trace, and the trace after a step depends on
-    the trace and the redex alone: a letter left of the redex in one word
-    and right of it in another is independent of each letter of the redex.
+    Commutations are the rules s t -> t s with (s, t) in `independent`.
+    With none, a skeleton is the path itself: normal forms are the words,
+    placements are plain factors and a swap is the natural square of the
+    concrete word, for any system.  With some, any other rule's right side
+    must be non-empty and use letters of its left side only, as in the
+    Hecke systems; ValueError otherwise.  Equal letters never commute, so a
+    redex's labels are the same in every word of a trace, and the trace
+    after a step depends on the trace and the redex alone: a letter left of
+    the redex in one word and right of it in another is independent of
+    each letter of the redex.
 
     A state is a skeleton, its steps numbered on first sight.  Two moves:
     - replace a whiskered occurrence of a member side's skeleton by the
@@ -755,8 +582,20 @@ def skeleton_search(family: CellFamily, independent: Pairs):
     maps to one move or to none, so EXHAUSTED proves that no chain of
     positive moves exists.  This is rewriting modulo an equational theory
     (Jouannaud and Kirchner, SIAM J. Comput. 15, 1986); for coherence
-    modulo, Dupont and Malbos, JPAA 226, 2022.
+    modulo, Dupont and Malbos, JPAA 226, 2022.  The premises themselves are
+    checked by this search with no commutations.
     """
+    if p.start != q.start or p.end != q.end:
+        raise NotParallel("paths must share start and end words")
+    if independent not in family._searches:
+        family._searches[independent] = _search(family, independent)
+    return family._searches[independent](p, q, bound)
+
+
+def _search(family: CellFamily, independent: Pairs):
+    """(p, q, bound) -> PathVerdict, the search of
+    `paths_equivalent_mod_cells` over `family` modulo `independent`, with
+    its memos: numbered steps, placements and whiskered members."""
     ids: dict[SkeletonStep, int] = {}
     steps: list[SkeletonStep] = []
     where: list[tuple[Word, Word]] = []  # step id -> (left, right) of one word with its redex
@@ -766,6 +605,11 @@ def skeleton_search(family: CellFamily, independent: Pairs):
     def number(left: Word, rule: Rule, right: Word) -> int:
         st = _skeleton_step(left, rule, right, independent)
         if st not in ids:
+            if independent and not (rule.rhs and set(rule.rhs) <= set(rule.lhs)):
+                raise ValueError(
+                    f"rule {rule.name}: modulo commutations a right side must be "
+                    "non-empty and use letters of the left side only"
+                )
             ids[st] = len(steps)
             steps.append(st)
             where.append((left, right))
@@ -802,20 +646,27 @@ def skeleton_search(family: CellFamily, independent: Pairs):
         for k, a in enumerate(w):
             count[a] = count.get(a, -1) + 1
             pos[a, count[a]] = k
-        block = ((1 << len(r1.rhs)) - 1) << len(left)
         redex = [pos[label] for label in steps[y][1]]
-        mask = sum(1 << k for k in redex)
-        if mask & block or not block:
-            return None
-        down = trace_order(w, independent)[2]
-        y_first = any(down[k] & mask for k in range(len(left), len(left) + len(r1.rhs)))
-        if y_first and any(down[k] & block for k in redex):
-            return None
-        one, two = (mask, block) if y_first else (block, mask)
-        above = [(d & one != 0, d & two != 0) for d in down]
-        a = tuple(w[k] for k, (o, t) in enumerate(above) if not o and not t)
-        b = tuple(w[k] for k, (o, t) in enumerate(above) if o and not t and not one >> k & 1)
-        c = tuple(w[k] for k, (_, t) in enumerate(above) if t and not two >> k & 1)
+        if not independent:  # w is its own trace: y's redex is the factor w[lo:hi]
+            lo, hi, end = redex[0], redex[-1] + 1, len(left) + len(r1.rhs)
+            y_first = hi <= len(left)
+            if not y_first and lo < end:
+                return None
+            a, b, c = (w[:lo], w[hi : len(left)], right) if y_first else (left, w[end:lo], w[hi:])
+        else:
+            block = ((1 << len(r1.rhs)) - 1) << len(left)
+            mask = sum(1 << k for k in redex)
+            if mask & block:
+                return None
+            down = trace_order(w, independent)[2]
+            y_first = any(down[k] & mask for k in range(len(left), len(left) + len(r1.rhs)))
+            if y_first and any(down[k] & block for k in redex):
+                return None
+            one, two = (mask, block) if y_first else (block, mask)
+            above = [(d & one != 0, d & two != 0) for d in down]
+            a = tuple(w[k] for k, (o, t) in enumerate(above) if not o and not t)
+            b = tuple(w[k] for k, (o, t) in enumerate(above) if o and not t and not one >> k & 1)
+            c = tuple(w[k] for k, (_, t) in enumerate(above) if t and not two >> k & 1)
         if y_first:  # a lhs2 b rhs1 c is in the trace
             return number(a, r2, b + r1.lhs + c), number(a + r2.rhs + b, r1, c)
         return number(a + r1.lhs + b, r2, c), number(a, r1, b + r2.rhs + c)
@@ -837,9 +688,7 @@ def skeleton_search(family: CellFamily, independent: Pairs):
             if new is not None:
                 yield i, 2, new
 
-    def search(p: Path, q: Path, bound: int = 10000) -> PathVerdict:
-        if p.start != q.start or p.end != q.end:
-            raise NotParallel("paths must share start and end words")
+    def search(p: Path, q: Path, bound: int) -> PathVerdict:
         end = normal_form(p.end, independent)
         frontiers = [[read(p)], [read(q)]]
         if frontiers[0] == frontiers[1]:

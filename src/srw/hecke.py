@@ -40,15 +40,13 @@ The coherence item searches each diagram class modulo commutations.
 Both sides of the class's curated diagram are translated to rdoubleprime
 by `translate_to_basic`, which peels each long braid b(j, i), j - i >= 2,
 into c(i, j) past its foot and then b(j, i+1), until only basic braids
-are left.  `srw.diagrams.skeleton_search` then looks for a chain of
-whiskered `cells_P` members and natural squares between the two sides'
-skeletons, the paths with their commutation steps read away.  The loop,
-ac, bc and cc members have one skeleton on both sides and drop out of the
-search; they carry its premises (A) and (B), which the tests check
-concretely.  `definitions` holds one member per long braid, the step
-against its one-level peel, which full translation maps to one path (a
-Tietze transformation: Gaussent, Guiraud and Malbos, Compositio 151,
-2015, section 2).  Every class is derivable at ranks 2 to 8.
+are left.  `srw.diagrams.paths_equivalent_mod_cells`, given rdoubleprime's
+commutations, then looks for a chain of whiskered `cells_P` members and
+natural squares between the two sides' skeletons, the paths with their
+commutation steps read away.  The loop, ac, bc and cc members have one
+skeleton on both sides and drop out of the search; they carry its
+premises (A) and (B), which the tests check by the same search with no
+commutations.  Every class is derivable at ranks 2 to 8.
 
 `verify_suite` machine-checks the whole setup in five items, each with
 its status, detail and seconds, and folds the statuses into one verdict:
@@ -85,7 +83,7 @@ from .diagrams import (
     ElementaryDiagram,
     PathVerdict,
     natural_squares,
-    skeleton_search,
+    paths_equivalent_mod_cells,
     transpose_ed,
 )
 from .order import InstanceOrder, check_decreasing, check_naturals
@@ -105,7 +103,6 @@ __all__ = [
     "chosen_critical_ed_tagged",
     "hecke_provider",
     "cells_P",
-    "definitions",
     "translate_to_basic",
     "enumerate_monoid",
     "VerifyItem",
@@ -635,54 +632,10 @@ def cells_P(n: int) -> CellFamily:
     return CellFamily(name=f"P({n})", members=tuple(members), labels=tuple(labels))
 
 
-def _width(rule: Rule) -> int:
-    """The letters j - i + 1 that a braid b(j, i) spans; 0 for other rules."""
-    kind = classify_rule(rule)
-    return kind[1] - kind[2] + 1 if kind[0] == "b" else 0
-
-
-def _mixed_rules(rdp: SrsSystem) -> _HeckeRules:
-    """The alphabet that peeling works over: `rdp`'s rules plus rfull's
-    long braids b(j, i), j - i >= 2.  rfull's b(j, j-1) is read as rdp's b(j)."""
-    wide = tuple(r for r in hecke_system(rdp.n, "rfull").rules if _width(r) >= 3)
-    return _hecke_rules(SrsSystem(rdp.n, rdp.rules + wide))
-
-
-def _peel(path: Path, M: _HeckeRules, width: int) -> Path:
-    """`path` over M's rules, each braid b(j, i) that spans `width` >= 3
-    letters peeled one level by its definition: c(i, j) past the foot,
-    then b(j, i+1) with i moved into the right context."""
-    out: list[RuleInstance] = []
-    for st in path.steps:
-        if width > 2 and _width(st.rule) == width:
-            j, i = classify_rule(st.rule)[1:]
-            out.append(RuleInstance(st.left + _D(j, i + 1), M.c(i, j), st.right))
-            out.append(RuleInstance(st.left, M.b(j, i + 1), (i,) + st.right))
-        else:
-            out.append(RuleInstance(st.left, M.of(st.rule), st.right))
-    return Path(path.start, tuple(out))
-
-
-def definitions(n: int) -> CellFamily:
-    """One member per long braid b(j, i), j - i >= 2, in (j, i) order: on
-    the peak D(j, i)·j, the step b(j, i) against its one-level peel."""
-    M = _mixed_rules(hecke_system(n, "rdoubleprime"))
-    members: list[tuple[Path, Path]] = []
-    labels: list[str] = []
-    for j in range(3, n + 1):
-        for i in range(1, j - 1):
-            step = _walk(_D(j, i) + (j,), [(0, M.b(j, i))], M)
-            members.append((step, _peel(step, M, j - i + 1)))
-            labels.append(f"def({j},{i})")
-    return CellFamily(name=f"D({n})", members=tuple(members), labels=tuple(labels))
-
-
 def translate_to_basic(path: Path, target: SrsSystem) -> Path:
     """Rewrite an rfull path into the rdoubleprime presentation `target`:
     peel each long braid b(j, i) one level, c(i, j) past its foot and then
-    b(j, i+1) with i moved into the right context, until it is basic.  Each
-    step peels on its own, so this is `_peel` at each width from the widest
-    down, and each `definitions` member translates to one path."""
+    b(j, i+1) with i moved into the right context, until it is basic."""
     H = _hecke_rules(target)
     out: list[RuleInstance] = []
     for st in path.steps:
@@ -905,16 +858,16 @@ def _coherence_classes(sys: SrsSystem) -> list[tuple[str, tuple[Path, Path]]]:
 
 def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     """Each class's sides, translated to rdoubleprime, searched against
-    `cells_P` modulo commutations (`srw.diagrams.skeleton_search`).  A class
-    whose search runs dry is not derivable by positive moves, which does
-    not refute coherence: the item is then UNKNOWN, as when the bound cuts
-    a search."""
+    `cells_P` modulo commutations (`srw.diagrams.paths_equivalent_mod_cells`).
+    A class whose search runs dry is not derivable by positive moves, which
+    does not refute coherence: the item is then UNKNOWN, as when the bound
+    cuts a search."""
     rdp = hecke_system(sys.n, "rdoubleprime")
-    search = skeleton_search(cells_P(sys.n), _hecke_rules(rdp).independent)
-    verdicts = [
-        (label, search(*(translate_to_basic(side, rdp) for side in sides), bound))
-        for label, sides in _coherence_classes(sys)
-    ]
+    family, ind = cells_P(sys.n), _hecke_rules(rdp).independent
+    verdicts = []
+    for label, sides in _coherence_classes(sys):
+        p, q = (translate_to_basic(side, rdp) for side in sides)
+        verdicts.append((label, paths_equivalent_mod_cells(p, q, family, bound, independent=ind)))
     exhausted = [label for label, v in verdicts if v is PathVerdict.EXHAUSTED]
     unknown = [label for label, v in verdicts if v is PathVerdict.UNKNOWN]
     derivable = len(verdicts) - len(exhausted) - len(unknown)

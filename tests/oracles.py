@@ -11,15 +11,14 @@ of a bidirectional meet-in-the-middle search.  Tests compare the two
 routes; the oracle side is never implemented by calling into the
 package.
 
-The exception is `scan_path_search`, the reference for
-`srw.diagrams.paths_equivalent_mod_cells`: its verdict at a given budget
-depends on the order in which neighbours are found, so it keeps the
-library's order on purpose (every move, step index and word offset, in
-that nesting, then the adjacent swaps) and its bidirectional search, but
-finds each occurrence by a plain scan over `RuleInstance` steps instead
-of an index over coded steps.  `scan_neighbours` lists one state's
-neighbours in that order; the random-system test also walks it to build
-paths that the search should join.
+`scan_path_search` is the reference for
+`srw.diagrams.paths_equivalent_mod_cells` with no commutations: a
+bidirectional search over concrete `RuleInstance` steps that finds each
+member occurrence by a plain scan of every step index and word offset,
+where the library searches numbered skeleton steps at the placements of
+a trace.  Tests compare verdicts, not the order of neighbours.
+`scan_neighbours` lists one state's neighbours; the random-system test
+also walks it to build paths that the search should join.
 
 `natural_square` is the bare formula of a natural square, the reference
 for the coded squares behind `srw.diagrams.natural_squares` and the
@@ -418,9 +417,9 @@ def _adjacent_swaps(steps: tuple) -> list[tuple]:
 
 
 def scan_neighbours(start: Word, steps: tuple, moves: list) -> list[tuple]:
-    """The states one move from the path `steps` from `start`, in the
-    order the search meets them: every move (frm, to), step index and word
-    offset, in that nesting, then the adjacent swaps."""
+    """The states one move from the path `steps` from `start`: every move
+    (frm, to), step index and word offset, in that nesting, then the
+    adjacent swaps."""
     words = [start] + [s.target for s in steps]
     out = []
     for frm, to in moves:

@@ -1,5 +1,7 @@
 """Elementary diagrams, tiling, completion, path equivalence, dot export."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,6 @@ from srw.diagrams import (
     natural_squares,
     paths_equivalent_mod_cells,
     skeleton,
-    skeleton_search,
     transpose_ed,
     whisker_ed,
 )
@@ -49,7 +50,6 @@ from oracles import (
     scan_path_search,
     tiny_system,
 )
-from test_hecke import base_and_definitions, concrete_coherence
 from test_words import systems_with_words
 
 
@@ -313,12 +313,11 @@ class _Slotted:
         return self.choose(pair)
 
 
-def test_one_numbering_serves_tilings_and_path_searches(monkeypatch):
+def test_one_numbering_serves_the_tiler(monkeypatch):
     """From an empty numbering, tilings built while later systems' rules
     are numbered, a critical cell and a diagram adjoined by hand whose
     rule c31 is new all equal the reference tiler's; a path search then
-    numbers only the rules the tilings did not, and codes its members
-    through the same numbering."""
+    leaves the numbering as the tilings made it."""
     import random
     import weakref
 
@@ -364,20 +363,14 @@ def test_one_numbering_serves_tilings_and_path_searches(monkeypatch):
     t.adjoin_at_corner(0, ed, "critical", "by hand")
     assert t.cells == [CellRecord(ed, "critical", "by hand")]
     assert t.boundary().sink == (2, 3, 2, 1)
-    # A path search after tilings: each shared rule keeps its one number.
+    # A path search after tilings numbers no rule.
     for zig in _seeded_zigzags(rng, sys, 20):
         complete_tiling(Tiling(3, zig), hecke_provider(sys))
     tiled = list(diagrams._CODER.rules)
     base = cells_P(3)
     m = dict(zip(base.labels, base.members))
     assert paths_equivalent_mod_cells(*m["loop(1,3)"], base, 100) is PathVerdict.EQUIVALENT
-    searched = {st.rule for pair in base.members for path in pair for st in path.steps}
-    assert len(searched & set(tiled)) == 5
-    assert diagrams._CODER.rules[: len(tiled)] == tiled
-    numbered = diagrams._CODER.rules
-    assert len(set(numbered)) == len(numbered) and set(numbered) == set(tiled) | searched
-    coded = [move[1] for move in base._table.moves[::2]]
-    assert coded == [diagrams._CODER.codes(p.steps)[0] for p, _ in base.members]
+    assert diagrams._CODER.rules == tiled
 
 
 def test_the_numbering_stops_at_the_stride(monkeypatch):
@@ -474,9 +467,51 @@ def test_paths_equivalent_needs_the_right_cells():
     loop = Path((3, 1), (c31, c13))
     empty = Path((3, 1))
     bare = CellFamily(name="bare", members=())
-    assert paths_equivalent_mod_cells(loop, empty, bare, bound=500) is PathVerdict.UNKNOWN
+    assert paths_equivalent_mod_cells(loop, empty, bare, bound=500) is PathVerdict.EXHAUSTED
     fam = cells_P(3)
     assert paths_equivalent_mod_cells(loop, empty, fam, bound=500) is PathVerdict.EQUIVALENT
+
+
+@pytest.mark.parametrize("bound", [100, 2000, 20000])
+def test_a_missing_member_runs_the_search_dry(bound):
+    """Without loop(1,3) and zz(2), loop(1,3)'s sides have no chain: the
+    search says so at once, whatever the bound."""
+    base = cells_P(3)
+    m = dict(zip(base.labels, base.members))
+    kept = [label for label in base.labels if label not in ("loop(1,3)", "zz(2)")]
+    family = CellFamily(name="P", members=tuple(m[x] for x in kept), labels=tuple(kept))
+    t0 = time.perf_counter()
+    assert paths_equivalent_mod_cells(*m["loop(1,3)"], family, bound) is PathVerdict.EXHAUSTED
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _erasing_square():
+    """12 -e-> 2 -f-> () against 12 -f-> 1 -e-> (): one natural square of
+    two erasing steps."""
+    e, f = Rule("e", (1,), ()), Rule("f", (2,), ())
+    p = Path((1, 2), (RuleInstance((), e, (2,)), RuleInstance((), f, ())))
+    q = Path((1, 2), (RuleInstance((1,), f, ()), RuleInstance((), e, ())))
+    return p, q
+
+
+def test_erasing_steps_commute_by_their_natural_square():
+    p, q = _erasing_square()
+    empty = CellFamily(name="empty", members=())
+    none = frozenset()
+    assert paths_equivalent_mod_cells(p, q, empty, 1, independent=none) is PathVerdict.EQUIVALENT
+    assert paths_equivalent_mod_cells(q, p, empty, 1, independent=none) is PathVerdict.EQUIVALENT
+
+
+def test_commutations_refuse_an_erasing_rule():
+    p, q = _erasing_square()
+    empty = CellFamily(name="empty", members=())
+    ind = frozenset({(1, 3), (3, 1)})
+    with pytest.raises(ValueError, match="rule e: "):
+        paths_equivalent_mod_cells(p, q, empty, 10, independent=ind)
+    grow = Rule("grow", (1,), (1, 2))
+    p = Path((1,), (RuleInstance((), grow, ()),))
+    with pytest.raises(ValueError, match="rule grow: "):
+        paths_equivalent_mod_cells(p, p, empty, 10, independent=ind)
 
 
 def _hand_made_searches():
@@ -499,14 +534,12 @@ def _hand_made_searches():
     yield twice(side1, side2), twice(side2, side1), loops + (m["aa(1)"],)
 
 
-def _assert_matches_scan(p: Path, q: Path, members: tuple, max_bound: int = 100) -> None:
-    # The verdict at a budget depends on the order in which neighbours are
-    # found, so checking every bound up to past the search's need checks
-    # that order, not just the occurrences found.
+def _assert_matches_scan(p: Path, q: Path, members: tuple) -> None:
+    """q is a few of the oracle's moves from p: the oracle's scan and the
+    search both join them, the search without running dry."""
     fam = CellFamily(name="t", members=members)
-    for bound in range(1, max_bound + 1):
-        found = paths_equivalent_mod_cells(p, q, fam, bound) is PathVerdict.EQUIVALENT
-        assert found == scan_path_search(p, q, members, bound), (p, q, bound)
+    assert scan_path_search(p, q, members, 20000), (p, q)
+    assert paths_equivalent_mod_cells(p, q, fam, 20000) is PathVerdict.EQUIVALENT, (p, q)
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -515,78 +548,12 @@ def test_path_search_matches_scan_reference(case):
 
 
 def test_path_search_matches_scan_reference_rank3_coherence():
-    searches = []
-
-    def record(p, q, family, bound):
-        searches.append((p, q, family.members))
-        return paths_equivalent_mod_cells(p, q, family, bound)
-
-    assert concrete_coherence(3, base_and_definitions(3), 1000, record) == []
-    assert len(searches) == 25
-    for p, q, members in searches:
-        _assert_matches_scan(p, q, members)
-
-
-def _assert_same_verdicts(p: Path, q: Path, family: CellFamily, max_bound: int = 100) -> None:
-    """`family` and a family built at once from its members agree at every
-    bound: the order of neighbours does not depend on how it was coded."""
-    fresh = CellFamily(name=family.name, members=family.members, labels=family.labels)
-    for bound in range(1, max_bound + 1):
-        got = paths_equivalent_mod_cells(p, q, family, bound)
-        assert got is paths_equivalent_mod_cells(p, q, fresh, bound), (p, q, bound)
-
-
-@pytest.mark.parametrize("n, classes", [(3, 25), (4, 73)])
-def test_grown_coherence_family_matches_a_fresh_one(n, classes):
-    searches = []
-
-    def record(p, q, family, bound):
-        searches.append((p, q, family))
-        return paths_equivalent_mod_cells(p, q, family, bound)
-
-    assert concrete_coherence(n, base_and_definitions(n), 100000, record) == []
-    assert len(searches) == classes
-    sizes = [len(family.members) for _, _, family in searches]
-    assert sizes == list(range(sizes[0], sizes[0] + classes))  # grown one member a class
-    for p, q, family in searches:
-        _assert_same_verdicts(p, q, family)
-
-
-def test_extending_one_family_twice_keeps_the_children_apart():
-    base = cells_P(3)
-    m = dict(zip(base.labels, base.members))
-    kept = [label for label in base.labels if label not in ("loop(1,3)", "zz(2)")]
-    parent = CellFamily(name="P", members=tuple(m[x] for x in kept), labels=tuple(kept))
-    paths_equivalent_mod_cells(*m["ac(1,3)"], parent, 10)  # code the parent first
-    loop = parent.extended(m["loop(1,3)"], "loop(1,3)")
-    zz = parent.extended(m["zz(2)"], "zz(2)")
-    assert loop.labels[-1] == "loop(1,3)" and zz.labels[-1] == "zz(2)"
-    assert len(parent.members) == len(kept) and parent.labels == tuple(kept)
-    # Each child finds its own member and not its sibling's, in either order.
-    for family, mine, theirs in ((zz, "zz(2)", "loop(1,3)"), (loop, "loop(1,3)", "zz(2)")):
-        assert paths_equivalent_mod_cells(*m[mine], family, 100) is PathVerdict.EQUIVALENT
-        assert paths_equivalent_mod_cells(*m[theirs], family, 100) is PathVerdict.UNKNOWN
-        assert paths_equivalent_mod_cells(*m[theirs], parent, 100) is PathVerdict.UNKNOWN
-        _assert_same_verdicts(*m["loop(1,3)"], family, max_bound=60)
-        _assert_same_verdicts(*m["zz(2)"], family, max_bound=60)
-
-
-def test_extending_by_a_rule_the_family_lacks():
-    # def(3,1) is the only member with the long braid b31, which no member
-    # of cells_P(3) uses: the child codes it, and every code made before stays.
-    base = cells_P(3)
-    m = dict(zip(base.labels, base.members))
-    (d31,) = hecke.definitions(3).members
-    paths_equivalent_mod_cells(*m["ac(1,3)"], base, 10)
-    child = base.extended(d31, "def(3,1)")
-    grandchild = child.extended(m["loop(1,3)"], "again")
-    for family in (base, child, grandchild):
-        _assert_same_verdicts(*d31, family, max_bound=40)
-        _assert_same_verdicts(*m["loop(1,3)"], family, max_bound=40)
-    assert paths_equivalent_mod_cells(*d31, base, 100) is PathVerdict.UNKNOWN
-    assert paths_equivalent_mod_cells(*d31, child, 100) is PathVerdict.EQUIVALENT
-    with pytest.raises(NotParallel):
-        child.extended((d31[0], m["loop(1,3)"][1]), "bad")
+    """Each rank-3 class, translated to rdoubleprime, against `cells_P(3)`."""
+    rdp = hecke_system(3, "rdoubleprime")
+    classes = hecke._coherence_classes(hecke_system(3, "rfull"))
+    assert len(classes) == 25
+    for _, sides in classes:
+        _assert_matches_scan(*(hecke.translate_to_basic(s, rdp) for s in sides), cells_P(3).members)
 
 
 def _loop_rules(m: int) -> tuple[Rule, ...]:
@@ -668,7 +635,7 @@ def test_path_search_matches_scan_reference_on_random_systems(case, rng):
         nexts = [n for n in found if n != p.steps and all(s.rule != twin for s in n)]
         if nexts:
             steps = rng.choice(nexts)
-    _assert_matches_scan(p, Path(p.start, steps), members, max_bound=60)
+    _assert_matches_scan(p, Path(p.start, steps), members)
 
 
 def test_paths_equivalent_rejects_non_parallel():
@@ -719,14 +686,18 @@ def test_skeleton_search_swaps_disjoint_steps_across_a_trace():
         RuleInstance((), a1, (3,)),
         RuleInstance((), c13, ()),
     ))
-    search = skeleton_search(CellFamily(name="empty", members=()), ind)
+    empty = CellFamily(name="empty", members=())
+
+    def search(p, q, bound, family=empty):
+        return paths_equivalent_mod_cells(p, q, family, bound, independent=ind)
+
     assert search(p, q, 1) is PathVerdict.EQUIVALENT
     assert search(p, q, 0) is PathVerdict.UNKNOWN
     # The two a1 steps on 111 overlap: no move, and the search runs dry.
     first = Path((1, 1, 1), (RuleInstance((), a1, (1,)), RuleInstance((), a1, ())))
     second = Path((1, 1, 1), (RuleInstance((1,), a1, ()), RuleInstance((), a1, ())))
     assert search(first, second, 100) is PathVerdict.EXHAUSTED
-    assert skeleton_search(cells_P(3), ind)(first, second, 1) is PathVerdict.EQUIVALENT
+    assert search(first, second, 1, cells_P(3)) is PathVerdict.EQUIVALENT
     with pytest.raises(NotParallel):
         search(p, first, 10)
 
@@ -734,10 +705,10 @@ def test_skeleton_search_swaps_disjoint_steps_across_a_trace():
 def test_skeleton_search_inserts_a_member_with_an_empty_side():
     grow, drop = Rule("grow", (1,), (1, 1)), Rule("drop", (1, 1), (1,))
     loop = Path((1,), (RuleInstance((), grow, ()), RuleInstance((), drop, ())))
-    search = skeleton_search(CellFamily(name="loop", members=((loop, Path((1,))),)), frozenset())
+    family = CellFamily(name="loop", members=((loop, Path((1,))),))
     there = Path((2, 1, 2), tuple(st.whisker((2,), (2,)) for st in loop.steps))
-    assert search(Path((2, 1, 2)), there, 1) is PathVerdict.EQUIVALENT
-    assert search(there, Path((2, 1, 2)), 1) is PathVerdict.EQUIVALENT
+    assert paths_equivalent_mod_cells(Path((2, 1, 2)), there, family, 1) is PathVerdict.EQUIVALENT
+    assert paths_equivalent_mod_cells(there, Path((2, 1, 2)), family, 1) is PathVerdict.EQUIVALENT
 
 
 def test_cell_family_validates_members():
