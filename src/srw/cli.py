@@ -32,7 +32,9 @@ gives each item's seconds.
 the descendant graph behind each canonical form: commutation classes on
 a system that `srw.seminormal` takes modulo interchanges (rdoubleprime,
 rfull), words on any other; a graph cut short by it leaves the answer
-undecided.
+undecided.  An `equal` query without it goes through
+`srw.hecke.decide_equal`, which answers "different" on Hecke rules only
+with certified rfull's backing and "undecided" where that is missing.
 
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
@@ -72,10 +74,13 @@ from .diagrams import (
 )
 from .hecke import (
     VARIANTS,
+    Undecided,
+    decide_equal,
     enumerate_monoid,
     hecke_order,
     hecke_provider,
     hecke_system,
+    is_rfull,
     verify_suite,
 )
 from .order import check_decreasing, check_naturals, rule_rank_order
@@ -220,20 +225,10 @@ def parse_zigzag(s: str, sys: SrsSystem) -> Zigzag:
     return Zigzag(start, tuple(legs))
 
 
-def _is_rfull(sys: SrsSystem) -> bool:
-    """Whether the rules are those of `hecke_system(sys.n, "rfull")`."""
-    n = sys.n
-    # a-, b- and c-rules of rfull; counted first, so a large alphabet with
-    # few rules never builds the quadratically many rfull rules.
-    if len(sys.rules) != n + n * (n - 1) // 2 + (n - 1) * (n - 2):
-        return False
-    return set(sys.rules) == set(hecke_system(n, "rfull").rules)
-
-
 def _critical_chooser(sys: SrsSystem):
     """("curated", the curated Hecke diagrams) under the hecke order on rfull,
     the rules they cover; ("bfs", BFS joins) otherwise."""
-    if sys.order is not None and sys.order.name == "hecke" and _is_rfull(sys):
+    if sys.order is not None and sys.order.name == "hecke" and is_rfull(sys):
         return "curated", hecke_provider(sys)
     return "bfs", bfs_join_chooser(sys)
 
@@ -282,8 +277,11 @@ def cmd_equal(args: argparse.Namespace) -> Answer:
     u = parse_word(args.word1, sys)
     v = parse_word(args.word2, sys)
     try:
-        eq = words_equal(u, v, sys, args.max_words)
-    except (NotOneClass, Inexact, ValueError) as exc:
+        if args.max_words is None:
+            eq = decide_equal(u, v, sys)
+        else:
+            eq = words_equal(u, v, sys, args.max_words)
+    except (NotOneClass, Inexact, Undecided, ValueError) as exc:
         print(f"undecided: {exc}", file=_sysmod.stderr)
         return 1, None, []
     return 0 if eq else 1, {"equal": eq}, ["equal" if eq else "different"]

@@ -69,6 +69,16 @@ check rules, not words, and each PASS holds for every word:
   braids lower it.  A word of an attractor class reaches back every word
   it reaches, and no step raises the measure, so no step inside the class
   lowers it: every loop of every attractor class is made of interchanges.
+
+`certified(n)` is the confluence certificate that the naturals and
+criticals items make of rank-n rfull, computed once per rank and
+process.  `decide_equal` answers the word problem from it: one descent
+(`srw.seminormal.descend`) proves two words equal on any system that has
+one; distinct descents in certified rfull prove them different on every
+system whose rules are rfull rules (rprime, rdoubleprime, rfull under any
+order), as such a system's congruence lies inside rfull's; elsewhere the
+attractors decide, and distinct attractors that certified rfull joins
+leave the answer `Undecided`.
 """
 
 from __future__ import annotations
@@ -87,8 +97,7 @@ from .diagrams import (
     transpose_ed,
 )
 from .order import InstanceOrder, check_decreasing, check_naturals
-from .seminormal import measure_split
-from .traces import class_factors, normal_form
+from .seminormal import NoDescent, NotOneClass, descend, measure_split, words_equal
 from .words import Path, Rule, RuleInstance, SourceMismatch, SrsSystem, Word, explore
 
 __all__ = [
@@ -108,6 +117,10 @@ __all__ = [
     "VerifyItem",
     "VerifyReport",
     "verify_suite",
+    "Undecided",
+    "is_rfull",
+    "certified",
+    "decide_equal",
 ]
 
 
@@ -227,8 +240,7 @@ def _instance_key(inst: RuleInstance) -> tuple:
         return ((1, 1, kind[1], kind[2]), ())
     j, i = kind[1], kind[2]
     ctx = u + _D(j - 2, i) + v  # rewrite to the basic braid rule b_{j,j-1}
-    counts = tuple(sum(1 for g in ctx if g == m) for m in range(j, 0, -1))
-    return ((2, 0, j, 0), counts)
+    return ((2, 0, j, 0), tuple(map(ctx.count, range(j, 0, -1))))
 
 
 def hecke_order() -> InstanceOrder:
@@ -240,10 +252,9 @@ class _HeckeRules:
     `_hecke_rules`.
 
     Besides the rules by kind it holds `descent_rules`: the idempotence
-    and braid rules in name order, `independent`: the letter pairs (s, t)
-    that some commutation rule rewrites s t to t s, and `paired`: whether
-    every commutation's inverse is a rule as well, which makes
-    `independent` symmetric.  `sys` is the system indexed.
+    and braid rules in name order, and `independent`: the letter pairs
+    (s, t) that some commutation rule rewrites s t to t s.  `sys` is the
+    system indexed.
     """
 
     def __init__(self, sys: SrsSystem):
@@ -253,7 +264,6 @@ class _HeckeRules:
         rest = (r for r in sys.rules if classify_rule(r)[0] not in ("cf", "ci"))
         self.independent = frozenset(swaps)
         self.descent_rules = tuple(sorted(rest, key=lambda r: r.name))
-        self.paired = all((t, s) in swaps for s, t in swaps)
 
     def a(self, i: int) -> Rule:
         return self._by_kind[("a", i)]
@@ -655,51 +665,18 @@ def translate_to_basic(path: Path, target: SrsSystem) -> Path:
 
 
 def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
-    """Canonical form in a Hecke system with paired commutations.
-
-    Words modulo the commutation rules are traces (`srw.traces`), and a
-    class is named by its lex-least word, its normal form.  A class is the
-    attractor iff no idempotence or braid step applies anywhere in it;
-    otherwise any such step strictly lowers `_measure`, which commutations
-    keep (see the module docstring).  So the loop takes the normal form and
-    tries the descents in name order against the class's trace order, built
-    once by `class_factors` without listing the class; it rewrites the first
-    placement of the first rule that has one, until no descent is left.
-    The result is the final class's normal form.
-    `_memo` maps the normal forms met along the way to the result.
-    Cross-checked against the generic sink-class attractor in the tests.
+    """Canonical form in a Hecke system with paired commutations: the
+    descent of `srw.seminormal.descend`, which takes each class's normal
+    form and rewrites the first placement of the first idempotence or
+    braid rule until none is left.  `_memo` maps the normal forms met
+    along the way to the result.  Cross-checked against the generic
+    sink-class attractor in the tests.
 
     Raises ValueError when some commutation lacks its inverse (rprime
     from rank 3 on): commutation classes are then not the attractors,
     and distinct irreducible words may present one element.
     """
-    H = _hecke_rules(sys)
-    if not H.paired:
-        raise ValueError(
-            "canonical forms by commutation classes need every commutation "
-            "rule paired with its inverse"
-        )
-    memo: dict[Word, Word] = _memo if _memo is not None else {}
-    chain: list[Word] = []
-    cur = w
-    while True:
-        key = normal_form(cur, H.independent)
-        if key in memo:
-            result = memo[key]
-            break
-        chain.append(key)
-        factor = class_factors(key, H.independent)
-        for rule in H.descent_rules:
-            hit = next(factor(rule.lhs), None)
-            if hit is not None:
-                cur = hit[0] + rule.rhs + hit[1]
-                break
-        else:
-            result = key
-            break
-    for key in chain:
-        memo[key] = result
-    return result
+    return descend(w, sys, _memo)
 
 
 def enumerate_monoid(
@@ -897,3 +874,95 @@ def verify_suite(n: int, coherence_bound: int = 100000) -> VerifyReport:
         item = check()
         items.append(replace(item, seconds=time.perf_counter() - t0))
     return VerifyReport(n=n, items=tuple(items))
+
+
+# --- the word problem, certified --------------------------------------------
+
+
+class Undecided(RuntimeError):
+    """No certificate backs an answer, so the words may or may not be equal."""
+
+
+def is_rfull(sys: SrsSystem) -> bool:
+    """Whether the rules are those of `hecke_system(sys.n, "rfull")`."""
+    n = sys.n
+    # a-, b- and c-rules of rfull; counted first, so a large alphabet with
+    # few rules never builds the quadratically many rfull rules.
+    if len(sys.rules) != n + n * (n - 1) // 2 + (n - 1) * (n - 2):
+        return False
+    return set(sys.rules) == set(hecke_system(n, "rfull").rules)
+
+
+@lru_cache(maxsize=None)
+def certified(n: int) -> bool:
+    """Whether rank-n rfull under the hecke order carries a confluence
+    certificate: the naturals and criticals items of `verify_suite(n)`
+    both PASS.  Then every local peak, natural or critical, closes by a
+    diagram that the well-founded hecke order makes decreasing, and the
+    system is confluent (van Oostrom, TCS 126, 1994).  Computed once per
+    rank and process; keyed by the rank, as a system's order takes no part
+    in its equality."""
+    sys = hecke_system(n, "rfull")
+    return _verify_naturals(sys).status == "PASS" and _verify_criticals(sys).status == "PASS"
+
+
+@lru_cache(maxsize=16)
+def _rfull_letters(sys: SrsSystem) -> int | None:
+    """The largest letter of the rules when each is a rule of rfull
+    (`classify_rule` knows its shape), else None."""
+    try:
+        for r in sys.rules:
+            classify_rule(r)
+    except ValueError:
+        return None
+    return max(g for r in sys.rules for g in r.lhs + r.rhs)
+
+
+def _apart(u: Word, v: Word, sys: SrsSystem) -> bool | None:
+    """Whether certified rfull tells u and v apart, or None where it does
+    not apply: rank-m rfull, m the largest letter of u, v and the rules,
+    when each rule is one of its rules and `certified(m)`.  Derivations
+    from u and v use no other letters, so sys's congruence on them lies
+    inside that rfull's, and distinct descents there prove u and v
+    different in sys too."""
+    m = _rfull_letters(sys)
+    if m is None:
+        return None
+    m = max(m, *u, *v)
+    if not certified(m):
+        return None
+    full = hecke_system(m, "rfull")
+    return descend(u, full) != descend(v, full)
+
+
+def decide_equal(u: Word, v: Word, sys: SrsSystem) -> bool:
+    """Whether u and v present one element, with no bound, where some
+    certificate backs the answer:
+
+    - "equal" when the system has a descent (`srw.seminormal.descend`)
+      and u and v descend to one class: sound on every system;
+    - "different" when certified rfull tells them apart (`_apart`): on
+      rfull itself under any order, and on rprime and rdoubleprime;
+    - else the attractors of `srw.seminormal.words_equal`.  A shared one
+      proves "equal".  Distinct ones prove nothing without confluence:
+      where certified rfull holds the rules and joins u and v, the answer
+      is Undecided, and on any other system it is "different" as ever.
+
+    Raises NotOneClass, and ValueError on lengthening rules, as
+    `words_equal` does."""
+    try:
+        if descend(u, sys) == descend(v, sys):
+            return True
+    except NoDescent:
+        pass
+    apart = _apart(u, v, sys)
+    if apart:
+        return False
+    eq = words_equal(u, v, sys)
+    if eq or apart is None:
+        return eq
+    raise Undecided(
+        f"{sys.fmt(u)} and {sys.fmt(v)} settle into distinct classes, which proves "
+        "nothing without a confluence certificate, and certified rfull, whose "
+        "rules include this system's, gives them one canonical form"
+    )

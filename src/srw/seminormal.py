@@ -47,6 +47,25 @@ its normal form, which is also its lex-least member and so its `canon`,
 and one edge per distinct target class.  A start reaches the sinks that
 its class reaches.
 
+The descent.  `descend` follows one path of the quotient graph instead
+of building it: from a class's normal form it takes the first placement
+that `traces.class_factors` yields of the first lowering rule, in rule
+order, that has one, to the next class's normal form, and stops at a
+class where no lowering rule has a placement, a sink class.  Each step
+lowers `_measure`, and words of one length have finitely many measures,
+so the chain ends.  Its steps are interchanges and rule steps of the
+system, so a word is congruent to its descent, and two words with one
+descent are congruent on every system the route admits.  The converse
+needs confluence.  On a confluent system a word reaches one sink class
+only: two that it reaches have a common reduct, and a sink class
+reaches only itself.  Congruent words have a common reduct
+(Church-Rosser), and each reaches that reduct's sink class; so they
+descend to one class.  Distinct descents therefore prove two words
+different only with a confluence certificate, which `srw.hecke.certified`
+gives rfull by decreasing diagrams (van Oostrom, *Confluence by
+decreasing diagrams*, TCS 126, 1994).  Each normal form of a chain is
+memoised with the chain's end.
+
 The graphs.  `srw.words.explore` builds one descendant graph from each
 start in turn, or from each start's class normal form (a bound on its
 nodes that cuts it short raises `Inexact` naming the start).  One pass
@@ -66,8 +85,9 @@ recorded in part still answers right: an unrecorded member has an edge to
 a recorded one, a leaf, so its component is no sink and the union over
 its edges is the recorded class.  Bounded queries only write the memo, so
 their answers and `Inexact` messages never depend on earlier queries.
-The memo holds at most MEMO_WORDS entries over all systems; a graph that
-would overflow it clears it first.
+The attractor memo and the descent memo hold at most MEMO_WORDS entries
+together, over all systems; a graph or chain that would overflow them
+clears both first.
 """
 
 from __future__ import annotations
@@ -76,7 +96,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Collection, Iterable
 
-from .traces import class_factors, normal_form
+from .traces import Pairs, class_factors, normal_form
 from .words import Rule, SrsSystem, Word, explore, successors
 
 __all__ = [
@@ -88,6 +108,8 @@ __all__ = [
     "attractor",
     "canon",
     "words_equal",
+    "NoDescent",
+    "descend",
 ]
 
 
@@ -137,18 +159,34 @@ def measure_split(sys: SrsSystem) -> tuple[tuple[Rule, ...], tuple[Rule, ...], t
 _Route = tuple[Callable[[Word], Word], Callable[[Word], Collection[Word]]]
 
 
+class NoDescent(ValueError):
+    """The system fails the quotient route's premises, so it has no descent."""
+
+
 @lru_cache(maxsize=16)
-def _quotient(sys: SrsSystem) -> _Route | None:
-    """The quotient route for a system that meets its three premises
-    (module docstring), else None.  The route's two functions give a
-    word's class normal form, and the normal forms one non-interchange
-    step from a class, at every placement of every rule."""
+def _premises(sys: SrsSystem) -> tuple[Pairs, tuple[Rule, ...]] | None:
+    """The independent letter pairs and the lowering rules of a system
+    that meets the quotient route's three premises (module docstring),
+    else None."""
     swaps, lower, rest = measure_split(sys)
     independent = frozenset(r.lhs for r in swaps)
     if rest or any(r.lhs[::-1] not in independent for r in swaps):
         return None
     if any(not set(r.rhs) <= set(r.lhs) for r in lower):
         return None
+    return independent, lower
+
+
+@lru_cache(maxsize=16)
+def _quotient(sys: SrsSystem) -> _Route | None:
+    """The quotient route for a system that meets its three premises, else
+    None.  The route's two functions give a word's class normal form, and
+    the normal forms one non-interchange step from a class, at every
+    placement of every rule."""
+    premises = _premises(sys)
+    if premises is None:
+        return None
+    independent, lower = premises
 
     def key(w: Word) -> Word:
         return normal_form(w, independent)
@@ -254,23 +292,35 @@ def _condense(
     return comp, sinks
 
 
-# Words the memo holds over all systems.  A word_problem pass of the
-# benchmark records about 6,100 (6,097, 6,120 and 6,139 at seeds 1, 9020
-# and 777; about 29,000 on the word graph alone), so the bound leaves a
-# pass room to spare.
+# Entries the memos hold over all systems, attractors' and descents'
+# together.  A word_problem pass of the benchmark records about 3,700
+# (2,305 descents and 1,390 rprime words at seed 3101; about 6,100 class
+# normal forms when every query took the graph route, and about 29,000 on
+# the word graph alone), so the bound leaves a pass room to spare.
 MEMO_WORDS = 65536
 _MEMO: dict[SrsSystem, dict[Word, frozenset[AttractorClass]]] = {}
+_DESCENTS: dict[SrsSystem, dict[Word, Word]] = {}
+
+
+def _overflows(k: int) -> bool:
+    """Whether k more entries would take the memos past MEMO_WORDS."""
+    held = sum(map(len, _MEMO.values())) + sum(map(len, _DESCENTS.values()))
+    return held + k > MEMO_WORDS
+
+
+def _clear_memos() -> None:
+    for m in (*_MEMO.values(), *_DESCENTS.values()):
+        m.clear()
 
 
 def _record(memo: dict, adj: dict, comp: dict, sinks: list) -> None:
     """Record each word of a condensed graph in `memo`, `_MEMO`'s part for
     its system; a graph larger than MEMO_WORDS is not kept."""
     fresh = [w for w in adj if w not in memo]
-    if sum(map(len, _MEMO.values())) + len(fresh) > MEMO_WORDS:
+    if _overflows(len(fresh)):
         if len(adj) > MEMO_WORDS:
             return
-        for m in _MEMO.values():
-            m.clear()
+        _clear_memos()
         fresh = adj
     for w in fresh:
         memo[w] = sinks[comp[w]]
@@ -322,3 +372,44 @@ def words_equal(u: Word, v: Word, sys: SrsSystem, max_words: int | None = None) 
     strictly descending behaviour: congruent words share their attractor.
     """
     return canon(u, sys, max_words) == canon(v, sys, max_words)
+
+
+def descend(w: Word, sys: SrsSystem, memo: dict[Word, Word] | None = None) -> Word:
+    """The normal form of the sink class that w's first-placement chain
+    reaches (module docstring): from each class normal form, the first
+    placement of the first lowering rule, in rule order, that has one.
+    `memo` maps each normal form met on a chain to the chain's end; by
+    default it is the system's part of `_DESCENTS`, under MEMO_WORDS.
+    Raises NoDescent when the system fails the quotient route's premises."""
+    premises = _premises(sys)
+    if premises is None:
+        raise NoDescent(
+            "descent needs every interchange paired with its inverse and the "
+            "other rules lowering the measure within their left-hand letters"
+        )
+    independent, lower = premises
+    shared = memo is None
+    if memo is None:
+        memo = _DESCENTS.setdefault(sys, {})
+    chain: list[Word] = []
+    key = normal_form(w, independent)
+    while key not in memo:
+        chain.append(key)
+        factor = class_factors(key, independent)
+        for r in lower:
+            hit = next(factor(r.lhs), None)
+            if hit is not None:
+                key = normal_form(hit[0] + r.rhs + hit[1], independent)
+                break
+        else:
+            result = key
+            break
+    else:
+        result = memo[key]
+    if shared and _overflows(len(chain)):
+        if len(chain) > MEMO_WORDS:
+            return result
+        _clear_memos()
+    for k in chain:
+        memo[k] = result
+    return result

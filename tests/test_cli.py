@@ -2,13 +2,15 @@
 
 import functools
 import json
+import random
 
 import pytest
 
-from srw import cli, hecke
+from srw import cli, hecke, seminormal
 from srw.cli import build_parser, main, system_from_doc, system_to_doc
 from srw.hecke import hecke_system
 from srw.order import InstanceOrder
+from srw.words import find_redexes
 
 from oracles import all_words, commutation_class, fixpoint_reach
 
@@ -658,3 +660,53 @@ def test_completion_output_matches_the_golden_capture(tmp_path, capsys):
             case["exit"], case["stdout"], case["stderr"]
         ), argv
     assert len(golden["cases"]) == 192
+
+
+def test_rprime_different_needs_certified_rfull(h3prime, capsys):
+    # 3213 and 2321 are one step from the peak 3231 each, yet their rprime
+    # graphs end in distinct classes: no certificate backs "different".
+    code, out, err = run(capsys, ["equal", h3prime, "3213", "2321"])
+    assert (code, out) == (1, "")
+    assert err.startswith("undecided: 3213 and 2321 settle into distinct classes, ")
+    # 3231's rprime graph ends in two classes; certified rfull tells it from 1.
+    assert run(capsys, ["equal", h3prime, "3231", "1"]) == (1, "different\n", "")
+    code, out, err = run(capsys, ["equal", h3prime, "3231", "1", "--max-words", "1000"])
+    assert (code, out) == (1, "") and err == "undecided: 3231 settles into 2 distinct classes\n"
+
+
+def test_equal_with_one_descent_computes_no_certificate(h3full, capsys):
+    hecke.certified.cache_clear()
+    assert run(capsys, ["equal", h3full, "3213", "2321"]) == (0, "equal\n", "")
+    info = hecke.certified.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+    assert run(capsys, ["equal", h3full, "13", "12"]) == (1, "different\n", "")
+    assert run(capsys, ["equal", h3full, "31", "2"]) == (1, "different\n", "")
+    info = hecke.certified.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_certified_route_matches_graph_route(tmp_path, capsys, monkeypatch):
+    """A seeded sample of rank-4 rfull pairs, half of them a word and one of
+    its descendants: each query answers alike by the certified descents
+    and, under --max-words, by the graph route; the first never builds a
+    graph."""
+    h4 = str(tmp_path / "h4.json")
+    assert main(["hecke", "gen", "4", "--variant", "rfull", "-o", h4]) == 0
+    sys, rng = hecke_system(4, "rfull"), random.Random(31)
+    pairs = []
+    for k in range(120):
+        u = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 9)))
+        v = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 9)))
+        if k % 2:
+            v = u
+            for _ in range(rng.randint(1, 6)):
+                steps = find_redexes(v, sys)
+                if steps:
+                    v = rng.choice(steps).target
+        pairs.append((sys.fmt(u), sys.fmt(v)))
+    graph = [run(capsys, ["equal", h4, u, v, "--max-words", "100000"]) for u, v in pairs]
+    with monkeypatch.context() as mp:
+        mp.setattr(seminormal, "attractors", None)
+        certified = [run(capsys, ["equal", h4, u, v]) for u, v in pairs]
+    assert certified == graph
+    assert {out for _, out, _ in graph} == {"equal\n", "different\n"}

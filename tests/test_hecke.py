@@ -1,5 +1,6 @@
 """Hecke systems, curated diagrams, cell family, translation, enumeration."""
 
+import itertools
 import random
 import time
 
@@ -33,8 +34,14 @@ from srw.hecke import (
 )
 from srw import hecke, seminormal
 from srw.hecke import NotCSortable
-from srw.order import InstanceOrder, check_decreasing, check_naturals, is_decreasing_ed
-from srw.seminormal import attractor, canon as generic_canon
+from srw.order import (
+    InstanceOrder,
+    check_decreasing,
+    check_naturals,
+    is_decreasing_ed,
+    rule_rank_order,
+)
+from srw.seminormal import attractor, canon as generic_canon, words_equal
 from srw.traces import normal_form
 from srw.words import (
     Path,
@@ -865,3 +872,50 @@ def test_verify_naturals_covers_every_separator():
         "256 rule pairs decreasing for every separator and whisker "
         "(492 sides by the context margin, 20 by the head)"
     )
+
+
+def test_certificate_is_computed_once_per_rank():
+    hecke.certified.cache_clear()
+    assert [hecke.certified(n) for n in (1, 2, 3, 4, 4)] == [True] * 5
+    info = hecke.certified.cache_info()
+    assert (info.misses, info.hits) == (4, 1)
+
+
+def _answer(decide, u, v, sys):
+    try:
+        return decide(u, v, sys)
+    except (hecke.Undecided, seminormal.NotOneClass) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("n, max_len, undecided, not_one_class", [(3, 5, 54, 125), (4, 4, 2, 4)])
+def test_rprime_answers_are_never_wrong(n, max_len, undecided, not_one_class):
+    """Every pair of rprime words: "equal" and "different" agree with the
+    Demazure product, and the rest is undecided.  The graph route alone
+    answered 54 and 2 of these pairs wrongly "different"."""
+    sys = hecke_system(n, "rprime")
+    got = {"Undecided": 0, "NotOneClass": 0}
+    for u, v in itertools.combinations(all_words(n, max_len), 2):
+        a = _answer(hecke.decide_equal, u, v, sys)
+        if a in got:
+            got[a] += 1
+        else:
+            assert a == (demazure_product(u, n) == demazure_product(v, n)), (u, v)
+    assert got == {"Undecided": undecided, "NotOneClass": not_one_class}
+
+
+def test_uncertified_order_answers_as_the_graph_route():
+    """Negative control: rfull's rules under a rule-rank order.  Its
+    naturals item passes, as no rfull rule lengthens, but its curated
+    diagrams are not decreasing, so its own items certify nothing.  Every
+    answer is the graph route's: "equal" from one descent, "different"
+    from certified rfull under the hecke order, whose rules it has."""
+    full = hecke_system(3, "rfull")
+    sys = SrsSystem(3, full.rules, order=rule_rank_order({}))
+    assert hecke._verify_naturals(sys).status == "PASS"
+    assert hecke._verify_criticals(sys).status == "FAIL"
+    words = all_words(3, 3)
+    for u, v in itertools.product(words, words):
+        assert _answer(hecke.decide_equal, u, v, sys) == _answer(
+            words_equal, u, v, sys
+        ), (u, v)

@@ -10,10 +10,12 @@ from srw.hecke import classify_rule, hecke_system
 from srw.seminormal import (
     MEMO_WORDS,
     Inexact,
+    NoDescent,
     NotOneClass,
     attractor,
     attractors,
     canon,
+    descend,
     words_equal,
 )
 from srw.words import Rule, SrsSystem, find_redexes
@@ -426,3 +428,41 @@ def test_canon_is_a_class_invariant(a, b):
         assert canon(u, sys) == canon(v, sys)
     else:
         assert canon(u, sys) != canon(v, sys)
+
+
+@pytest.mark.parametrize("n, max_len, count", [(3, 6, 1093), (4, 5, 1365)])
+def test_descent_matches_canon_on_rfull(n, max_len, count, monkeypatch):
+    """The first-placement descent ends at the graph route's canon on every
+    rfull word of up to max_len letters, each from empty memos (longest
+    words first, so that descents run whole chains)."""
+    monkeypatch.setattr(seminormal, "_MEMO", {})
+    monkeypatch.setattr(seminormal, "_DESCENTS", {})
+    sys = hecke_system(n, "rfull")
+    words = all_words(n, max_len)[::-1]
+    assert len(words) == count
+    descents = [descend(w, sys) for w in words]
+    assert [w for w, d in zip(words, descents) if d != canon(w, sys)] == []
+
+
+def test_descent_needs_the_quotient_premises():
+    with pytest.raises(NoDescent, match="paired with its inverse"):
+        descend((3, 2, 1), hecke_system(3, "rprime"))
+    assert descend((2, 1, 2, 2), hecke_system(2, "rprime")) == (1, 2, 1)
+
+
+def test_descent_memo_shares_the_bound(monkeypatch):
+    # Descents and attractors together stay under one bound.
+    sys = hecke_system(4, "rfull")
+    words = list(itertools.islice(itertools.product((4, 3, 2, 1), repeat=6), 0, None, 97))
+    want = [canon(w, sys) for w in words]
+    bound = 40
+    monkeypatch.setattr(seminormal, "MEMO_WORDS", bound)
+    monkeypatch.setattr(seminormal, "_MEMO", {})
+    monkeypatch.setattr(seminormal, "_DESCENTS", {})
+    held = []
+    for w, c in zip(words, want):
+        assert descend(w, sys) == c == attractor(w, sys).canon, w
+        held.append(_memo_words() + sum(map(len, seminormal._DESCENTS.values())))
+        assert held[-1] <= bound
+        assert all(descend(k, sys, {}) == d for k, d in seminormal._DESCENTS[sys].items())
+    assert any(b < a for a, b in zip(held, held[1:]))  # it overflowed
