@@ -32,9 +32,10 @@ gives each item's seconds.
 the descendant graph behind each canonical form: commutation classes on
 a system that `srw.seminormal` takes modulo interchanges (rdoubleprime,
 rfull), words on any other; a graph cut short by it leaves the answer
-undecided.  An `equal` query without it goes through
-`srw.hecke.decide_equal`, which answers "different" on Hecke rules only
-with certified rfull's backing and "undecided" where that is missing.
+undecided.  `equal` goes through `srw.hecke.decide_equal`, which answers
+"different" on Hecke rules only with certified rfull's backing and
+"undecided" where that is missing; under `--max-words` the bounded
+graphs answer first.
 
 Exit status: 0 for success or a passing check, 1 for a failing check or
 an undecided computation (`hecke verify` exits 1 on UNKNOWN as on FAIL),
@@ -84,7 +85,7 @@ from .hecke import (
     verify_suite,
 )
 from .order import check_decreasing, check_naturals, rule_rank_order
-from .seminormal import Inexact, NotOneClass, canon, words_equal
+from .seminormal import Inexact, NotOneClass, canon
 from .words import (
     BACKWARD,
     FORWARD,
@@ -277,10 +278,7 @@ def cmd_equal(args: argparse.Namespace) -> Answer:
     u = parse_word(args.word1, sys)
     v = parse_word(args.word2, sys)
     try:
-        if args.max_words is None:
-            eq = decide_equal(u, v, sys)
-        else:
-            eq = words_equal(u, v, sys, args.max_words)
+        eq = decide_equal(u, v, sys, args.max_words)
     except (NotOneClass, Inexact, Undecided, ValueError) as exc:
         print(f"undecided: {exc}", file=_sysmod.stderr)
         return 1, None, []

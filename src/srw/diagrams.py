@@ -126,9 +126,10 @@ def natural_squares(sys: SrsSystem) -> Iterator[tuple[tuple[Rule, Rule], Element
     transpose-invariant."""
     for r1 in sys.rules:
         for r2 in sys.rules:
-            ((h, v),) = _CODER.codes([RuleInstance((), r1, r2.lhs), RuleInstance(r1.lhs, r2, ())])
-            right, bottom, _ = _natural(h, v)
-            yield (r1, r2), _diagram(r1.lhs + r2.lhs, h, v, (right,), (bottom,))
+            top, left = RuleInstance((), r1, r2.lhs), RuleInstance(r1.lhs, r2, ())
+            right = Path(top.target, (RuleInstance(r1.rhs, r2, ()),))
+            bottom = Path(left.target, (RuleInstance((), r1, r2.rhs),))
+            yield (r1, r2), ElementaryDiagram(top, left, right, bottom)
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:

@@ -50,9 +50,13 @@ commutations.  Every class is derivable at ranks 2 to 8.
 
 `verify_suite` machine-checks the whole setup in five items, each with
 its status, detail and seconds, and folds the statuses into one verdict:
-FAIL over UNKNOWN over PASS.  The chosen critical diagrams go through
-`srw.order.check_decreasing` and the natural squares through
-`srw.order.check_naturals`, the checks that `srw check-decreasing` runs.
+FAIL over UNKNOWN over PASS.  A diagram class is one unordered critical
+pair with its curated diagram, in the orientation met first; the classes
+are built once per system, and the criticals item, the coherence item and
+`certified` share them.  The criticals item checks each class once through
+`srw.order.check_decreasing`, as decreasingness is transpose-invariant,
+and the natural squares go through `srw.order.check_naturals`, the checks
+that `srw check-decreasing` runs.
 `_instance_key` is additive in that module's sense, so one square per
 ordered rule pair covers every separator and every outer whisker.  The
 two other measures the suite uses are additive as well, so their items
@@ -78,12 +82,13 @@ one; distinct descents in certified rfull prove them different on every
 system whose rules are rfull rules (rprime, rdoubleprime, rfull under any
 order), as such a system's congruence lies inside rfull's; elsewhere the
 attractors decide, and distinct attractors that certified rfull joins
-leave the answer `Undecided`.
+leave the answer `Undecided`, bounded or not.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -748,14 +753,25 @@ def _verify_naturals(sys: SrsSystem) -> VerifyItem:
     return VerifyItem(name, "PASS", detail)
 
 
-def _verify_criticals(sys: SrsSystem) -> VerifyItem:
-    labelled = []
-    families: dict[str, int] = {}
+@lru_cache(maxsize=16)
+def _diagram_classes(sys: SrsSystem) -> tuple[tuple[CriticalPair, ElementaryDiagram, str], ...]:
+    """Each diagram class of `sys`: one unordered critical pair, in the
+    orientation met first, with its curated diagram and family.  Built once
+    per system; the criticals and coherence items and `certified` read it."""
+    chosen: dict[frozenset, tuple[CriticalPair, ElementaryDiagram, str]] = {}
     for pair in enumerate_critical_pairs(sys):
-        ed, name, _ = chosen_critical_ed_tagged(pair, sys)
-        labelled.append(((name, pair), ed))
-        families[name] = families.get(name, 0) + 1
-    rep = check_decreasing(sys.order, labelled)
+        key = frozenset((pair.first, pair.second))
+        if key not in chosen:
+            chosen[key] = (pair,) + chosen_critical_ed_tagged(pair, sys)[:2]
+    return tuple(chosen.values())
+
+
+def _verify_criticals(sys: SrsSystem) -> VerifyItem:
+    """Each diagram class checked once: decreasingness is transpose-invariant
+    (`srw.order`), so its diagram and the transpose close both orders of the
+    pair, which `enumerate_critical_pairs` both lists."""
+    classes = _diagram_classes(sys)
+    rep = check_decreasing(sys.order, (((name, pair), ed) for pair, ed, name in classes))
     if not rep.ok:
         (name, pair), why = rep.failures[0]
         return VerifyItem(
@@ -763,11 +779,12 @@ def _verify_criticals(sys: SrsSystem) -> VerifyItem:
             "FAIL",
             f"{name} diagram for {pair.render(sys.n)} not decreasing: {why}",
         )
-    fam = ",".join(f"{k}:{v}" for k, v in sorted(families.items()))
+    families = Counter(name for _, _, name in classes)
+    fam = ",".join(f"{k}:{2 * v}" for k, v in sorted(families.items()))
     return VerifyItem(
         "critical-pairs-covered",
         "PASS",
-        f"{rep.checked} ordered pairs covered by decreasing diagrams ({fam})",
+        f"{2 * rep.checked} ordered pairs covered by decreasing diagrams ({fam})",
     )
 
 
@@ -822,15 +839,8 @@ def _verify_attractor_loops(sys: SrsSystem) -> VerifyItem:
 
 def _coherence_classes(sys: SrsSystem) -> list[tuple[str, tuple[Path, Path]]]:
     """Each diagram class of `sys` as its label, family@peak, and the two
-    sides of its curated diagram: one per unordered critical pair, in the
-    orientation met first."""
-    chosen: dict[frozenset, tuple[str, tuple[Path, Path]]] = {}
-    for pair in enumerate_critical_pairs(sys):
-        key = frozenset((pair.first, pair.second))
-        if key not in chosen:
-            ed, name, _ = chosen_critical_ed_tagged(pair, sys)
-            chosen[key] = (f"{name}@{sys.fmt(pair.peak)}", _sides(ed))
-    return list(chosen.values())
+    sides of its curated diagram."""
+    return [(f"{name}@{sys.fmt(pair.peak)}", _sides(ed)) for pair, ed, name in _diagram_classes(sys)]
 
 
 def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
@@ -935,9 +945,9 @@ def _apart(u: Word, v: Word, sys: SrsSystem) -> bool | None:
     return descend(u, full) != descend(v, full)
 
 
-def decide_equal(u: Word, v: Word, sys: SrsSystem) -> bool:
-    """Whether u and v present one element, with no bound, where some
-    certificate backs the answer:
+def decide_equal(u: Word, v: Word, sys: SrsSystem, max_words: int | None = None) -> bool:
+    """Whether u and v present one element, where some certificate backs
+    the answer:
 
     - "equal" when the system has a descent (`srw.seminormal.descend`)
       and u and v descend to one class: sound on every system;
@@ -948,18 +958,25 @@ def decide_equal(u: Word, v: Word, sys: SrsSystem) -> bool:
       where certified rfull holds the rules and joins u and v, the answer
       is Undecided, and on any other system it is "different" as ever.
 
-    Raises NotOneClass, and ValueError on lengthening rules, as
+    Under `max_words` the attractors, each graph within that bound, answer
+    first, and `_apart` is asked only whether their "different" stands.
+
+    Raises NotOneClass, Inexact and ValueError on lengthening rules, as
     `words_equal` does."""
-    try:
-        if descend(u, sys) == descend(v, sys):
-            return True
-    except NoDescent:
-        pass
-    apart = _apart(u, v, sys)
-    if apart:
-        return False
-    eq = words_equal(u, v, sys)
-    if eq or apart is None:
+    apart = None
+    if max_words is None:
+        try:
+            if descend(u, sys) == descend(v, sys):
+                return True
+        except NoDescent:
+            pass
+        apart = _apart(u, v, sys)
+        if apart:
+            return False
+    eq = words_equal(u, v, sys, max_words)
+    if not eq and max_words is not None:
+        apart = _apart(u, v, sys)
+    if eq or apart is not False:
         return eq
     raise Undecided(
         f"{sys.fmt(u)} and {sys.fmt(v)} settle into distinct classes, which proves "

@@ -15,9 +15,10 @@ r_1 .. r_m and bottom path d_1 .. d_n is *decreasing* when
       and (u > r_t or l > r_t) for all t > s.
 
 Transposing a diagram swaps the two conditions, so decreasingness is
-transpose-invariant.  `check_decreasing` runs the check over a family of
-labelled diagrams: the critical diagrams of `srw check-decreasing` and the
-chosen critical diagrams of `verify_suite` go through it.
+transpose-invariant.  `is_decreasing_ed` keys each step once per check
+and compares the keys.  `check_decreasing` runs the check over a family
+of labelled diagrams: the critical diagrams of `srw check-decreasing` and
+the diagram classes of `verify_suite` go through it.
 
 `check_naturals` is the one natural-square check of both.  It decides the
 natural squares x · r1 · w · r2 · y for every separator w and whisker
@@ -110,27 +111,21 @@ class DecreasingWitness:
     reason: str | None = None
 
 
-def _side_split(
-    order: InstanceOrder,
-    anchor: RuleInstance,
-    other: RuleInstance,
-    steps: tuple[RuleInstance, ...],
-) -> tuple[int | None, str]:
-    """Find a split index for one convergence side.
+def _side_split(anchor: tuple, other: tuple, steps: list[tuple]) -> tuple[int | None, str]:
+    """Find a split index for one convergence side, from the steps' keys.
 
     `anchor` is the parallel boundary step (top for the bottom path, left
     for the right path); steps before the split must be dominated by
     `other`, the split step must be equivalent to `anchor`, and steps
     after the split must be dominated by `other` or `anchor`.
     """
-    gt, sim = order.greater, order.equivalent
     for j in range(len(steps) + 1):
-        if j > 0 and not sim(anchor, steps[j - 1]):
+        if j > 0 and anchor != steps[j - 1]:
             continue
         for k, st in enumerate(steps, start=1):
-            if k < j and not gt(other, st):
+            if k < j and not other > st:
                 break
-            if k > j and not (gt(other, st) or gt(anchor, st)):
+            if k > j and not (other > st or anchor > st):
                 break
         else:
             return j, ""
@@ -143,12 +138,14 @@ def _side_split(
 def is_decreasing_ed(
     order: InstanceOrder, ed: "ElementaryDiagram"
 ) -> tuple[bool, DecreasingWitness]:
-    """Check the two decreasingness conditions for an elementary diagram."""
-    u, l = ed.top, ed.left
-    j, why_j = _side_split(order, anchor=u, other=l, steps=tuple(ed.bottom.steps))
+    """Check the two decreasingness conditions for an elementary diagram,
+    keying each of its steps once."""
+    key = order.key
+    u, l = key(ed.top), key(ed.left)
+    j, why_j = _side_split(u, l, [key(st) for st in ed.bottom.steps])
     if j is None:
         return False, DecreasingWitness(ok=False, reason=f"bottom path: {why_j}")
-    s, why_s = _side_split(order, anchor=l, other=u, steps=tuple(ed.right.steps))
+    s, why_s = _side_split(l, u, [key(st) for st in ed.right.steps])
     if s is None:
         return False, DecreasingWitness(ok=False, reason=f"right path: {why_s}")
     return True, DecreasingWitness(ok=True, j=j, s=s)

@@ -29,6 +29,10 @@ chooser's bare cells itself, and calls no tiling code of `srw.diagrams`.  `natur
 up to a separator length: the reference for `srw.order.check_naturals`,
 which decides them all from the squares without a separator.
 
+`compared_decreasing` decides decreasingness with one call of the
+order's `greater` or `equivalent` per comparison, the reference for
+`srw.order.is_decreasing_ed`, which keys each step once.
+
 `labelled_class` is the commutation class under any independent letter
 pairs, each member's letters tagged with their positions in the start
 word; `class_placements` reads from it the position sets that spell a
@@ -277,6 +281,36 @@ def natural_squares_upto(sys: SrsSystem, max_mid: int):
         for r2 in sys.rules:
             for w in separators:
                 yield (r1, w, r2), natural_square(r1, w, r2)
+
+
+def compared_decreasing(order, ed) -> tuple[bool, int | None, int | None, str | None]:
+    """(ok, j, s, reason) of the decreasingness conditions for a diagram
+    with top, left, right and bottom, each comparison one `order.greater`
+    or `order.equivalent` call: the least split index j of the bottom path
+    and s of the right path, or the first side that has none, named by
+    its first step dominated by neither boundary step."""
+
+    def split(anchor, other, steps):
+        def dominated(k, st, j):
+            if k < j:
+                return order.greater(other, st)
+            return order.greater(other, st) or order.greater(anchor, st)
+
+        for j in range(len(steps) + 1):
+            if j and not order.equivalent(anchor, steps[j - 1]):
+                continue
+            if all(dominated(k, st, j) for k, st in enumerate(steps, 1) if k != j):
+                return j, None
+        k = next(k for k, st in enumerate(steps, 1) if not dominated(k, st, 0))
+        return None, f"step {k} not dominated by either side"
+
+    j, why = split(ed.top, ed.left, tuple(ed.bottom.steps))
+    if j is None:
+        return False, None, None, f"bottom path: {why}"
+    s, why = split(ed.left, ed.top, tuple(ed.right.steps))
+    if s is None:
+        return False, None, None, f"right path: {why}"
+    return True, j, s, None
 
 
 def _whisker_square(sq: Square, u: Word, v: Word) -> Square:

@@ -35,6 +35,64 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# The item lines of `srw hecke verify n`, as the per-pair criticals check
+# printed them before the checks shared one diagram per class.
+_VERIFY_ITEMS = {
+    3: (
+        "natural-diagrams-decreasing: PASS (64 rule pairs decreasing for every "
+        "separator and whisker (123 sides by the context margin, 5 by the head))",
+        "critical-pairs-covered: PASS (50 ordered pairs covered by decreasing "
+        "diagrams "
+        "(BB:4,Ba:2,Bc2:2,Bc3:2,aB:2,aa:6,ab:4,ac:2,ac-mirror:2,bB:2,ba:4,bb:4,undo:14))",
+        "commutation-subsystem: PASS (terminating (each of 1 rules removes one "
+        "inversion in every context), 0 critical pairs all cc-shaped and joinable)",
+        "attractor-loops-are-commutations: PASS (2 interchanges keep the measure "
+        "(length, count of each letter, largest first) and 6 other rules lower it, so "
+        "every loop step is a commutation, for every word)",
+        "coherence: PASS (25/25 diagram classes derivable from the base family)",
+    ),
+    4: (
+        "natural-diagrams-decreasing: PASS (256 rule pairs decreasing for every "
+        "separator and whisker (492 sides by the context margin, 20 by the head))",
+        "critical-pairs-covered: PASS (146 ordered pairs covered by decreasing "
+        "diagrams "
+        "(BB:16,Ba:6,Bc1:2,Bc2:6,Bc3:6,Bc4:2,aB:6,aa:8,ab:6,ac:6,ac-mirror:6,bB:6,ba:6,bb:6,bc:2,undo:56))",
+        "commutation-subsystem: PASS (terminating (each of 3 rules removes one "
+        "inversion in every context), 0 critical pairs all cc-shaped and joinable)",
+        "attractor-loops-are-commutations: PASS (6 interchanges keep the measure "
+        "(length, count of each letter, largest first) and 10 other rules lower it, "
+        "so every loop step is a commutation, for every word)",
+        "coherence: PASS (73/73 diagram classes derivable from the base family)",
+    ),
+    5: (
+        "natural-diagrams-decreasing: PASS (729 rule pairs decreasing for every "
+        "separator and whisker (1408 sides by the context margin, 50 by the head))",
+        "critical-pairs-covered: PASS (326 ordered pairs covered by decreasing "
+        "diagrams "
+        "(BB:40,Ba:12,Bc1:8,Bc2:12,Bc3:12,Bc4:8,aB:12,aa:10,ab:8,ac:12,ac-mirror:12,bB:12,ba:8,bb:8,bc:6,cB:2,cc:2,undo:142))",
+        "commutation-subsystem: PASS (terminating (each of 6 rules removes one "
+        "inversion in every context), 2 critical pairs all cc-shaped and joinable)",
+        "attractor-loops-are-commutations: PASS (12 interchanges keep the measure "
+        "(length, count of each letter, largest first) and 15 other rules lower it, "
+        "so every loop step is a commutation, for every word)",
+        "coherence: PASS (163/163 diagram classes derivable from the base family)",
+    ),
+    6: (
+        "natural-diagrams-decreasing: PASS (1681 rule pairs decreasing for every "
+        "separator and whisker (3262 sides by the context margin, 100 by the head))",
+        "critical-pairs-covered: PASS (618 ordered pairs covered by decreasing "
+        "diagrams "
+        "(BB:80,Ba:20,Bc1:20,Bc2:20,Bc3:20,Bc4:20,aB:20,aa:12,ab:10,ac:20,ac-mirror:20,bB:20,ba:10,bb:10,bc:12,cB:8,cc:8,undo:288))",
+        "commutation-subsystem: PASS (terminating (each of 10 rules removes one "
+        "inversion in every context), 8 critical pairs all cc-shaped and joinable)",
+        "attractor-loops-are-commutations: PASS (20 interchanges keep the measure "
+        "(length, count of each letter, largest first) and 21 other rules lower it, "
+        "so every loop step is a commutation, for every word)",
+        "coherence: PASS (309/309 diagram classes derivable from the base family)",
+    ),
+}
+
+
 def test_gen_validate_roundtrip(h3full, capsys):
     code, out, _ = run(capsys, ["validate", h3full])
     assert code == 0
@@ -672,6 +730,22 @@ def test_rprime_different_needs_certified_rfull(h3prime, capsys):
     assert run(capsys, ["equal", h3prime, "3231", "1"]) == (1, "different\n", "")
     code, out, err = run(capsys, ["equal", h3prime, "3231", "1", "--max-words", "1000"])
     assert (code, out) == (1, "") and err == "undecided: 3231 settles into 2 distinct classes\n"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_item_lines_are_unchanged(n, capsys):
+    code, out, err = run(capsys, ["hecke", "verify", str(n)])
+    assert (code, err) == (0, "")
+    assert tuple(out.splitlines()) == _VERIFY_ITEMS[n] + ("VERDICT: PASS",)
+
+
+def test_bounded_rprime_different_needs_certified_rfull(h3prime, capsys):
+    # The bounded graphs reach distinct classes, which certified rfull
+    # joins: undecided, as without the bound.  It backs 13 against 12.
+    code, out, err = run(capsys, ["equal", h3prime, "3213", "2321", "--max-words", "1000"])
+    assert (code, out) == (1, "")
+    assert err.startswith("undecided: 3213 and 2321 settle into distinct classes, ")
+    assert run(capsys, ["equal", h3prime, "13", "12", "--max-words", "1000"]) == (1, "different\n", "")
 
 
 def test_equal_with_one_descent_computes_no_certificate(h3full, capsys):

@@ -904,6 +904,37 @@ def test_rprime_answers_are_never_wrong(n, max_len, undecided, not_one_class):
     assert got == {"Undecided": undecided, "NotOneClass": not_one_class}
 
 
+@pytest.mark.parametrize("n, classes", [(3, 25), (4, 73), (5, 163)])
+def test_verify_builds_each_diagram_class_once(n, classes, monkeypatch):
+    """The criticals and coherence items share one curated diagram per
+    unordered critical pair, built once per system."""
+    calls = []
+    build = hecke.chosen_critical_ed_tagged
+
+    def counted(pair, sys):
+        calls.append(pair)
+        return build(pair, sys)
+
+    monkeypatch.setattr(hecke, "chosen_critical_ed_tagged", counted)
+    hecke._diagram_classes.cache_clear()
+    assert verify_suite(n).ok
+    assert len(calls) == classes
+    assert len({frozenset((p.first, p.second)) for p in calls}) == classes
+    assert hecke.certified.__wrapped__(n)
+    assert len(calls) == classes
+
+
+def test_uncertified_order_fails_on_the_first_class():
+    """The all-zero rule-rank order ties every step, so the first undo
+    diagram, met in its first orientation, names the failure."""
+    full = hecke_system(3, "rfull")
+    sys = SrsSystem(3, full.rules, order=rule_rank_order({}))
+    assert hecke._verify_criticals(sys).detail == (
+        "undo diagram for overlap 113: 1:c13:- | -:a1:3 not decreasing: "
+        "right path: step 1 not dominated by either side"
+    )
+
+
 def test_uncertified_order_answers_as_the_graph_route():
     """Negative control: rfull's rules under a rule-rank order.  Its
     naturals item passes, as no rfull rule lengthens, but its curated

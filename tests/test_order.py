@@ -17,7 +17,12 @@ from srw.order import (
 )
 from srw.words import Path, Rule, RuleInstance, SrsSystem
 
-from oracles import monomial_counterexamples, natural_squares_upto, tiny_system
+from oracles import (
+    compared_decreasing,
+    monomial_counterexamples,
+    natural_squares_upto,
+    tiny_system,
+)
 
 
 def test_rule_rank_order():
@@ -183,6 +188,31 @@ def test_decreasing_is_transpose_invariant():
             assert (wit_t.j, wit_t.s) == (wit.s, wit.j)
             verdicts.add(ok)
         assert verdicts == ({True} if order is sys.order else {True, False})
+
+
+def test_keyed_check_matches_per_comparison_oracle():
+    """`is_decreasing_ed` keys each step once; the oracle asks the order on
+    each comparison.  Every curated diagram and its transpose at ranks 3-5
+    and the rank-3 natural squares up to separator length 2 get the same
+    verdict, split indices and reason, under the hecke order and under
+    rule-rank orders, which fail some of them."""
+    full3 = hecke_system(3, "rfull")
+    cases = [(full3, ed) for _, ed in natural_squares_upto(full3, 2)]
+    for n in (3, 4, 5):
+        sys = hecke_system(n, "rfull")
+        for p in enumerate_critical_pairs(sys):
+            ed = chosen_critical_ed_tagged(p, sys)[0]
+            cases += [(sys, ed), (sys, transpose_ed(ed))]
+    assert len(cases) == 832 + 2 * (50 + 146 + 326)
+    verdicts = set()
+    for sys, ed in cases:
+        by_position = rule_rank_order({r.name: i for i, r in enumerate(sys.rules)})
+        for order in (sys.order, rule_rank_order({}), by_position):
+            ok, wit = is_decreasing_ed(order, ed)
+            got = (ok, wit.j, wit.s, wit.reason)
+            assert got == compared_decreasing(order, ed), (order.name, ed)
+            verdicts.add((order is sys.order, ok))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_check_decreasing_counts_and_labels_failures():
