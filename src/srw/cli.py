@@ -26,6 +26,7 @@ square or a curated diagram is not decreasing, but only UNKNOWN when all
 failures are BFS joins (another join of the same pair may still be
 decreasing) or natural squares whose heads tie.  Each critical failure
 line and the `--json` output name the chooser.  `hecke verify --json`
+names its `verdict`, as `confluence` and `check-decreasing` do, and
 gives each item's seconds.
 
 `normal-form` and `equal` take `--max-words`, a bound on the nodes of
@@ -267,7 +268,7 @@ def cmd_normal_form(args: argparse.Namespace) -> Answer:
     w = parse_word(args.word, sys)
     try:
         c = sys.fmt(canon(w, sys, args.max_words))
-    except (NotOneClass, Inexact, ValueError) as exc:
+    except (NotOneClass, Inexact) as exc:
         print(f"no canonical form: {exc}", file=_sysmod.stderr)
         return 1, None, []
     return 0, {"word": sys.fmt(w), "normal-form": c}, [c]
@@ -279,7 +280,7 @@ def cmd_equal(args: argparse.Namespace) -> Answer:
     v = parse_word(args.word2, sys)
     try:
         eq = decide_equal(u, v, sys, args.max_words)
-    except (NotOneClass, Inexact, Undecided, ValueError) as exc:
+    except (NotOneClass, Inexact, Undecided) as exc:
         print(f"undecided: {exc}", file=_sysmod.stderr)
         return 1, None, []
     return 0 if eq else 1, {"equal": eq}, ["equal" if eq else "different"]
@@ -439,7 +440,7 @@ def cmd_hecke_verify(args: argparse.Namespace) -> Answer:
     rep = verify_suite(args.rank, coherence_bound=args.coherence_bound)
     doc = {
         "rank": rep.n,
-        "overall": rep.verdict,
+        "verdict": rep.verdict,
         "items": [
             {"name": i.name, "status": i.status, "detail": i.detail, "seconds": i.seconds}
             for i in rep.items

@@ -92,7 +92,6 @@ __all__ = [
     "PathVerdict",
     "NotParallel",
     "paths_equivalent_mod_cells",
-    "skeleton",
     "export_dot",
 ]
 
@@ -520,17 +519,6 @@ def _skeleton_step(left: Word, rule: Rule, right: Word, independent: Pairs) -> S
     lhs = rule.lhs
     labels = tuple((a, left.count(a) + lhs[:j].count(a)) for j, a in enumerate(lhs))
     return normal_form(left + lhs + right, independent), labels, rule
-
-
-def skeleton(path: Path, independent: Pairs) -> tuple[SkeletonStep, ...]:
-    """The steps of `path` other than commutations, each as the normal form
-    of the word before it, its redex as (letter, occurrence index) labels,
-    and its rule."""
-    return tuple(
-        _skeleton_step(st.left, st.rule, st.right, independent)
-        for st in path.steps
-        if not _is_swap(st.rule, independent)
-    )
 
 
 def paths_equivalent_mod_cells(

@@ -253,22 +253,12 @@ def hecke_order() -> InstanceOrder:
 
 
 class _HeckeRules:
-    """Shape-indexed access to a system's rules, built once per system by
-    `_hecke_rules`.
-
-    Besides the rules by kind it holds `descent_rules`: the idempotence
-    and braid rules in name order, and `independent`: the letter pairs
-    (s, t) that some commutation rule rewrites s t to t s.  `sys` is the
-    system indexed.
-    """
+    """Shape-indexed access to the rules of `sys`, built once per system
+    by `_hecke_rules`."""
 
     def __init__(self, sys: SrsSystem):
         self.sys = sys
         self._by_kind = {classify_rule(r): r for r in sys.rules}
-        swaps = {k[1:] for k in self._by_kind if k[0] in ("cf", "ci")}
-        rest = (r for r in sys.rules if classify_rule(r)[0] not in ("cf", "ci"))
-        self.independent = frozenset(swaps)
-        self.descent_rules = tuple(sorted(rest, key=lambda r: r.name))
 
     def a(self, i: int) -> Rule:
         return self._by_kind[("a", i)]
@@ -850,7 +840,7 @@ def _verify_coherence(sys: SrsSystem, bound: int) -> VerifyItem:
     does not refute coherence: the item is then UNKNOWN, as when the bound
     cuts a search."""
     rdp = hecke_system(sys.n, "rdoubleprime")
-    family, ind = cells_P(sys.n), _hecke_rules(rdp).independent
+    family, ind = cells_P(sys.n), frozenset(r.lhs for r in measure_split(rdp)[0])
     verdicts = []
     for label, sides in _coherence_classes(sys):
         p, q = (translate_to_basic(side, rdp) for side in sides)
@@ -938,7 +928,7 @@ def _apart(u: Word, v: Word, sys: SrsSystem) -> bool | None:
     m = _rfull_letters(sys)
     if m is None:
         return None
-    m = max(m, *u, *v)
+    m = max((m, *u, *v))
     if not certified(m):
         return None
     full = hecke_system(m, "rfull")
@@ -959,25 +949,24 @@ def decide_equal(u: Word, v: Word, sys: SrsSystem, max_words: int | None = None)
       is Undecided, and on any other system it is "different" as ever.
 
     Under `max_words` the attractors, each graph within that bound, answer
-    first, and `_apart` is asked only whether their "different" stands.
+    first.  Either way, where the attractors differ, `_apart` is asked
+    whether their "different" stands; unbounded, that second call reads
+    the descent memo and the cached certificate.
 
     Raises NotOneClass, Inexact and ValueError on lengthening rules, as
     `words_equal` does."""
-    apart = None
     if max_words is None:
         try:
             if descend(u, sys) == descend(v, sys):
                 return True
         except NoDescent:
             pass
-        apart = _apart(u, v, sys)
-        if apart:
+        if _apart(u, v, sys):
             return False
-    eq = words_equal(u, v, sys, max_words)
-    if not eq and max_words is not None:
-        apart = _apart(u, v, sys)
-    if eq or apart is not False:
-        return eq
+    if words_equal(u, v, sys, max_words):
+        return True
+    if _apart(u, v, sys) is not False:
+        return False
     raise Undecided(
         f"{sys.fmt(u)} and {sys.fmt(v)} settle into distinct classes, which proves "
         "nothing without a confluence certificate, and certified rfull, whose "

@@ -10,19 +10,18 @@ sink component and it is the attractor, a single mutual-reachability
 class.  Its lexicographically least member serves as a canonical form,
 so two words are congruent iff their canonical forms coincide.
 
-`attractors` condenses one of two graphs, with one explorer and one
-condensation pass, and the system alone picks it: a system that
-`_quotient` admits takes the quotient by interchanges, every other
-system the word graph.  A bound counts the nodes of the graph taken.
-A sink class is named by its canon; its members, the words reachable
-from the canon (a sink class is closed under rewriting), are listed only
-when read.
+`attractors` condenses one of two graphs in the one pass that discovers
+it, and the system alone picks it: a system that `_premises` admits
+takes the quotient by interchanges, every other system the word graph.
+A bound counts the nodes of the graph taken.  A sink class is named by
+its canon; its members, the words reachable from the canon (a sink class
+is closed under rewriting), are listed only when read.
 
 The quotient route.  An *interchange* is a rule s t -> t s with s != t;
 `measure_split` sorts the other rules by `_measure`, the length and then
 the count of each letter from n down to 1, compared lexicographically.
 A context adds the same vector to both sides of a step, so the measure
-of a step is that of its rule.  `_quotient` admits a system when
+of a step is that of its rule.  `_premises` admits a system when
 
 - every interchange s t -> t s has its inverse t s -> s t as a rule;
 - every other rule strictly lowers `_measure`;
@@ -66,14 +65,17 @@ gives rfull by decreasing diagrams (van Oostrom, *Confluence by
 decreasing diagrams*, TCS 126, 1994).  Each normal form of a chain is
 memoised with the chain's end.
 
-The graphs.  `srw.words.explore` builds one descendant graph from each
-start in turn, or from each start's class normal form (a bound on its
-nodes that cuts it short raises `Inexact` naming the start).  One pass
-of Tarjan's algorithm condenses it; as a component is finished after
-every component it reaches, the same pass gives it the sink components
-it reaches: itself if no edge leaves it, else the union over its edges.  On
-the quotient every component is one node.  A word is semi-normal iff it
-lies in its own attractor.
+The graphs.  One depth-first pass of Tarjan's algorithm both discovers
+a descendant graph and condenses it into its strongly connected
+components (Tarjan, *Depth-first search and linear graph algorithms*,
+SIAM J. Comput. 1, 1972).  It searches from each start in turn, or from
+each start's class normal form, and lists a node's successors when it
+first meets the node; a bound on the nodes that cuts it short raises
+`Inexact` naming the start being searched from.  As a component is
+finished after every component it reaches, the same pass gives it the
+sink components it reaches: itself if no edge leaves it, else the union
+over its edges.  On the quotient every component is one node.  A word is
+semi-normal iff it lies in its own attractor.
 
 `attractors` keeps one memo per system: each node of each graph it
 condensed, a word or a class normal form as the system's route has it,
@@ -86,15 +88,15 @@ a recorded one, a leaf, so its component is no sink and the union over
 its edges is the recorded class.  Bounded queries only write the memo, so
 their answers and `Inexact` messages never depend on earlier queries.
 The attractor memo and the descent memo hold at most MEMO_WORDS entries
-together, over all systems; a graph or chain that would overflow them
-clears both first.
+together, over all systems, and `_room` alone keeps them so: a graph or
+chain that would overflow them clears both first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Iterator
 
 from .traces import Pairs, class_factors, normal_form
 from .words import Rule, SrsSystem, Word, explore, successors
@@ -156,9 +158,6 @@ def measure_split(sys: SrsSystem) -> tuple[tuple[Rule, ...], tuple[Rule, ...], t
     return tuple(swaps), tuple(lower), tuple(rest)
 
 
-_Route = tuple[Callable[[Word], Word], Callable[[Word], Collection[Word]]]
-
-
 class NoDescent(ValueError):
     """The system fails the quotient route's premises, so it has no descent."""
 
@@ -177,92 +176,52 @@ def _premises(sys: SrsSystem) -> tuple[Pairs, tuple[Rule, ...]] | None:
     return independent, lower
 
 
-@lru_cache(maxsize=16)
-def _quotient(sys: SrsSystem) -> _Route | None:
-    """The quotient route for a system that meets its three premises, else
-    None.  The route's two functions give a word's class normal form, and
-    the normal forms one non-interchange step from a class, at every
-    placement of every rule."""
-    premises = _premises(sys)
-    if premises is None:
-        return None
-    independent, lower = premises
-
-    def key(w: Word) -> Word:
-        return normal_form(w, independent)
-
-    def step(v: Word) -> set[Word]:
-        factor, present = class_factors(v, independent), set(v)
-        return {
-            key(u + r.rhs + x)
-            for r in lower
-            if present.issuperset(r.lhs)
-            for u, x in factor(r.lhs)
-        }
-
-    return key, step
-
-
-def _descendant_graph(
+def _condense(
     nodes: dict[Word, Word],
     sys: SrsSystem,
     max_words: int | None,
-    known: dict,
-    step_from: Callable[[Word], Collection[Word]],
-) -> dict[Word, Collection[Word]]:
-    """Each node reachable from some start's node in `nodes`, with its
-    successors by `step_from` (none for a node in `known`); a node past
-    the first `max_words` (the first start's node always fits) is `Inexact`,
-    and the error names the start being explored."""
+    known: dict[Word, frozenset[AttractorClass]],
+    step: Callable[[Word], Collection[Word]],
+) -> tuple[dict[Word, int], list[frozenset[AttractorClass]]]:
+    """Tarjan's components, iteratively, of the graph reachable from each
+    start's node in `nodes`, in the pass that discovers it: a node's
+    successors by `step` are listed when the search first meets it (a node
+    in `known` is a leaf that reaches its recorded sinks).  Returns each
+    node's component id, and for each component the sink components it
+    reaches; a sink component is named by its least node.  A node past the
+    first `max_words` (the first start's node always fits) is `Inexact`,
+    and the error names the start being searched from."""
     if max_words is None and not sys.length_nonincreasing():
         raise ValueError(
             "system has lengthening rules: descendant graphs need a bound"
         )
-    adj: dict[Word, Collection[Word]] = {}
-
-    def step(v: Word) -> Collection[Word]:
-        if v in adj:
-            return []
-        if max_words is not None and adj and len(adj) >= max_words:
-            words = "word" if max_words == 1 else "words"
-            raise Inexact(
-                f"descendant graph of {sys.fmt(start)} truncated at {max_words} {words}"
-            )
-        adj[v] = () if v in known else step_from(v)
-        return adj[v]
-
-    for start, node in nodes.items():  # `step` names the start it is exploring from
-        explore(node, step)
-    return adj
-
-
-def _condense(
-    adj: dict[Word, Collection[Word]],
-    known: dict[Word, frozenset[AttractorClass]],
-    sys: SrsSystem,
-) -> tuple[dict[Word, int], list[frozenset[AttractorClass]]]:
-    """Tarjan's components, iteratively: each word's component id, and
-    for each component the sink components it reaches (a word in `known`
-    is a leaf that reaches its recorded sinks).  A sink component is
-    named by its least word."""
     comp: dict[Word, int] = {}
     sinks: list[frozenset[AttractorClass]] = []
     index: dict[Word, int] = {}
     low: dict[Word, int] = {}
+    succ: dict[Word, Collection[Word]] = {}
     stack: list[Word] = []
-    for root in adj:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(adj[root]))]
+    work: list[tuple[Word, Iterator[Word]]] = []
+
+    def meet(v: Word) -> None:
+        if max_words is not None and index and len(index) >= max_words:
+            words = "word" if max_words == 1 else "words"
+            raise Inexact(
+                f"descendant graph of {sys.fmt(start)} truncated at {max_words} {words}"
+            )
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        succ[v] = () if v in known else step(v)
+        work.append((v, iter(succ[v])))
+
+    for start, root in nodes.items():  # `meet` names the start it is searching from
+        if root not in index:
+            meet(root)
         while work:
             v, it = work[-1]
             for u in it:
                 if u not in index:
-                    index[u] = low[u] = len(index)
-                    stack.append(u)
-                    work.append((u, iter(adj[u])))
+                    meet(u)
                     break
                 if u not in comp and index[u] < low[v]:  # u is on the stack
                     low[v] = index[u]
@@ -280,7 +239,7 @@ def _condense(
                     members.add(u)
                 reached = None
                 for u in members:
-                    for t in adj[u]:
+                    for t in succ[u]:
                         c = comp[t]
                         if c != cid and sinks[c] is not reached:
                             reached = sinks[c] if reached is None else reached | sinks[c]
@@ -302,47 +261,55 @@ _MEMO: dict[SrsSystem, dict[Word, frozenset[AttractorClass]]] = {}
 _DESCENTS: dict[SrsSystem, dict[Word, Word]] = {}
 
 
-def _overflows(k: int) -> bool:
-    """Whether k more entries would take the memos past MEMO_WORDS."""
+def _room(fresh: int, total: int) -> bool:
+    """Whether the memos can take `total` entries, `fresh` of them new:
+    as they are, if they stay within MEMO_WORDS, else after both are
+    cleared.  More than MEMO_WORDS entries clear nothing and are not kept."""
     held = sum(map(len, _MEMO.values())) + sum(map(len, _DESCENTS.values()))
-    return held + k > MEMO_WORDS
-
-
-def _clear_memos() -> None:
-    for m in (*_MEMO.values(), *_DESCENTS.values()):
-        m.clear()
-
-
-def _record(memo: dict, adj: dict, comp: dict, sinks: list) -> None:
-    """Record each word of a condensed graph in `memo`, `_MEMO`'s part for
-    its system; a graph larger than MEMO_WORDS is not kept."""
-    fresh = [w for w in adj if w not in memo]
-    if _overflows(len(fresh)):
-        if len(adj) > MEMO_WORDS:
-            return
-        _clear_memos()
-        fresh = adj
-    for w in fresh:
-        memo[w] = sinks[comp[w]]
+    if held + fresh > MEMO_WORDS:
+        if total > MEMO_WORDS:
+            return False
+        for m in (*_MEMO.values(), *_DESCENTS.values()):
+            m.clear()
+    return True
 
 
 def attractors(
     starts: Iterable[Word], sys: SrsSystem, max_words: int | None = None
 ) -> dict[Word, AttractorClass]:
-    """The unique sink class of each start, all read off one shared graph:
-    the quotient graph when `_quotient` admits the system, else the word
-    graph, of at most `max_words` nodes either way.  Raises
-    NotOneClass when reduction can settle into two classes below some
-    start (it is not confluent there).  Only an unbounded call reads the
-    memo; every call that finishes its graph records it, NotOneClass or
-    not."""
+    """The unique sink class of each start, all read off one shared graph
+    of at most `max_words` nodes: the quotient graph when `_premises`
+    admits the system, its nodes class normal forms and its edges the
+    lowering steps at every placement of every rule, else the word graph.
+    Raises NotOneClass when reduction can settle into two classes below
+    some start (it is not confluent there).  Only an unbounded call reads
+    the memo; every call that finishes its graph records it, NotOneClass
+    or not."""
     memo = _MEMO.setdefault(sys, {})
     known = memo if max_words is None else {}
-    key, step = _quotient(sys) or ((lambda w: w), (lambda v: successors(v, sys)))
+    premises = _premises(sys)
+    if premises is None:
+        key, step = (lambda w: w), (lambda v: successors(v, sys))
+    else:
+        independent, lower = premises
+
+        def key(w: Word) -> Word:
+            return normal_form(w, independent)
+
+        def step(v: Word) -> set[Word]:
+            factor, present = class_factors(v, independent), set(v)
+            return {
+                key(u + r.rhs + x)
+                for r in lower
+                if present.issuperset(r.lhs)
+                for u, x in factor(r.lhs)
+            }
+
     keys = {w: key(w) for w in starts}
-    adj = _descendant_graph(keys, sys, max_words, known, step)
-    comp, sinks = _condense(adj, known, sys)
-    _record(memo, adj, comp, sinks)
+    comp, sinks = _condense(keys, sys, max_words, known, step)
+    if _room(sum(w not in memo for w in comp), len(comp)):
+        for w, c in comp.items():
+            memo[w] = sinks[c]
     out: dict[Word, AttractorClass] = {}
     for w, k in keys.items():
         reached = sinks[comp[k]]
@@ -406,10 +373,8 @@ def descend(w: Word, sys: SrsSystem, memo: dict[Word, Word] | None = None) -> Wo
             break
     else:
         result = memo[key]
-    if shared and _overflows(len(chain)):
-        if len(chain) > MEMO_WORDS:
-            return result
-        _clear_memos()
+    if shared and not _room(len(chain), len(chain)):
+        return result
     for k in chain:
         memo[k] = result
     return result

@@ -72,8 +72,19 @@ def trace_order(w: Word, independent: Pairs) -> tuple[dict[int, int], dict[int, 
 
 
 def class_factors(w: Word, independent: Pairs) -> Callable[[Word], Placements]:
-    """lhs -> every (u, v) of `factor_in_class`, in its order, from w's
-    `trace_order` built once."""
+    """lhs -> every placement (u, v) of lhs in w's class, u + lhs + v a
+    member, from w's `trace_order` built once; none when no class member
+    has lhs as a factor.
+
+    A placement spells lhs letter by letter, each after the positions
+    chosen for the earlier letters it depends on, and then only at the
+    first such occurrence (a later one would leave the first in between).
+    It is accepted when its position set is convex in the trace order: no
+    other position is above one chosen position and below another.  Then
+    u is the positions not above the set and v those above it, in word
+    order.  Placements come depth first, candidates in word order; u holds
+    each letter's occurrences before the set's, so no (u, v) comes twice.
+    """
     at, deps, down = trace_order(w, independent)
 
     def factor(lhs: Word) -> Placements:
@@ -112,18 +123,3 @@ def class_factors(w: Word, independent: Pairs) -> Callable[[Word], Placements]:
 
     return factor
 
-
-def factor_in_class(w: Word, lhs: Word, independent: Pairs) -> tuple[Word, Word] | None:
-    """(u, v) with u + lhs + v in w's class, the first placement that
-    `class_factors` yields, or None when no class member has lhs as a factor.
-
-    A placement spells lhs letter by letter, each after the positions
-    chosen for the earlier letters it depends on, and then only at the
-    first such occurrence (a later one would leave the first in between).
-    It is accepted when its position set is convex in the trace order: no
-    other position is above one chosen position and below another.  Then
-    u is the positions not above the set and v those above it, in word
-    order.  Placements come depth first, candidates in word order; u holds
-    each letter's occurrences before the set's, so no (u, v) comes twice.
-    """
-    return next(class_factors(w, independent)(lhs), None)

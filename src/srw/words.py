@@ -14,7 +14,6 @@ Each `SrsSystem` is compiled once, when it is built, into a rule table:
 the rules bucketed, in rule-name order, by the first two letters of their
 left-hand side (only keys that begin one get a bucket; a one-letter rule
 also joins each bucket its letter starts), plus a name -> rule map.
-Systems that compare equal (same alphabet size, same rules) share one.
 
 `find_redexes` lists every way a rule applies inside a word, ordered by
 (start position, rule name): at each position it looks up the two letters
@@ -25,16 +24,16 @@ sweep but returns only the rewritten words, without the instances.
 `explore` is the one breadth-first search of the package: given a start
 word and a step function listing the next words, it returns the words
 reached and whether the search ran to the end or stopped at its bound on
-explored words.  `reach` runs it over one-step rewriting; the descendant
-graphs of `srw.seminormal` and the element closure of
-`srw.hecke.enumerate_monoid` run it with their own steps.  For systems
-whose rules never lengthen words the closure under rewriting is finite
-and `reach` is exact, otherwise it needs a bound and may be truncated.
+explored words.  `reach` runs it over one-step rewriting, as does
+`srw.seminormal.AttractorClass.members` to list a sink class; the element
+closure of `srw.hecke.enumerate_monoid` runs it with its own step.  For
+systems whose rules never lengthen words the closure under rewriting is
+finite and `reach` is exact, otherwise it needs a bound and may be
+truncated.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -220,7 +219,7 @@ class Zigzag:
 class _RuleTable:
     """The compiled form of a system's rules (see the module docstring)."""
 
-    __slots__ = ("buckets", "by_name", "__weakref__")
+    __slots__ = ("buckets", "by_name")
 
     def __init__(self, rules: tuple[Rule, ...]):
         by_key: dict[Word, list[Rule]] = {}
@@ -233,10 +232,6 @@ class _RuleTable:
             for key, bucket in by_key.items()
         }
         self.by_name = {r.name: r for r in rules}
-
-
-# One table per distinct (n, rules); an entry lives while some system uses it.
-_TABLES: weakref.WeakValueDictionary[tuple, _RuleTable] = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -269,12 +264,8 @@ class SrsSystem:
                     raise ValueError(
                         f"rule {r.name}: generator {g} out of range 1..{self.n}"
                     )
-        key = (self.n, self.rules)
-        table = _TABLES.get(key)
-        if table is None:
-            table = _TABLES[key] = _RuleTable(self.rules)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_table", _RuleTable(self.rules))
+        object.__setattr__(self, "_hash", hash((self.n, self.rules)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -240,6 +240,34 @@ def test_max_words_is_exact_on_the_class_graph(h3full, capsys):
         assert run(capsys, argv + [str(k - 1)]) == (1, "", err)
 
 
+def test_max_words_is_exact_on_the_word_graph(h3prime, capsys):
+    # rprime has no quotient route: a word whose word graph has k nodes
+    # answers at bound k as without one, and is undecided at k - 1.
+    sys = hecke_system(3, "rprime")
+    for w in all_words(3, 6):
+        k = len(fixpoint_reach(w, sys))
+        if k < 2:
+            continue
+        word = sys.fmt(w)
+        argv = ["normal-form", h3prime, word, "--max-words"]
+        assert run(capsys, argv + [str(k)]) == run(capsys, argv[:3])
+        nodes = f"{k - 1} word" if k == 2 else f"{k - 1} words"
+        err = f"no canonical form: descendant graph of {word} truncated at {nodes}\n"
+        assert run(capsys, argv + [str(k - 1)]) == (1, "", err)
+
+
+def test_lengthening_rules_without_a_bound_exit_two(tmp_path, capsys):
+    # As for reach: a missing bound is unusable input, not an undecided answer.
+    path = tmp_path / "grow.json"
+    path.write_text(json.dumps({"generators": 1, "rules": [{"name": "g", "lhs": [1], "rhs": [1, 1]}]}))
+    err = "error: system has lengthening rules: descendant graphs need a bound\n"
+    assert run(capsys, ["reach", str(path), "1"])[0] == 2
+    assert run(capsys, ["normal-form", str(path), "1"]) == (2, "", err)
+    assert run(capsys, ["equal", str(path), "1", "11"]) == (2, "", err)
+    want = (1, "", "undecided: descendant graph of 1 truncated at 5 words\n")
+    assert run(capsys, ["equal", str(path), "1", "11", "--max-words", "5"]) == want
+
+
 def test_parser_reuse_leaks_no_state(h3full, capsys):
     build_parser.cache_clear()
     code, out, _ = run(capsys, ["equal", h3full, "212", "121", "--json"])
@@ -497,7 +525,7 @@ def test_hecke_verify_json(capsys):
     code, out, _ = run(capsys, ["hecke", "verify", "1", "--json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["overall"] == "PASS" and len(doc["items"]) == 5
+    assert doc["verdict"] == "PASS" and len(doc["items"]) == 5
     assert all(item["seconds"] >= 0.0 for item in doc["items"])
 
 
@@ -511,7 +539,7 @@ def test_hecke_verify_unknown_exits_one(capsys):
     code, out, _ = run(
         capsys, ["hecke", "verify", "3", "--coherence-bound", "0", "--json"]
     )
-    assert code == 1 and json.loads(out)["overall"] == "UNKNOWN"
+    assert code == 1 and json.loads(out)["verdict"] == "UNKNOWN"
 
 
 def test_hecke_verify_cut_coherence_is_unknown(capsys):
@@ -730,6 +758,12 @@ def test_rprime_different_needs_certified_rfull(h3prime, capsys):
     assert run(capsys, ["equal", h3prime, "3231", "1"]) == (1, "different\n", "")
     code, out, err = run(capsys, ["equal", h3prime, "3231", "1", "--max-words", "1000"])
     assert (code, out) == (1, "") and err == "undecided: 3231 settles into 2 distinct classes\n"
+
+
+def test_empty_words_on_rprime(h3prime, capsys):
+    # No descent on rprime, so the empty words reach `_apart` with no letter.
+    assert run(capsys, ["equal", h3prime, "-", "-"]) == (0, "equal\n", "")
+    assert run(capsys, ["equal", h3prime, "-", "1"]) == (1, "different\n", "")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

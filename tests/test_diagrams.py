@@ -22,14 +22,13 @@ from srw.diagrams import (
     export_dot,
     natural_squares,
     paths_equivalent_mod_cells,
-    skeleton,
     transpose_ed,
     whisker_ed,
 )
 from srw import hecke
 from srw.critical import enumerate_critical_pairs
 from srw.hecke import cells_P, hecke_provider, hecke_system
-from srw.seminormal import canon
+from srw.seminormal import canon, measure_split
 from srw.words import (
     BACKWARD,
     FORWARD,
@@ -651,7 +650,8 @@ def test_paths_equivalent_rejects_non_parallel():
 
 
 def _rank3_independent():
-    return hecke._hecke_rules(hecke_system(3, "rdoubleprime")).independent
+    swaps = measure_split(hecke_system(3, "rdoubleprime"))[0]
+    return frozenset(r.lhs for r in swaps)
 
 
 def test_skeleton_reads_commutations_away():
@@ -665,8 +665,24 @@ def test_skeleton_reads_commutations_away():
         RuleInstance((), a1, (3,)),
     ))
     q = Path((3, 1, 1), (RuleInstance((3,), a1, ()), RuleInstance((), c31, ())))
-    assert skeleton(p, ind) == skeleton(q, ind) == (((1, 1, 3), ((1, 0), (1, 1)), a1),)
-    assert skeleton(Path((1, 3), (RuleInstance((), c13, ()),)), ind) == ()
+    # Bound 0 generates no neighbour: EQUIVALENT exactly when the two
+    # skeletons agree.
+    empty = CellFamily(name="empty", members=())
+    assert paths_equivalent_mod_cells(p, q, empty, 0, independent=ind) is PathVerdict.EQUIVALENT
+    assert paths_equivalent_mod_cells(p, q, empty, 0) is not PathVerdict.EQUIVALENT
+    # Commutations alone read the empty skeleton.
+    swap = Path((1, 3), (RuleInstance((), c13, ()),))
+    back_and_forth = Path((1, 3), swap.steps + (RuleInstance((), c31, ()),) + swap.steps)
+    assert paths_equivalent_mod_cells(swap, back_and_forth, empty, 0, independent=ind) is (
+        PathVerdict.EQUIVALENT
+    )
+    # The labels tell the two 1s that a step rewrites: 111 -> 11 at its
+    # first two 1s, or at its last two.
+    first = Path((1, 1, 1), (RuleInstance((), a1, (1,)), RuleInstance((), a1, ())))
+    last = Path((1, 1, 1), (RuleInstance((1,), a1, ()), RuleInstance((), a1, ())))
+    assert paths_equivalent_mod_cells(first, last, empty, 0, independent=ind) is not (
+        PathVerdict.EQUIVALENT
+    )
 
 
 def test_skeleton_search_swaps_disjoint_steps_across_a_trace():

@@ -41,7 +41,7 @@ from srw.order import (
     is_decreasing_ed,
     rule_rank_order,
 )
-from srw.seminormal import attractor, canon as generic_canon, words_equal
+from srw.seminormal import attractor, canon as generic_canon, measure_split, words_equal
 from srw.traces import normal_form
 from srw.words import (
     Path,
@@ -332,7 +332,7 @@ def test_quotient_verdicts_match_the_concrete_search(n):
     bound: all 25 at rank 3, 70 of 73 at rank 4, 148 of 163 at rank 5."""
     bound, derived = {3: (1000, 25), 4: (10000, 70), 5: (10000, 148)}[n]
     rdp = hecke_system(n, "rdoubleprime")
-    independent = hecke._hecke_rules(rdp).independent
+    independent = frozenset(r.lhs for r in measure_split(rdp)[0])
     family = cells_P(n)
     classes = hecke._coherence_classes(hecke_system(n, "rfull"))
     assert len(classes) == {3: 25, 4: 73, 5: 163}[n]
@@ -386,10 +386,11 @@ def _crossings(n: int):
     crosses the rule's step.  Yields (label, rewrite then move x, move x
     then rewrite)."""
     rdp = hecke_system(n, "rdoubleprime")
-    H = hecke._hecke_rules(rdp)
-    for r in H.descent_rules:
+    swaps, lower, _ = measure_split(rdp)
+    independent = frozenset(r.lhs for r in swaps)
+    for r in lower:
         for x in range(1, n + 1):
-            if all((x, a) in H.independent for a in r.lhs):
+            if all((x, a) in independent for a in r.lhs):
                 for u, v in (((x,), ()), ((), (x,))):
                     rewrite = RuleInstance(u, r, v)
                     after = c_sort_path(rewrite.target, v + r.rhs + u, rdp)
@@ -418,13 +419,14 @@ def test_premise_a_commutation_paths_sampled(n, length):
     the same search with no commutations, modulo the loop and cc members."""
     rdp = hecke_system(n, "rdoubleprime")
     H = hecke._hecke_rules(rdp)
+    independent = frozenset(r.lhs for r in measure_split(rdp)[0])
     family = _members(n, "loop", "cc")
     rng = random.Random(n)
     for _ in range(30):
         w = cur = tuple(rng.randint(1, n) for _ in range(length))
         steps = []
         for _ in range(5):
-            free = [i for i in range(len(cur) - 1) if cur[i : i + 2] in H.independent]
+            free = [i for i in range(len(cur) - 1) if cur[i : i + 2] in independent]
             if not free:
                 break
             i = rng.choice(free)
@@ -514,7 +516,7 @@ def _word_graph_canons(words, sys):
     """The generic canon of each word on the word graph alone, from an
     empty memo, so that it never calls `srw.traces`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seminormal, "_quotient", lambda sys: None)
+        mp.setattr(seminormal, "_premises", lambda sys: None)
         mp.setattr(seminormal, "_MEMO", {})
         return [generic_canon(w, sys) for w in words]
 

@@ -18,6 +18,7 @@ from srw.seminormal import (
     descend,
     words_equal,
 )
+from srw.traces import normal_form
 from srw.words import Rule, SrsSystem, find_redexes
 
 from oracles import (
@@ -108,6 +109,17 @@ def test_inexact_on_truncated_graph():
         attractor((1,), grow, max_words=5)
 
 
+def test_inexact_names_the_start_that_overflows_the_shared_graph():
+    # On rprime, 212 and 323 have two-node word graphs each: either fits
+    # three nodes alone, but the shared graph of both does not.
+    sys = hecke_system(3, "rprime")
+    u, v = (2, 1, 2), (3, 2, 3)
+    assert attractors([u], sys, 3)[u].canon == (1, 2, 1)
+    assert attractors([v], sys, 3)[v].canon == (2, 3, 2)
+    with pytest.raises(Inexact, match="^descendant graph of 323 truncated at 3 words$"):
+        attractors([u, v], sys, 3)
+
+
 def _memo_words() -> int:
     return sum(map(len, seminormal._MEMO.values()))
 
@@ -115,7 +127,7 @@ def _memo_words() -> int:
 def _word_graph_only(mp) -> None:
     """Send every query to the word graph: no system passes the quotient
     route's eligibility check."""
-    mp.setattr(seminormal, "_quotient", lambda sys: None)
+    mp.setattr(seminormal, "_premises", lambda sys: None)
 
 
 def test_memo_is_bounded(monkeypatch):
@@ -228,7 +240,7 @@ def test_quotient_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(seminormal, "MEMO_WORDS", bound)
     monkeypatch.setattr(seminormal, "_MEMO", {})
     sys = hecke_system(4, "rfull")
-    key, _ = seminormal._quotient(sys)
+    independent, _ = seminormal._premises(sys)
     oracle: dict = {}
     held = []
     for w in itertools.islice(itertools.product((4, 3, 2, 1), repeat=6), 0, None, 97):
@@ -236,7 +248,7 @@ def test_quotient_memo_is_bounded(monkeypatch):
         held.append(_memo_words())
         assert held[-1] <= bound
         assert attractor_classes(w, sys, oracle) == {found.members}, w
-        assert all(key(k) == k for k in seminormal._MEMO[sys])  # class normal forms
+        assert all(normal_form(k, independent) == k for k in seminormal._MEMO[sys])  # class normal forms
     assert any(b < a for a, b in zip(held, held[1:]))  # it overflowed
 
 
@@ -264,7 +276,7 @@ def _both_routes(words, sys):
 @pytest.mark.parametrize("n,variant", [(4, "rfull"), (3, "rdoubleprime"), (4, "rdoubleprime")])
 def test_quotient_route_matches_word_graph(n, variant):
     sys = hecke_system(n, variant)
-    assert seminormal._quotient(sys) is not None
+    assert seminormal._premises(sys) is not None
     quotient, graph = _both_routes(all_words(n, 6), sys)
     assert quotient == graph
 
@@ -294,7 +306,7 @@ def _paired_systems(draw):
 @given(_paired_systems(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_quotient_route_matches_word_graph_on_random_systems(sys, data):
-    assert seminormal._quotient(sys) is not None
+    assert seminormal._premises(sys) is not None
     word = st.lists(st.integers(1, sys.n), min_size=2, max_size=6).map(tuple)
     words = data.draw(st.lists(word, min_size=4, max_size=8))
     quotient, graph = _both_routes(words, sys)
@@ -306,7 +318,7 @@ def test_every_placement_of_a_rule_counts():
     # in 1231 and in 1312; erasing it leaves 31 or 13, two classes.  The
     # first placement alone would reach only 31.
     sys = SrsSystem(3, tuple(_swap_pairs([Rule("e", (1, 2), ())], {(1, 2), (2, 3)})))
-    assert seminormal._quotient(sys) is not None
+    assert seminormal._premises(sys) is not None
     with pytest.raises(NotOneClass, match="^2131 settles into 2 distinct classes$"):
         attractor((2, 1, 3, 1), sys)
     quotient, graph = _both_routes(all_words(3, 5), sys)
@@ -328,9 +340,9 @@ _BASE = _swap_pairs(
     ids=["unpaired", "not-lower", "rhs-letter"],
 )
 def test_each_broken_premise_keeps_the_word_graph(rules):
-    assert seminormal._quotient(SrsSystem(3, tuple(_BASE))) is not None
+    assert seminormal._premises(SrsSystem(3, tuple(_BASE))) is not None
     sys = SrsSystem(3, tuple(rules))
-    assert seminormal._quotient(sys) is None
+    assert seminormal._premises(sys) is None
     words = all_words(3, 5)
     default, graph = _both_routes(words, sys)
     assert default == graph

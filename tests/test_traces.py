@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srw.hecke import classify_rule, hecke_system
-from srw.traces import class_factors, factor_in_class, normal_form
+from srw.traces import class_factors, normal_form
 
 from oracles import all_words, class_placements, commutation_class, labelled_class
 
@@ -53,7 +53,7 @@ def test_factor_in_class_matches_oracle_rank4(variant):
                 x[i : i + len(lhs)] == lhs for x in cls for i in range(len(x))
             )
             for w in cls:
-                got = factor_in_class(w, lhs, ind)
+                got = next(class_factors(w, ind)(lhs), None)
                 assert (got is not None) == has, (w, lhs)
                 if got is not None:
                     assert got[0] + lhs + got[1] in cls, (w, lhs, got)
@@ -71,7 +71,7 @@ def test_factor_in_class_matches_oracle_rank6(data):
     lhs = tuple(data.draw(st.lists(pick, min_size=1, max_size=4)))
     cls = commutation_class(w, 6)
     has = any(x[i : i + len(lhs)] == lhs for x in cls for i in range(len(x)))
-    got = factor_in_class(w, lhs, _independent(6))
+    got = next(class_factors(w, _independent(6))(lhs), None)
     assert (got is not None) == has
     if got is not None:
         assert got[0] + lhs + got[1] in cls
@@ -80,21 +80,21 @@ def test_factor_in_class_matches_oracle_rank6(data):
 def test_factor_in_class_examples():
     ind = _independent(4)
     # 3231 has no increasing placement of 3213, yet 3213 is in its class
-    assert factor_in_class((3, 2, 3, 1), (3, 2, 1, 3), ind) == ((), ())
+    assert next(class_factors((3, 2, 3, 1), ind)((3, 2, 1, 3)), None) == ((), ())
     # the 3 between the two 2s lies above one and below the other
-    assert factor_in_class((2, 3, 2), (2, 2), ind) is None
+    assert next(class_factors((2, 3, 2), ind)((2, 2)), None) is None
     # the 4 lies above the first 3 and below the second
-    assert factor_in_class((1, 3, 4, 3), (3, 3), ind) is None
+    assert next(class_factors((1, 3, 4, 3), ind)((3, 3)), None) is None
     # an lhs of independent letters, unlike every descent: its second
     # letter may sit anywhere, even before the first
-    assert factor_in_class((3, 1, 4, 3), (1, 4), ind) == ((3,), (3,))
-    assert factor_in_class((4, 1), (1, 4), ind) == ((), ())
+    assert next(class_factors((3, 1, 4, 3), ind)((1, 4)), None) == ((3,), (3,))
+    assert next(class_factors((4, 1), ind)((1, 4)), None) == ((), ())
 
 
 def _check_placements(w, lhss, ind):
     """Every placement `class_factors` yields, against the oracle's position
     sets: one per set, the same (u, v), none twice, each in the class, and
-    the first one `factor_in_class`'s."""
+    a fresh `class_factors` yields the same first one."""
     labelled = labelled_class(w, ind)
     members = {tuple(a for a, _ in x) for x in labelled}
     factor = class_factors(w, ind)
@@ -104,7 +104,7 @@ def _check_placements(w, lhss, ind):
         assert len(got) == len(want) == len(set(got)), (w, lhs)
         assert set(got) == set(want.values()), (w, lhs)
         assert all(u + lhs + v in members for u, v in got), (w, lhs)
-        assert factor_in_class(w, lhs, ind) == (got[0] if got else None), (w, lhs)
+        assert next(class_factors(w, ind)(lhs), None) == (got[0] if got else None), (w, lhs)
 
 
 def _descent_lhss(n):

@@ -255,18 +255,6 @@ def test_rule_hash_is_cached_and_follows_equality():
     assert "_hash" not in repr(r) and repr(r) == "Rule(name='swp', lhs=(2, 1), rhs=(1, 2))"
 
 
-def test_equal_systems_share_one_table():
-    a, b = tiny_system(), tiny_system()
-    assert a == b and hash(a) == hash(b)
-    assert a._table is b._table
-    ranked = dataclasses.replace(a, order=rule_rank_order({"dbl": 0, "swp": 1}))
-    assert ranked == a and ranked.order.name == "rule-rank/equivalent"
-    assert ranked._table is a._table
-    wider = SrsSystem(n=3, rules=a.rules)
-    assert wider != a and wider._table is not a._table
-    assert "_table" not in repr(a) and "dbl" in repr(a)
-
-
 def test_system_hash_is_cached_and_follows_equality():
     a = tiny_system()
     ranked = dataclasses.replace(a, order=rule_rank_order({"dbl": 0, "swp": 1}))
@@ -276,7 +264,7 @@ def test_system_hash_is_cached_and_follows_equality():
     rewired = SrsSystem(a.n, (dataclasses.replace(a.rules[0], rhs=a.rules[0].lhs),) + a.rules[1:])
     assert renamed != a and rewired != a and renamed != rewired
     assert len({a, ranked, renamed, rewired}) == 3
-    assert "_hash" not in repr(a)
+    assert "_hash" not in repr(a) and "_table" not in repr(a) and "dbl" in repr(a)
 
 
 def test_reach_frozen_example():
