@@ -16,8 +16,8 @@ zigzags as semicolon-separated steps each prefixed with ">" (traversed
 forward) or "<" (traversed backward).
 
 `check-decreasing` runs the two checks behind `hecke verify`:
-`srw.order.check_naturals` on one natural square per ordered rule pair,
-which decides the squares for every separator and whisker, and
+`srw.order.check_naturals` on each ordered rule pair, which decides its
+natural squares for every separator and whisker, and
 `srw.order.check_decreasing` on critical diagrams.  The critical
 diagrams, like the tiling commands' cells, come from the curated Hecke
 family under the hecke order on the rfull rules, which that family
@@ -63,6 +63,7 @@ import functools
 import json
 import sys as _sysmod
 from collections import Counter
+from itertools import product
 from typing import Any
 
 from .critical import enumerate_critical_pairs, local_confluence_report
@@ -72,7 +73,6 @@ from .diagrams import (
     complete_peak,
     complete_zigzag,
     export_dot,
-    natural_squares,
 )
 from .hecke import (
     VARIANTS,
@@ -338,7 +338,7 @@ def cmd_check_decreasing(args: argparse.Namespace) -> Answer:
             got = choose(pair)
             yield pair, None if got is None else got[0]
 
-    naturals = check_naturals(sys.order, natural_squares(sys))
+    naturals = check_naturals(sys.order, product(sys.rules, repeat=2))
     criticals = check_decreasing(sys.order, critical_diagrams())
     failures = [
         f"natural {r1.name}|-|{r2.name}: {why}" for (r1, r2), why in naturals.failures

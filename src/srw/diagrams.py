@@ -3,10 +3,8 @@
 An elementary diagram is a rectangle of reductions: a top step and a
 left step from a common word, and two convergence paths (right and
 bottom, possibly empty) from their targets to a common word.
-`natural_squares` lists the square that commutes two adjacent redexes,
-one per ordered rule pair, from which `srw.order.check_naturals` decides
-the squares for every separator; whiskering extends a diagram by outer
-context, transposition swaps the two sides.
+Whiskering extends a diagram by outer context, transposition swaps the
+two sides.
 
 A `Tiling` fills the area under a zigzag with elementary diagrams.  Its
 frontier walks from the zigzag's start to its end, backward legs as
@@ -74,7 +72,6 @@ from .words import (
 
 __all__ = [
     "ElementaryDiagram",
-    "natural_squares",
     "whisker_ed",
     "transpose_ed",
     "CornerMismatch",
@@ -116,19 +113,6 @@ class ElementaryDiagram:
             raise SourceMismatch("bottom side must start at the left's target")
         if self.right.end != self.bottom.end:
             raise SourceMismatch("right and bottom must converge")
-
-
-def natural_squares(sys: SrsSystem) -> Iterator[tuple[tuple[Rule, Rule], ElementaryDiagram]]:
-    """The natural square r1 · r2 of each ordered rule pair, labelled
-    (r1, r2): top applies r1 with lhs(r2) on its right, left applies r2
-    with lhs(r1) on its left.  Transposes are left out: decreasingness is
-    transpose-invariant."""
-    for r1 in sys.rules:
-        for r2 in sys.rules:
-            top, left = RuleInstance((), r1, r2.lhs), RuleInstance(r1.lhs, r2, ())
-            right = Path(top.target, (RuleInstance(r1.rhs, r2, ()),))
-            bottom = Path(left.target, (RuleInstance((), r1, r2.rhs),))
-            yield (r1, r2), ElementaryDiagram(top, left, right, bottom)
 
 
 def whisker_ed(ed: ElementaryDiagram, u: Word, v: Word) -> ElementaryDiagram:

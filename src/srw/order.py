@@ -22,12 +22,13 @@ the diagram classes of `verify_suite` go through it.
 
 `check_naturals` is the one natural-square check of both.  It decides the
 natural squares x · r1 · w · r2 · y for every separator w and whisker
-x, y from the w = () square of each ordered rule pair, when the order's
-key is additive: its first entry, the head, is fixed by the rule, and the
-rest is a rule constant plus one term per context letter that depends
-only on the rule, the letter and its side.  (`hecke_order`'s key and both
-`rule_rank_order` keys are.)  The square has top u = r1, left l = r2,
-right r' = r2 and bottom d = r1, and is decreasing iff (u >= d or l > d)
+x, y from the w = () square of each ordered rule pair (r1, r2), when the
+order's key is additive: its first entry, the head, is fixed by the
+rule, and the rest is a rule constant plus one term per context letter
+that depends only on the rule, the letter and its side.  (`hecke_order`'s
+key and both `rule_rank_order` keys are.)  The square has top
+u = ((), r1, lhs r2), left l = (lhs r1, r2, ()), right r' = (rhs r1, r2, ())
+and bottom d = ((), r1, rhs r2), and is decreasing iff (u >= d or l > d)
 and (l >= r' or u > r').  u and d differ only in lhs(r2) against rhs(r2)
 in their right context, l and r' only in lhs(r1) against rhs(r1) in
 their left one, and lexicographic order on equal-length integer vectors
@@ -35,7 +36,8 @@ survives adding one vector to both sides.  So u against d (l against r')
 compares the same way for every w, x and y ("margin"), and otherwise a
 greater head of the other rule decides the side everywhere ("head").  A
 pair with a side left open fails when its w = () square is not
-decreasing, which refutes it, and is undecided otherwise.
+decreasing, which refutes it, and is undecided otherwise.  Each check
+reads the four instances' keys and builds no diagram.
 
 `rule_rank_order` builds the simplest useful order: instances compare by
 an integer rank attached to their rule's name, with ties either declared
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from .words import RuleInstance
+from .words import Rule, RuleInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .diagrams import ElementaryDiagram
@@ -135,20 +137,27 @@ def _side_split(anchor: tuple, other: tuple, steps: list[tuple]) -> tuple[int | 
     return None, reason
 
 
+def _witness(u: tuple, l: tuple, right: list[tuple], bottom: list[tuple]) -> DecreasingWitness:
+    """The two decreasingness conditions on keys: u and l of the top and
+    left steps, `right` and `bottom` of the two paths' steps."""
+    j, why_j = _side_split(u, l, bottom)
+    if j is None:
+        return DecreasingWitness(ok=False, reason=f"bottom path: {why_j}")
+    s, why_s = _side_split(l, u, right)
+    if s is None:
+        return DecreasingWitness(ok=False, reason=f"right path: {why_s}")
+    return DecreasingWitness(ok=True, j=j, s=s)
+
+
 def is_decreasing_ed(
     order: InstanceOrder, ed: "ElementaryDiagram"
 ) -> tuple[bool, DecreasingWitness]:
     """Check the two decreasingness conditions for an elementary diagram,
     keying each of its steps once."""
     key = order.key
-    u, l = key(ed.top), key(ed.left)
-    j, why_j = _side_split(u, l, [key(st) for st in ed.bottom.steps])
-    if j is None:
-        return False, DecreasingWitness(ok=False, reason=f"bottom path: {why_j}")
-    s, why_s = _side_split(l, u, [key(st) for st in ed.right.steps])
-    if s is None:
-        return False, DecreasingWitness(ok=False, reason=f"right path: {why_s}")
-    return True, DecreasingWitness(ok=True, j=j, s=s)
+    right, bottom = ([key(st) for st in p.steps] for p in (ed.right, ed.bottom))
+    wit = _witness(key(ed.top), key(ed.left), right, bottom)
+    return wit.ok, wit
 
 
 @dataclass(frozen=True)
@@ -193,21 +202,20 @@ def check_decreasing(
 
 
 def check_naturals(
-    order: InstanceOrder,
-    labelled: Iterable[tuple[Any, "ElementaryDiagram"]],
+    order: InstanceOrder, pairs: Iterable[tuple[Rule, Rule]]
 ) -> DecreasingReport:
-    """Decide every natural square of each labelled rule pair from its
-    w = () square, under an order whose key is additive (see the module
-    docstring).  Only a pair with an open side costs a decreasingness
-    check."""
+    """Decide every natural square of each ordered rule pair (r1, r2), the
+    pair its label, from the keys of its w = () square, under an order
+    whose key is additive (see the module docstring).  Only a pair with an
+    open side costs a decreasingness check."""
     key = order.key
     checked = margin = head = 0
     ties: list[tuple[Any, str]] = []
     failures: list[tuple[Any, str]] = []
-    for label, ed in labelled:
+    for r1, r2 in pairs:
         checked += 1
-        u, l = key(ed.top), key(ed.left)
-        r, d = key(ed.right.steps[0]), key(ed.bottom.steps[0])
+        u, l = key(RuleInstance((), r1, r2.lhs)), key(RuleInstance(r1.lhs, r2, ()))
+        r, d = key(RuleInstance(r1.rhs, r2, ())), key(RuleInstance((), r1, r2.rhs))
         sides = []
         for side, same, other, step in (("bottom", u, l, d), ("right", l, u, r)):
             if same >= step:
@@ -215,11 +223,11 @@ def check_naturals(
             elif other[0] > step[0]:
                 head += 1
             else:
-                sides.append((label, side))
+                sides.append(((r1, r2), side))
         if sides:
-            ok, wit = is_decreasing_ed(order, ed)
-            if ok:
+            wit = _witness(u, l, [r], [d])
+            if wit.ok:
                 ties += sides
             else:
-                failures.append((label, wit.reason))
+                failures.append(((r1, r2), wit.reason))
     return DecreasingReport(checked, tuple(failures), margin, head, tuple(ties))

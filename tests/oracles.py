@@ -21,7 +21,7 @@ a trace.  Tests compare verdicts, not the order of neighbours.
 also walks it to build paths that the search should join.
 
 `natural_square` is the bare formula of a natural square, the reference
-for the coded squares behind `srw.diagrams.natural_squares` and the
+for the four instances that `srw.order.check_naturals` keys and for the
 tiler's natural cells.  `rescan_tiling` is the reference tiler: it keeps
 the frontier as zigzag legs of `RuleInstance` steps, rescans it after
 every cell, builds natural cells from `natural_square` and whiskers the

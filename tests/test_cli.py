@@ -90,6 +90,34 @@ _VERIFY_ITEMS = {
         "so every loop step is a commutation, for every word)",
         "coherence: PASS (309/309 diagram classes derivable from the base family)",
     ),
+    7: (
+        "natural-diagrams-decreasing: PASS (3364 rule pairs decreasing for every "
+        "separator and whisker (6553 sides by the context margin, 175 by the head))",
+        "critical-pairs-covered: PASS (1050 ordered pairs covered by decreasing "
+        "diagrams "
+        "(BB:140,Ba:30,Bc1:40,Bc2:30,Bc3:30,Bc4:40,aB:30,aa:14,ab:12,ac:30,ac-mirror:30,"
+        "bB:30,ba:12,bb:12,bc:20,cB:20,cc:20,undo:510))",
+        "commutation-subsystem: PASS (terminating (each of 15 rules removes one "
+        "inversion in every context), 20 critical pairs all cc-shaped and joinable)",
+        "attractor-loops-are-commutations: PASS (30 interchanges keep the measure "
+        "(length, count of each letter, largest first) and 28 other rules lower it, "
+        "so every loop step is a commutation, for every word)",
+        "coherence: PASS (525/525 diagram classes derivable from the base family)",
+    ),
+    8: (
+        "natural-diagrams-decreasing: PASS (6084 rule pairs decreasing for every "
+        "separator and whisker (11888 sides by the context margin, 280 by the head))",
+        "critical-pairs-covered: PASS (1650 ordered pairs covered by decreasing "
+        "diagrams "
+        "(BB:224,Ba:42,Bc1:70,Bc2:42,Bc3:42,Bc4:70,aB:42,aa:16,ab:14,ac:42,ac-mirror:42,"
+        "bB:42,ba:14,bb:14,bc:30,cB:40,cc:40,undo:824))",
+        "commutation-subsystem: PASS (terminating (each of 21 rules removes one "
+        "inversion in every context), 40 critical pairs all cc-shaped and joinable)",
+        "attractor-loops-are-commutations: PASS (42 interchanges keep the measure "
+        "(length, count of each letter, largest first) and 36 other rules lower it, "
+        "so every loop step is a commutation, for every word)",
+        "coherence: PASS (825/825 diagram classes derivable from the base family)",
+    ),
 }
 
 
@@ -766,7 +794,7 @@ def test_empty_words_on_rprime(h3prime, capsys):
     assert run(capsys, ["equal", h3prime, "-", "1"]) == (1, "different\n", "")
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_verify_item_lines_are_unchanged(n, capsys):
     code, out, err = run(capsys, ["hecke", "verify", str(n)])
     assert (code, err) == (0, "")

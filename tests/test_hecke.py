@@ -12,7 +12,6 @@ from srw.diagrams import (
     CellFamily,
     ElementaryDiagram,
     PathVerdict,
-    natural_squares,
     paths_equivalent_mod_cells,
     whisker_ed,
 )
@@ -568,16 +567,53 @@ def test_verify_suite_rank2():
     ]
 
 
-def test_c_subsystem_cut_join_is_unknown(monkeypatch):
+def test_c_subsystem_inverse_step_in_a_cc_diagram_is_unknown(monkeypatch):
+    """Negative control: a cc diagram whose right side detours through an
+    inverse commutation still joins its peak, but no longer closes it by
+    forward commutations, so the item is UNKNOWN and names the peak."""
     sys = hecke_system(5, "rfull")
     assert hecke._verify_c_subsystem(sys).status == "PASS"
-    report = hecke.local_confluence_report
-    monkeypatch.setattr(
-        hecke, "local_confluence_report", lambda sub, bound: report(sub, bound=0)
-    )
-    item = hecke._verify_c_subsystem(sys)
+
+    def detour_cell(k, j, i, H):
+        ckj, cki, cji, cik = H.c(k, j), H.c(k, i), H.c(j, i), H.c(i, k)
+        right = [(0, cki), (0, cik), (0, cki), (1, ckj)]
+        return hecke._square((k, j, i), (1, cji), (0, ckj), right, [(1, cki), (0, cji)], H)
+
+    monkeypatch.setattr(hecke, "_cc_cell", detour_cell)
+    hecke._diagram_classes.cache_clear()
+    try:
+        item = hecke._verify_c_subsystem(sys)
+    finally:
+        monkeypatch.undo()
+        hecke._diagram_classes.cache_clear()
     assert item.status == "UNKNOWN", item.detail
-    assert item.detail.endswith("does not join within bound 0")
+    assert item.detail == (
+        "cc diagram for critical pair overlap 531: 5:c31:- | -:c53:1 "
+        "has a step that is not a forward commutation"
+    )
+    assert hecke._verify_c_subsystem(sys).status == "PASS"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_cc_classes_are_the_premise_a_members(n):
+    """The commutation item's PASS speaks of the members that premise (A)
+    names: each cc diagram class, its two sides as an unordered pair, is a
+    cc member of `cells_P(n)` and each cc member is one class, and each
+    forward commutation has a loop member from each of its two words."""
+    family = cells_P(n)
+    members = dict(zip(family.labels, family.members))
+    sys = hecke_system(n, "rfull")
+    classes = hecke._diagram_classes(sys)
+    cc = {frozenset(hecke._sides(ed)) for _, ed, name in classes if name == "cc"}
+    want = {frozenset(pair) for label, pair in members.items() if label.startswith("cc(")}
+    assert cc == want and len(cc) == {5: 1, 6: 4, 7: 10, 8: 20, 9: 35}[n]
+    for rule in sys.rules:
+        if classify_rule(rule)[0] == "cf":
+            for a, b in (rule.lhs, rule.rhs):
+                loop, empty = members[f"loop({a},{b})"]
+                assert empty == Path((a, b)) and loop.start == (a, b)
+                assert [st.rule.lhs for st in loop.steps] == [(a, b), (b, a)]
+                assert [st.rule.rhs for st in loop.steps] == [(b, a), (a, b)]
 
 
 def test_verify_report_verdict_fold():
@@ -672,9 +708,10 @@ def test_every_forward_commutation_removes_exactly_one_inversion(variant):
 
 
 def test_forward_commutation_pairs_are_cc_overlaps():
-    """The shape fact that lets `_verify_c_subsystem` skip a shape check:
-    every critical pair of the forward commutations, at ranks 3-7, is an
-    overlap whose curated cell is "cc"."""
+    """The shape fact that lets `_verify_c_subsystem` read the "cc" diagram
+    classes as the forward critical pairs: every critical pair of the
+    forward commutations, at ranks 3-7, is an overlap whose curated cell
+    is "cc"."""
     for n in range(3, 8):
         sys = hecke_system(n, "rfull")
         forward = tuple(r for r in sys.rules if classify_rule(r)[0] == "cf")
@@ -754,8 +791,8 @@ def _flat_heads(inst):
     return (), head + stats
 
 
-def _symbolic(order, ed):
-    rep = check_naturals(order, [(None, ed)])
+def _symbolic(order, r1, r2):
+    rep = check_naturals(order, [(r1, r2)])
     return "FAIL" if rep.failures else "UNKNOWN" if rep.ties else "PASS"
 
 
@@ -774,7 +811,7 @@ def test_symbolic_naturals_match_enumeration(n, max_mid, key):
     if key is not None:
         sys = _keyed(sys, key)
     symbolic = {
-        (r1.name, r2.name): _symbolic(sys.order, ed) for (r1, r2), ed in natural_squares(sys)
+        (r1.name, r2.name): _symbolic(sys.order, r1, r2) for r1 in sys.rules for r2 in sys.rules
     }
     by_pair = {}
     for (r1, w, r2), ed in natural_squares_upto(sys, max_mid):
@@ -796,7 +833,7 @@ def test_whiskered_natural_squares_follow_the_pair_verdict(n):
     rng = random.Random(n)
     sys = hecke_system(n, "rfull")
     inverted = _keyed(sys, _inverted_heads).order
-    verdict = {(r1, r2): _symbolic(inverted, ed) for (r1, r2), ed in natural_squares(sys)}
+    verdict = {(r1, r2): _symbolic(inverted, r1, r2) for r1 in sys.rules for r2 in sys.rules}
 
     def word(k):
         return tuple(rng.randint(1, n) for _ in range(rng.randint(0, k)))
@@ -813,7 +850,8 @@ def _square_named(sys, label):
     names, why = label.split(": ", 1)
     r1, w, r2 = names.split("|")
     assert w == "-"
-    return [((a, b), ed) for (a, b), ed in natural_squares(sys) if (a.name, b.name) == (r1, r2)], why
+    r1, r2 = sys.rule(r1), sys.rule(r2)
+    return [((r1, r2), ElementaryDiagram(*natural_square(r1, (), r2)))], why
 
 
 def test_verify_naturals_fail_names_a_failing_square():
@@ -831,7 +869,9 @@ def _margin_failures(sys):
     key = sys.order.key
     return [
         (f"{r1.name}|{r2.name}", key(other) > key(step))
-        for (r1, r2), ed in natural_squares(sys)
+        for r1 in sys.rules
+        for r2 in sys.rules
+        for ed in [natural_square(r1, (), r2)]
         for same, other, step in (
             (ed.top, ed.left, ed.bottom.steps[0]),
             (ed.left, ed.top, ed.right.steps[0]),

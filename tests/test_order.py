@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srw.critical import enumerate_critical_pairs
-from srw.diagrams import ElementaryDiagram, natural_squares, transpose_ed
+from srw.diagrams import ElementaryDiagram, transpose_ed
 from srw.hecke import chosen_critical_ed_tagged, hecke_system
 from srw.order import (
     InstanceOrder,
@@ -20,6 +20,7 @@ from srw.words import Path, Rule, RuleInstance, SrsSystem
 from oracles import (
     compared_decreasing,
     monomial_counterexamples,
+    natural_square,
     natural_squares_upto,
     tiny_system,
 )
@@ -226,7 +227,7 @@ def test_check_decreasing_counts_and_labels_failures():
         right=Path(top.target, (swp,)),
         bottom=Path(top.target, (swp,)),
     )
-    good = next(ed for (r1, r2), ed in natural_squares(sys) if r1.name == r2.name == "dbl")
+    good = ElementaryDiagram(*natural_square(sys.rule("dbl"), (), sys.rule("dbl")))
     rep = check_decreasing(ord_, [("good", good), ("bad", bad), ("none", None)])
     assert rep.checked == 3 and not rep.ok
     assert [label for label, _ in rep.failures] == ["bad", "none"]
@@ -294,7 +295,7 @@ def test_check_naturals_fails_what_enumeration_fails(tie, data):
     exactly when some enumerated square is not decreasing.  A rule-rank
     order leaves no pair undecided."""
     sys = data.draw(_ranked_systems(tie))
-    rep = check_naturals(sys.order, natural_squares(sys))
+    rep = check_naturals(sys.order, [(r1, r2) for r1 in sys.rules for r2 in sys.rules])
     assert rep.checked == len(sys.rules) ** 2 and not rep.ties
     failed = {label for label, _ in rep.failures}
     by_pair = {}
