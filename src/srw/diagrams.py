@@ -25,8 +25,10 @@ In a tiling a node holds its word once; the frontier, edges and cells
 hold codes.  A repeated step closes with an improper cell, disjoint
 redexes with their natural square (its right side is the vertical step,
 its bottom side the horizontal one, each moved by the other's length
-change if the other lies left of it), overlapping ones with the
-critical-pair chooser's cell.  The chooser takes the bare `CriticalPair`
+change if the other lies left of it), glued in place as one new word
+and two edges, overlapping ones with the critical-pair chooser's cell.
+A tiler's cell keeps no origin label: reading `Tiling.cells` names it
+from its two codes.  The chooser takes the bare `CriticalPair`
 and returns (diagram, transposed), the pair's first step on top and its
 second on the left, or None.  It must depend on the pair alone: while it
 lives the tiler asks it once per bare pair and shifts the coded sides
@@ -248,8 +250,16 @@ def _natural(h: int, v: int) -> tuple[int, int, str] | None:
     return None
 
 
+def _origin(h: int, v: int) -> str:
+    """The label of the tiler's cell for the coded corner (h, v)."""
+    if h == v:
+        return "repeated-step"
+    kind = "critical" if _natural(h, v) is None else "natural"
+    return f"{kind}({_CODER.rules[h % _STRIDE].name},{_CODER.rules[v % _STRIDE].name})"
+
+
 def _critical(n: int, chooser, w: Word, h: int, v: int):
-    """Right and bottom codes, tag and origin of the chooser's cell for the
+    """Right and bottom codes and tag of the chooser's cell for the
     overlapping steps h and v at w, shifted into place; n names letters in
     the error message."""
     C, S = _CODER, _STRIDE
@@ -283,8 +293,7 @@ def _critical(n: int, chooser, w: Word, h: int, v: int):
         )
     right, bottom, transposed = memo[key]
     tag = "transposed" if transposed else "whiskered" if lo or hi < len(w) else "critical"
-    origin = f"critical({C.rules[rh].name},{C.rules[rv].name})"
-    return tuple(c + shift for c in right), tuple(c + shift for c in bottom), tag, origin
+    return tuple(c + shift for c in right), tuple(c + shift for c in bottom), tag
 
 
 class Tiling:
@@ -317,8 +326,8 @@ class Tiling:
     def cells(self) -> list[CellRecord]:
         words = self._words
         return [
-            CellRecord(_diagram(words[x], h, v, right, bottom), tag, origin)
-            for x, h, v, right, bottom, tag, origin in self._cells
+            CellRecord(_diagram(words[x], h, v, r, b), tag, _origin(h, v) if o is None else o)
+            for x, h, v, r, b, tag, o in self._cells
         ]
 
     def _decode(self, entry: tuple) -> RuleInstance:
@@ -351,33 +360,31 @@ class Tiling:
         right, bottom = _CODER.codes(ed.right.steps, ed.bottom.steps)
         self._glue(index, right, bottom, tag, origin)
 
-    def _glue(self, index: int, right: _Codes, bottom: _Codes, tag: str, origin: str) -> None:
+    def _glue(self, index: int, right: _Codes, bottom: _Codes, tag: str, origin: str | None) -> None:
         """Replace the open corner at `index` by the coded right side from
-        its top's target and bottom side from its left's target; the
-        bottom side ends where the right side does."""
+        its top's target, then the bottom side from its left's target to
+        where the right side ends, numbering new nodes in that order (both
+        empty: a dashed edge).  Origin None is named when `cells` is read."""
         f, words = self._frontier, self._words
         (_, h, x, y), (_, v, _, z) = f[index], f[index + 1]
-
-        def chain(kind: str, cur: int, codes: _Codes, end: int | None):
-            """Edges along codes from node cur, the last to end (if not None)."""
-            out, w = [], words[cur]
-            for i, c in enumerate(codes):
-                if end is not None and i == len(codes) - 1:
-                    dst = end
-                else:
-                    w = _apply(c, w)
-                    words.append(w)
-                    dst = len(words) - 1
-                out.append((kind, c, cur, dst))
-                cur = dst
-            return out, cur
-
-        ventries, sink = chain("V", y, right, None if bottom else z)
-        hchain, _ = chain("H", z, bottom, sink)
+        vs, hs, cur = [], [], y
+        for k, c in enumerate(right, 1):
+            dst = z if k == len(right) and not bottom else len(words)
+            if dst == len(words):
+                words.append(_apply(c, words[cur]))
+            vs.append(("V", c, cur, dst))
+            cur = dst
+        sink, cur = cur, z
+        for k, c in enumerate(bottom, 1):
+            dst = sink if k == len(bottom) else len(words)
+            if dst == len(words):
+                words.append(_apply(c, words[cur]))
+            hs.append(("H", c, cur, dst))
+            cur = dst
         if not right and not bottom:
             self._edges.append(("H", None, y, z))
-        self._edges += ventries + hchain
-        f[index : index + 2] = ventries + hchain[::-1]
+        self._edges += vs + hs
+        f[index : index + 2] = vs + hs[::-1]
         self._cells.append((x, h, v, right, bottom, tag, origin))
 
     def boundary(self) -> Boundary:
@@ -398,19 +405,23 @@ def complete_tiling(t: Tiling, chooser, fuel: int = 10000) -> Tiling:
     cell for a repeated step, the natural square for disjoint redexes, and
     the chooser's critical cell, whiskered into place, for overlapping
     ones (see the module docstring)."""
+    f, words, edges, cells = t._frontier, t._words, t._edges, t._cells
     index = t._first_corner(0)
     while index is not None:
         if fuel <= 0:
             raise FuelExhausted(f"{len(t._corners())} open corner(s) remain with no fuel left")
-        (_, h, x, _), (_, v, _, _) = t._frontier[index], t._frontier[index + 1]
+        (_, h, x, y), (_, v, _, z) = f[index], f[index + 1]
         if h == v:
-            cell = (), (), "improper", "repeated-step"
-        elif (nat := _natural(h, v)) is not None:
-            names = _CODER.rules[h % _STRIDE].name, _CODER.rules[v % _STRIDE].name
-            cell = (nat[0],), (nat[1],), nat[2], "natural({},{})".format(*names)
+            t._glue(index, (), (), "improper", None)
+        elif (nat := _natural(h, v)) is not None:  # one new word, as _glue lays a square out
+            right, bottom, tag = nat
+            words.append(_apply(right, words[y]))
+            f[index] = down = ("V", right, y, len(words) - 1)
+            f[index + 1] = across = ("H", bottom, z, len(words) - 1)
+            edges += down, across
+            cells.append((x, h, v, (right,), (bottom,), tag, None))
         else:
-            cell = _critical(t.n, chooser, t._words[x], h, v)
-        t._glue(index, *cell)
+            t._glue(index, *_critical(t.n, chooser, words[x], h, v), None)
         fuel -= 1
         # Gluing rewrites only positions index and index + 1, and no corner lies before index.
         index = t._first_corner(max(index - 1, 0))

@@ -121,6 +121,19 @@ def test_adjoin_validates_corner():
     unit = ElementaryDiagram(top=v, left=v, right=Path(v.target), bottom=Path(v.target))
     with pytest.raises(CornerMismatch):
         t.adjoin_at_corner(idx, unit, tag="improper")
+    # A cell adjoined by hand keeps its origin, the default "" included,
+    # after the tiler has glued more cells, which it names from their steps.
+    top, left = h, v
+    more = find_redexes(top.target, sys)[0]
+    t = Tiling(3, Zigzag(more.target, ((BACKWARD, more), (BACKWARD, top), (FORWARD, left))))
+    ((idx, _, _),) = t.open_corners()
+    pair = next(p for p in enumerate_critical_pairs(sys) if (p.first, p.second) == (top, left))
+    ed, _ = hecke_provider(sys)(pair)
+    t.adjoin_at_corner(idx, ed, "critical")
+    assert t.open_corners()
+    complete_tiling(t, hecke_provider(sys))
+    assert t.cells[0] == CellRecord(ed, "critical", "") and len(t.cells) > 1
+    assert all(c.origin.startswith(("natural(", "critical(", "repeated-step")) for c in t.cells[1:])
 
 
 def test_complete_peak_undo_square():
@@ -271,6 +284,36 @@ def test_resumed_corner_scan_glues_cells_in_the_rescan_order(n):
             assert _cells(cut) == ref_cut
         assert _cells(complete_tiling(Tiling(n, zig), chooser, len(ref_cells))) == ref_cells
     assert {"improper", "natural", "transposed", "whiskered"} <= tags
+
+
+@pytest.mark.parametrize(
+    "n,variant,make_chooser",
+    [(4, "rfull", hecke_provider), (5, "rfull", hecke_provider), (3, "rdoubleprime", bfs_join_chooser)],
+    ids=["rfull4", "rfull5", "rdoubleprime3-bfs"],
+)
+def test_tiling_nodes_and_edges_hold_their_steps(n, variant, make_chooser):
+    """Every solid edge's step runs between its two nodes' words, every
+    dashed edge joins two equal words, and the nodes are the walk's plus
+    one per step of each reference cell's sides but the last."""
+    import random
+
+    sys = hecke_system(n, variant)
+    chooser = make_chooser(sys)
+    kinds = {"V": 0, "H": 0, "dashed": 0}
+    for zig in _seeded_zigzags(random.Random(3500 + n), sys, 100):
+        t = complete_tiling(Tiling(n, zig), chooser)
+        nodes = t.nodes
+        for e in t.edges:
+            if e.step is None:
+                assert e.kind == "H" and nodes[e.src] == nodes[e.dst]
+                kinds["dashed"] += 1
+            else:
+                assert (e.step.source, e.step.target) == (nodes[e.src], nodes[e.dst])
+                kinds[e.kind] += 1
+        ref_cells, _ = rescan_tiling(zig, chooser, 10000)
+        made = sum(max(len(right) + len(bottom) - 1, 0) for _, _, right, bottom, _, _ in ref_cells)
+        assert len(nodes) == len(zig.legs) + 1 + made
+    assert min(kinds.values()) > 0
 
 
 def test_chooser_is_asked_once_per_bare_pair():

@@ -56,6 +56,37 @@ def test_tile_random_peaks_runs_to_completion():
     assert first.endswith("over rank 4 (rfull), all within fuel 10000")
 
 
+RANK3_TAGS_AND_ORIGINS = """\
+largest tiling: 9 cells
+cells by tag:
+  improper    315
+  transposed  172
+  natural     77
+  whiskered   58
+  critical    13
+top cell origins:
+  repeated-step                315
+  critical(c31,c13)            17
+  critical(a3,a3)              15
+  critical(c13,c31)            15
+  critical(a2,a2)              14
+  natural(c31,c31)             11
+  critical(a1,a1)              10
+  critical(a1,c31)             9
+  natural(a3,a2)               9
+  natural(c31,a1)              8
+"""
+
+
+def test_tile_random_peaks_tags_and_origins_are_pinned():
+    """Cell tags and origins as `Tiling.cells` reads them, counted over 300
+    seeded rank-3 peaks: everything after the timed first line."""
+    script = ROOT / "scripts" / "tile_random_peaks.py"
+    proc = _run(str(script), "--rank", "3", "--trials", "300", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n", 1)[1] == RANK3_TAGS_AND_ORIGINS
+
+
 @pytest.mark.parametrize(
     "flag,value,least",
     [
