@@ -103,8 +103,8 @@ from .diagrams import (
     transpose_ed,
 )
 from .order import InstanceOrder, check_decreasing, check_naturals
-from .seminormal import NoDescent, NotOneClass, descend, measure_split, words_equal
-from .words import Path, Rule, RuleInstance, SourceMismatch, SrsSystem, Word, explore
+from .seminormal import NoDescent, NotOneClass, descend, measure_split, sink_forms, words_equal
+from .words import Path, Rule, RuleInstance, SourceMismatch, SrsSystem, Word
 
 __all__ = [
     "InvalidRank",
@@ -661,12 +661,12 @@ def translate_to_basic(path: Path, target: SrsSystem) -> Path:
 
 
 def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
-    """Canonical form in a Hecke system with paired commutations: the
-    descent of `srw.seminormal.descend`, which takes each class's normal
-    form and rewrites the first placement of the first idempotence or
-    braid rule until none is left.  `_memo` maps the normal forms met
-    along the way to the result.  Cross-checked against the generic
-    sink-class attractor in the tests.
+    """Canonical form of one word in a Hecke system with paired
+    commutations: the descent of `srw.seminormal.descend`, which takes
+    each class's normal form and rewrites the first placement of the first
+    idempotence or braid rule until none is left.  `_memo` maps the normal
+    forms met along the way to the result.  It stays as the one-word entry
+    point that the tests and the benchmark's tracer name.
 
     Raises ValueError when some commutation lacks its inverse (rprime
     from rank 3 on): commutation classes are then not the attractors,
@@ -678,22 +678,14 @@ def hecke_canon(w: Word, sys: SrsSystem, _memo: dict | None = None) -> Word:
 def enumerate_monoid(
     n: int, variant: str = "rdoubleprime", cap: int = 6
 ) -> list[Word]:
-    """All monoid elements as canonical words, shortlex sorted.
-
-    Breadth-first closure (`srw.words.explore`) of the canonical forms
-    under right multiplication by generators; the cap guards against
-    accidentally enumerating a monoid with tens of thousands of elements.
+    """All monoid elements as canonical words in shortlex order: the
+    system's `srw.seminormal.sink_forms`, no word descended.  The cap guards
+    against listing a monoid with tens of thousands of elements by accident.
     Raises ValueError where `hecke_canon` does (rprime from rank 3 on).
     """
     if n > cap:
         raise CapExceeded(f"rank {n} exceeds the enumeration cap {cap}")
-    sys = hecke_system(n, variant)
-    memo: dict[Word, Word] = {}
-    seen, _ = explore(
-        hecke_canon((), sys, memo),
-        lambda w: [hecke_canon(w + (g,), sys, memo) for g in range(1, n + 1)],
-    )
-    return sorted(seen, key=lambda t: (len(t), t))
+    return list(sink_forms(hecke_system(n, variant)))
 
 
 # --- the verification suite -------------------------------------------------

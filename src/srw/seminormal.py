@@ -65,6 +65,14 @@ gives rfull by decreasing diagrams (van Oostrom, *Confluence by
 decreasing diagrams*, TCS 126, 1994).  Each normal form of a chain is
 memoised with the chain's end.
 
+Sink forms.  Like irreducible words (Book and Otto, *String-Rewriting
+Systems*, 1993), the normal forms of sink classes are closed under
+prefixes: if w g is one, so is w, as a member x of w's class with a
+lowering lhs as a factor, or before w in lex order, makes x g such a
+member of w g's class.  So `sink_forms` lists them level by level, each
+w g kept, w a sink form, when it is its class's normal form and no
+lowering rule has a placement in it; it descends no word.
+
 The graphs.  One depth-first pass of Tarjan's algorithm both discovers
 a descendant graph and condenses it into its strongly connected
 components (Tarjan, *Depth-first search and linear graph algorithms*,
@@ -112,6 +120,7 @@ __all__ = [
     "words_equal",
     "NoDescent",
     "descend",
+    "sink_forms",
 ]
 
 
@@ -341,6 +350,26 @@ def words_equal(u: Word, v: Word, sys: SrsSystem, max_words: int | None = None) 
     return canon(u, sys, max_words) == canon(v, sys, max_words)
 
 
+def _route(sys: SrsSystem) -> tuple[Pairs, tuple[Rule, ...]]:
+    """`_premises` of a system that meets them, else NoDescent."""
+    if (premises := _premises(sys)) is None:
+        raise NoDescent(
+            "descent needs every interchange paired with its inverse and the "
+            "other rules lowering the measure within their left-hand letters"
+        )
+    return premises
+
+
+def _lower_step(key: Word, independent: Pairs, lower: tuple[Rule, ...]) -> Word | None:
+    """The next class normal form on `key`'s first-placement chain, or None at a sink."""
+    factor = class_factors(key, independent)
+    for r in lower:
+        hit = next(factor(r.lhs), None)
+        if hit is not None:
+            return normal_form(hit[0] + r.rhs + hit[1], independent)
+    return None
+
+
 def descend(w: Word, sys: SrsSystem, memo: dict[Word, Word] | None = None) -> Word:
     """The normal form of the sink class that w's first-placement chain
     reaches (module docstring): from each class normal form, the first
@@ -348,28 +377,17 @@ def descend(w: Word, sys: SrsSystem, memo: dict[Word, Word] | None = None) -> Wo
     `memo` maps each normal form met on a chain to the chain's end; by
     default it is the system's part of `_DESCENTS`, under MEMO_WORDS.
     Raises NoDescent when the system fails the quotient route's premises."""
-    premises = _premises(sys)
-    if premises is None:
-        raise NoDescent(
-            "descent needs every interchange paired with its inverse and the "
-            "other rules lowering the measure within their left-hand letters"
-        )
-    independent, lower = premises
+    independent, lower = _route(sys)
     shared = memo is None
     if memo is None:
         memo = _DESCENTS.setdefault(sys, {})
     chain: list[Word] = []
-    key = normal_form(w, independent)
+    key: Word | None = normal_form(w, independent)
     while key not in memo:
         chain.append(key)
-        factor = class_factors(key, independent)
-        for r in lower:
-            hit = next(factor(r.lhs), None)
-            if hit is not None:
-                key = normal_form(hit[0] + r.rhs + hit[1], independent)
-                break
-        else:
-            result = key
+        key = _lower_step(key, independent, lower)
+        if key is None:
+            result = chain[-1]
             break
     else:
         result = memo[key]
@@ -378,3 +396,15 @@ def descend(w: Word, sys: SrsSystem, memo: dict[Word, Word] | None = None) -> Wo
     for k in chain:
         memo[k] = result
     return result
+
+
+def sink_forms(sys: SrsSystem) -> Iterator[Word]:
+    """The normal form of every sink class, in shortlex order, level by
+    level (module docstring).  Raises NoDescent when first read, like `descend`."""
+    independent, lower = _route(sys)
+    level: list[Word] = [()]  # a lowering rule's lhs is never empty
+    while level:
+        yield from level
+        grown = (w + (g,) for w in level for g in range(1, sys.n + 1))
+        level = [c for c in grown if normal_form(c, independent) == c]
+        level = [c for c in level if _lower_step(c, independent, lower) is None]

@@ -25,11 +25,9 @@ sweep but returns only the rewritten words, without the instances.
 word and a step function listing the next words, it returns the words
 reached and whether the search ran to the end or stopped at its bound on
 explored words.  `reach` runs it over one-step rewriting, as does
-`srw.seminormal.AttractorClass.members` to list a sink class; the element
-closure of `srw.hecke.enumerate_monoid` runs it with its own step.  For
-systems whose rules never lengthen words the closure under rewriting is
-finite and `reach` is exact, otherwise it needs a bound and may be
-truncated.
+`srw.seminormal.AttractorClass.members` to list a sink class.  For systems
+whose rules never lengthen words the closure under rewriting is finite and
+`reach` is exact, otherwise it needs a bound and may be truncated.
 """
 
 from __future__ import annotations

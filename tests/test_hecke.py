@@ -48,6 +48,7 @@ from srw.words import (
     RuleInstance,
     SourceMismatch,
     SrsSystem,
+    explore,
     find_redexes,
 )
 
@@ -471,6 +472,30 @@ def test_enumerate_monoid_variants_agree():
     assert len(enumerate_monoid(2, variant="rprime")) == 6
     got = {len(w) for w in enumerate_monoid(3, variant="rfull")}
     assert max(got) == 6  # the longest element has n(n+1)/2 letters
+
+
+@pytest.mark.parametrize(
+    "variant, n",
+    [(v, n) for v in ("rdoubleprime", "rfull") for n in range(1, 6)]
+    + [("rprime", 1), ("rprime", 2)],
+)
+def test_enumerate_monoid_is_the_closure_of_canonical_forms(variant, n):
+    """The elements are the closure of the canonical forms under right
+    multiplication by generators, each product descended by `hecke_canon`."""
+    sys, memo = hecke_system(n, variant), {}
+    closure, complete = explore(
+        hecke_canon((), sys, memo),
+        lambda w: [hecke_canon(w + (g,), sys, memo) for g in range(1, n + 1)],
+    )
+    assert complete
+    assert enumerate_monoid(n, variant) == sorted(closure, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize("variant", ["rdoubleprime", "rfull"])
+def test_enumerated_words_are_closed_under_prefixes(variant):
+    words = enumerate_monoid(5, variant)
+    known = set(words)
+    assert [w for w in words if any(w[:k] not in known for k in range(len(w)))] == []
 
 
 def test_unpaired_commutations_rejected_at_once():

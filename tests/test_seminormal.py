@@ -16,6 +16,7 @@ from srw.seminormal import (
     attractors,
     canon,
     descend,
+    sink_forms,
     words_equal,
 )
 from srw.traces import normal_form
@@ -27,6 +28,7 @@ from oracles import (
     commutation_class,
     congruence_closure,
     fixpoint_reach,
+    labelled_class,
 )
 
 
@@ -478,3 +480,40 @@ def test_descent_memo_shares_the_bound(monkeypatch):
         assert held[-1] <= bound
         assert all(descend(k, sys, {}) == d for k, d in seminormal._DESCENTS[sys].items())
     assert any(b < a for a, b in zip(held, held[1:]))  # it overflowed
+
+
+def test_sink_forms_are_lazy():
+    # Every word without 11 is a sink form: infinitely many, listed lazily.
+    sys = SrsSystem(2, (Rule("a1", (1, 1), (1,)),))
+    assert list(itertools.islice(sink_forms(sys), 8)) == [
+        (), (1,), (2,), (1, 2), (2, 1), (2, 2), (1, 2, 1), (1, 2, 2),
+    ]
+
+
+def test_sink_forms_need_the_quotient_premises():
+    forms = sink_forms(hecke_system(3, "rprime"))
+    with pytest.raises(NoDescent, match="paired with its inverse"):
+        next(forms)
+
+
+@given(_paired_systems())
+@settings(max_examples=60, deadline=None)
+def test_sink_forms_match_an_oracle_on_random_systems(sys):
+    """Up to four letters, the sink forms are the words that are the least
+    member of their commutation class (by the oracle's swaps) when no member
+    holds a left-hand side other than an interchange's, and the descents of
+    all words, confluent system or not."""
+    swapping = [len(set(r.lhs)) == 2 and r.rhs == r.lhs[::-1] for r in sys.rules]
+    swaps = {r.lhs for r, s in zip(sys.rules, swapping) if s}
+    lhss = [r.lhs for r, s in zip(sys.rules, swapping) if not s]
+    words = all_words(sys.n, 4)
+
+    def is_sink_form(w):
+        members = {tuple(a for a, _ in x) for x in labelled_class(w, swaps)}
+        return w == min(members) and not any(
+            x[i : i + len(lhs)] == lhs for x in members for lhs in lhss for i in range(len(x))
+        )
+
+    got = list(itertools.takewhile(lambda w: len(w) <= 4, sink_forms(sys)))
+    assert got == sorted(filter(is_sink_form, words), key=lambda w: (len(w), w))
+    assert set(got) == {descend(w, sys, {}) for w in words}
